@@ -19,6 +19,7 @@ from .correlations import (
     joint_probability,
     lbps_quadripartite,
     lbps_tripartite,
+    mub_settings,
     mutual_predictability,
     outcome_distribution,
     uniform_setting,

@@ -148,16 +148,22 @@ _QUAD_PATTERNS: tuple[IndexPattern, ...] = (
 )
 
 
+# Pattern sets are immutable, so the canonical ones are built once.
+_TRI_SETS = tuple(LbpsPatternSet(name, pats) for name, pats in _TRI_PATTERNS)
+_QUAD_SET = LbpsPatternSet("quad1", _QUAD_PATTERNS)
+
+
 def lbps_tripartite() -> list[LbpsPatternSet]:
     """The six canonical 5-pattern sets for three qubits, in listing order."""
-    return [LbpsPatternSet(name, pats) for name, pats in _TRI_PATTERNS]
+    return list(_TRI_SETS)
 
 
 def lbps_quadripartite() -> LbpsPatternSet:
     """The single canonical 12-pattern set for four qubits."""
-    return LbpsPatternSet("quad1", _QUAD_PATTERNS)
+    return _QUAD_SET
 
 
+@lru_cache(maxsize=None)
 def diagonal_set(arity: int, d: int = 2) -> LbpsPatternSet:
     """The matched-outcome patterns (i, i, ..., i): the n-party diagonal."""
     if arity < 2:
@@ -260,18 +266,27 @@ def mutual_predictability(rho: DensityMatrix, setting: BasisAssignment) -> float
     return fsum(float(probs[i, i]) for i in range(d0))
 
 
-def i_m_bipartite(rho: DensityMatrix, family: MubFamily) -> CertificationReport:
+def mub_settings(family: MubFamily) -> tuple[BasisAssignment, ...]:
+    """One two-party setting per basis of the family, both parties in that basis."""
+    return tuple(uniform_setting(b, 2) for b in family.bases)
+
+
+def i_m_bipartite(rho: DensityMatrix, family: MubFamily, settings=None) -> CertificationReport:
     """Sum of mutual predictabilities over the m settings of a MUB family.
 
     Separable bound 1 + (m-1)/d; for a complete family (m = d+1) that is 2.
+    settings, if given, must be ``mub_settings(family)``: a caller that
+    certifies many states against one family builds them once.
     """
     if rho.n_parties != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError(f"need a bipartite state with equal dims, got {rho.dims}")
     if rho.dims[0] != family.d:
         raise ValueError(f"family dimension {family.d} does not match state dims {rho.dims}")
-    per_basis = tuple(
-        mutual_predictability(rho, uniform_setting(b, 2)) for b in family.bases
-    )
+    if settings is None:
+        settings = mub_settings(family)
+    elif [s.bases for s in settings] != [(b, b) for b in family.bases]:
+        raise ValueError("settings must be mub_settings(family)")
+    per_basis = tuple(mutual_predictability(rho, s) for s in settings)
     bound = 1.0 + (family.m - 1) / family.d
     return _make_report(
         per_basis[0],
@@ -283,13 +298,11 @@ def i_m_bipartite(rho: DensityMatrix, family: MubFamily) -> CertificationReport:
     )
 
 
-def c_pattern_sum(rho: DensityMatrix, setting: BasisAssignment, pattern_set: LbpsPatternSet) -> float:
-    """Sum of joint probabilities over one pattern set."""
+def _pattern_sum(probs: np.ndarray, setting: BasisAssignment, pattern_set: LbpsPatternSet) -> float:
     if pattern_set.arity != setting.n_parties:
         raise ValueError(
             f"pattern arity {pattern_set.arity} does not match {setting.n_parties} parties"
         )
-    probs = outcome_distribution(rho, setting)
     flat = np.ravel_multi_index(np.array(pattern_set.patterns).T, setting.dims)
     value = float(np.sum(probs[flat]))
     if value > 1.0 + 1e-10:
@@ -297,14 +310,23 @@ def c_pattern_sum(rho: DensityMatrix, setting: BasisAssignment, pattern_set: Lbp
     return min(value, 1.0)
 
 
+def c_pattern_sum(rho: DensityMatrix, setting: BasisAssignment, pattern_set: LbpsPatternSet) -> float:
+    """Sum of joint probabilities over one pattern set."""
+    return c_max(rho, setting, [pattern_set])[0]
+
+
 def c_max(rho: DensityMatrix, setting: BasisAssignment, sets) -> tuple[float, str]:
-    """Maximum pattern sum over a collection of sets; first attaining set wins ties."""
+    """Maximum pattern sum over a collection of sets; first attaining set wins ties.
+
+    Every set is summed from one outcome distribution of the setting.
+    """
     sets = list(sets)
     if not sets:
         raise ValueError("need at least one pattern set")
+    probs = outcome_distribution(rho, setting)
     best_value, best_name = -1.0, ""
     for s in sets:
-        value = c_pattern_sum(rho, setting, s)
+        value = _pattern_sum(probs, setting, s)
         if value > best_value:
             best_value, best_name = value, s.name
     return best_value, best_name

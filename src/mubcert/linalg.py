@@ -12,7 +12,7 @@ invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -45,6 +45,20 @@ def _check_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def normalise(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``amps`` divided by its 2-norm, and that norm.
+
+    A non-finite norm means a non-finite (or overflowing) amplitude; a
+    norm at or below 1e-12 means a zero vector.  Both raise.
+    """
+    norm = float(np.linalg.norm(amps))
+    if not isfinite(norm):
+        raise ValueError("amplitudes must be finite")
+    if norm <= 1e-12:
+        raise ValueError("cannot normalise a zero vector")
+    return amps / norm, norm
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalised pure state over ``prod(dims)`` complex amplitudes.
@@ -65,12 +79,7 @@ class StateVector:
             raise ValueError(
                 f"expected {prod(dims)} amplitudes for dims {dims}, got {amps.size}"
             )
-        if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
-        if norm <= 1e-12:
-            raise ValueError("cannot normalise a zero vector")
-        amps = amps / norm
+        amps, norm = normalise(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -217,6 +226,27 @@ def permute_parties(psi: StateVector, order) -> StateVector:
     return StateVector(tuple(psi.dims[o] for o in order), new.reshape(-1))
 
 
+def convex_sum(arrays, weights) -> np.ndarray:
+    """Weighted sum of equally shaped arrays, weights renormalised to sum to one.
+
+    Weights must be finite, non-negative and not all zero.  The sum is
+    accumulated term by term in listing order.
+    """
+    arrays = list(arrays)
+    w = np.asarray(list(weights), dtype=float)
+    if len(arrays) == 0 or w.size != len(arrays):
+        raise ValueError("need one weight per term")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and non-negative")
+    total = float(w.sum())
+    if total <= 0:
+        raise ValueError("weights must not all vanish")
+    acc = np.zeros_like(arrays[0])
+    for wi, a in zip(w / total, arrays):
+        acc = acc + wi * a
+    return acc
+
+
 def mix(parts, weights) -> DensityMatrix:
     """Convex mixture of density matrices with matching dims.
 
@@ -224,18 +254,7 @@ def mix(parts, weights) -> DensityMatrix:
     the result keeps unit trace exactly.
     """
     parts = list(parts)
-    w = np.asarray(list(weights), dtype=float)
-    if len(parts) == 0 or w.size != len(parts):
-        raise ValueError("need one weight per density matrix")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and non-negative")
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("weights must not all vanish")
-    dims = parts[0].dims
-    if any(p.dims != dims for p in parts):
+    if any(p.dims != parts[0].dims for p in parts):
         raise ValueError("all density matrices must share the same dims")
-    acc = np.zeros_like(parts[0].entries)
-    for wi, p in zip(w / total, parts):
-        acc = acc + wi * p.entries
-    return DensityMatrix(dims, acc)
+    entries = convex_sum([p.entries for p in parts], weights)
+    return DensityMatrix(parts[0].dims, entries)

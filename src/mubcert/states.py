@@ -6,7 +6,7 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .linalg import DensityMatrix, StateVector, mix, permute_parties
+from .linalg import DensityMatrix, StateVector, convex_sum, normalise
 
 
 def psi_lambda(lam: float) -> StateVector:
@@ -88,13 +88,15 @@ def wg4(theta: float, mu: float, nu: float) -> StateVector:
     return StateVector((2, 2, 2, 2), amps)
 
 
+def _gaussian_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
 def random_pure(dims, seed) -> StateVector:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
-    total = int(np.prod(dims))
-    amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    return StateVector(dims, amps)
+    return StateVector(dims, _gaussian_amplitudes(rng, int(np.prod(dims))))
 
 
 def bipartitions(n: int) -> list[tuple[int, ...]]:
@@ -109,19 +111,37 @@ def bipartitions(n: int) -> list[tuple[int, ...]]:
     return cuts
 
 
-def _haar_block(rng: np.random.Generator, n_qubits: int) -> StateVector:
-    dim = 2**n_qubits
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector((2,) * n_qubits, amps)
+# The campaign samplers build every mixture component from raw arrays:
+# pure vectors pass the scalar norm guard of normalise, weights the guards
+# of convex_sum, and only the returned state is validated as a
+# DensityMatrix.  The float operations (normalise, 1-D kron taken as an
+# outer product, renormalise, transpose, renormalise, projector, weighted
+# accumulation) are those of building StateVector and DensityMatrix objects
+# and mixing them, so seeded samples are the same bit for bit.
 
 
-def _product_across_cut(rng: np.random.Generator, n: int, block: tuple[int, ...]) -> StateVector:
+def _product_across_cut(rng: np.random.Generator, n: int, block: tuple[int, ...]) -> np.ndarray:
+    """Projector onto a Haar-random product across block|rest, as a raw matrix."""
     other = tuple(p for p in range(n) if p not in block)
-    left = _haar_block(rng, len(block))
-    right = _haar_block(rng, len(other))
-    joined = StateVector((2,) * n, np.kron(left.amplitudes, right.amplitudes))
+    left, _ = normalise(_gaussian_amplitudes(rng, 2 ** len(block)))
+    right, _ = normalise(_gaussian_amplitudes(rng, 2 ** len(other)))
+    joined, _ = normalise(np.outer(left, right).reshape(-1))
     order = np.argsort(np.array(block + other))
-    return permute_parties(joined, order)
+    psi, _ = normalise(np.transpose(joined.reshape((2,) * n), axes=order).reshape(-1))
+    return np.outer(psi, psi.conj())
+
+
+def _mixture_weights(rng: np.random.Generator, k: int) -> np.ndarray:
+    if k < 1:
+        raise ValueError("terms must be at least 1")
+    return rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+
+
+def _biseparable_entries(n: int, block: tuple[int, ...], seed, terms: int | None) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    k = int(terms) if terms is not None else int(rng.integers(2, 6))
+    weights = _mixture_weights(rng, k)
+    return convex_sum([_product_across_cut(rng, n, block) for _ in range(k)], weights)
 
 
 def random_biseparable(n: int, cut, seed, terms: int | None = None) -> DensityMatrix:
@@ -138,13 +158,7 @@ def random_biseparable(n: int, cut, seed, terms: int | None = None) -> DensityMa
         raise ValueError(f"cut must be a nonempty set of distinct parties, got {cut}")
     if any(p < 0 or p >= n for p in block) or len(block) >= n:
         raise ValueError(f"cut must be a proper subset of 0..{n - 1}, got {cut}")
-    rng = np.random.default_rng(seed)
-    k = int(terms) if terms is not None else int(rng.integers(2, 6))
-    if k < 1:
-        raise ValueError("terms must be at least 1")
-    weights = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
-    parts = [_product_across_cut(rng, n, block).density() for _ in range(k)]
-    return mix(parts, weights)
+    return DensityMatrix((2,) * n, _biseparable_entries(n, block, seed, terms))
 
 
 def random_separable(d: int, seed, terms: int | None = None) -> DensityMatrix:
@@ -153,15 +167,14 @@ def random_separable(d: int, seed, terms: int | None = None) -> DensityMatrix:
         raise ValueError(f"d must be at least 2, got {d}")
     rng = np.random.default_rng(seed)
     k = int(terms) if terms is not None else int(rng.integers(1, 6))
-    if k < 1:
-        raise ValueError("terms must be at least 1")
-    weights = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+    weights = _mixture_weights(rng, k)
     parts = []
     for _ in range(k):
-        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        parts.append(StateVector((d, d), np.kron(a, b)).density())
-    return mix(parts, weights)
+        a = _gaussian_amplitudes(rng, d)
+        b = _gaussian_amplitudes(rng, d)
+        psi, _ = normalise(np.outer(a, b).reshape(-1))
+        parts.append(np.outer(psi, psi.conj()))
+    return DensityMatrix((d, d), convex_sum(parts, weights))
 
 
 def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
@@ -178,9 +191,9 @@ def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
     rng = np.random.default_rng([seed, trial])
     i, j = rng.choice(len(cuts), size=2, replace=False)
     w = float(rng.uniform(0.05, 0.95))
-    part_a = random_biseparable(n, cuts[i], [seed, trial, 0])
-    part_b = random_biseparable(n, cuts[j], [seed, trial, 1])
-    return mix([part_a, part_b], [w, 1.0 - w])
+    part_a = _biseparable_entries(n, cuts[i], [seed, trial, 0], None)
+    part_b = _biseparable_entries(n, cuts[j], [seed, trial, 1], None)
+    return DensityMatrix((2,) * n, convex_sum([part_a, part_b], [w, 1.0 - w]))
 
 
 def separable_sample(d: int, trial: int, seed: int) -> DensityMatrix:

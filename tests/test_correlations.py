@@ -29,6 +29,7 @@ from mubcert import (
     lbps_quadripartite,
     lbps_tripartite,
     mix,
+    mub_settings,
     mutual_predictability,
     outcome_distribution,
     partial_trace,
@@ -152,6 +153,17 @@ def test_i2_qutrit_bounds():
 def test_i2_requires_matching_dims():
     with pytest.raises(ValueError):
         i_m_bipartite(StateVector((2, 3), np.eye(6)[0]).density(), fourier_pair(2))
+
+
+def test_i2_reuses_prebuilt_settings():
+    family = prime_mub_family(3)
+    settings = mub_settings(family)
+    rho = random_pure((3, 3), 8).density()
+    assert i_m_bipartite(rho, family, settings) == i_m_bipartite(rho, family)
+    with pytest.raises(ValueError):
+        i_m_bipartite(rho, family, settings[:2])
+    with pytest.raises(ValueError):
+        i_m_bipartite(rho, family, mub_settings(prime_mub_family(3)))
 
 
 # ------------------------------------------------------------ pattern sets
