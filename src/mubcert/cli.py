@@ -31,7 +31,7 @@ from .correlations import (
     uniform_setting,
 )
 from .linalg import DensityMatrix, InvariantError, StateVector
-from .locc import PovmParams, omega, sweep
+from .locc import PovmParams, PovmSweepResult, omega, sweep
 from .measures import global_q, triangle_tau
 from .mub import MubFamily, fourier_pair, prime_mub_family
 from .states import (
@@ -115,13 +115,16 @@ def _verify_row(kind: str, rho: DensityMatrix, value: float, context: str) -> No
 _CERTIFY_FAMILIES = ("psi_lambda", "bell", "ghz3", "w3", "ghz4", "wg4", "product3", "product4")
 
 
+def _check_lambda(args) -> None:
+    if args.lam is not None and (args.state is not None or args.family != "psi_lambda"):
+        raise ValueError("--lambda applies only to --family psi_lambda")
+
+
 def _family_state(args) -> tuple[StateVector, dict]:
     name = args.family
-    if name == "psi_lambda":
+    if name in ("psi_lambda", "bell"):
         lam = 0.5 if args.lam is None else args.lam
         return psi_lambda(lam), {"lambda": lam}
-    if name == "bell":
-        return psi_lambda(0.5), {"lambda": 0.5}
     if name == "ghz3":
         theta = PI / 4 if args.theta is None else args.theta
         return ghz3(theta), {"theta": theta}
@@ -173,6 +176,7 @@ def _certify_state(psi: StateVector, basis_search: bool):
 def cmd_certify(args) -> int:
     if (args.family is None) == (args.state is None):
         raise ValueError("give exactly one of --family or --state")
+    _check_lambda(args)
     if args.family is not None:
         psi, params = _family_state(args)
         out = {"family": args.family, "params": params}
@@ -308,49 +312,59 @@ def cmd_sweep(args) -> int:
 # ------------------------------------------------------------------- locc
 
 def _locc_state(args) -> DensityMatrix:
+    if args.state is not None and args.family is not None:
+        raise ValueError("give at most one of --family or --state")
+    _check_lambda(args)
     if args.state is not None:
         psi = _load_state(args.state)
         if psi.dims != (2, 2):
             raise ValueError(f"locc needs a two-qubit state, got dims {psi.dims}")
         return psi.density()
-    if args.family == "bell":
-        return psi_lambda(0.5).density()
-    lam = 0.5 if args.lam is None else args.lam
-    return psi_lambda(lam).density()
+    return psi_lambda(0.5 if args.lam is None else args.lam).density()
+
+
+def _verify_omega(rho: DensityMatrix, params: PovmParams, party: int, value: float, context: str) -> None:
+    reference = omega(rho, params, party=party)
+    if abs(reference - value) > VERIFY_TOL:
+        raise InvariantError(
+            f"verification mismatch at {context}: emitted {value!r}, recomputed {reference!r}"
+        )
+
+
+def _write_grid_csv(path: Path, result: PovmSweepResult) -> None:
+    # One row per grid point: each axis value and theta_cap is formatted
+    # once, omega per row, one chi slab at a time; the bytes match _write_csv's.
+    chi_ax, zeta_ax, xi_ax = ([_fmt(float(v)) for v in ax] for ax in result.axes())
+    cap = _fmt(result.theta_cap)
+    tails = [f"{z},{x},{cap}," for z in zeta_ax for x in xi_ax]
+    slabs = result.omega.reshape(len(chi_ax), len(tails))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("chi,zeta,xi,theta_cap,omega\n")
+        for chi, slab in zip(chi_ax, slabs):
+            fh.write("".join([f"{chi},{tail}{v:.17g}\n" for tail, v in zip(tails, slab.tolist())]))
+
+
+def _write_density_csv(path: Path, result: PovmSweepResult) -> None:
+    chi_ax, zeta_ax, _ = result.axes()
+    density = result.density_min_over_xi()
+    rows = (
+        (float(c), float(z), float(v)) for c, row in zip(chi_ax, density) for z, v in zip(zeta_ax, row)
+    )
+    _write_csv(path, ["chi", "zeta", "min_omega_over_xi"], rows)
 
 
 def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int, verify: bool, out_dir: Path):
     axis = (-PI, PI, grid_steps)
     result = sweep(rho, grid=(axis, axis, axis), theta_cap=theta_cap, party=party)
-    chi_ax, zeta_ax, xi_ax = result.axes()
-
     out_dir.mkdir(parents=True, exist_ok=True)
-    flat = result.omega
-    chis = np.repeat(chi_ax, zeta_ax.size * xi_ax.size)
-    zetas = np.tile(np.repeat(zeta_ax, xi_ax.size), chi_ax.size)
-    xis = np.tile(xi_ax, chi_ax.size * zeta_ax.size)
     if verify:
-        for index in range(0, flat.size, VERIFY_STRIDE):
-            params = PovmParams(float(chis[index]), float(zetas[index]), float(xis[index]), theta_cap)
-            reference = omega(rho, params, party=party)
-            if abs(reference - float(flat[index])) > VERIFY_TOL:
-                raise InvariantError(
-                    f"verification mismatch at grid index {index}: "
-                    f"emitted {flat[index]!r}, recomputed {reference!r}"
-                )
-    grid_rows = (
-        (float(chis[i]), float(zetas[i]), float(xis[i]), theta_cap, float(flat[i]))
-        for i in range(flat.size)
-    )
-    _write_csv(out_dir / "grid.csv", ["chi", "zeta", "xi", "theta_cap", "omega"], grid_rows)
-
-    density = result.density_min_over_xi()
-    density_rows = [
-        (float(chi_ax[i]), float(zeta_ax[j]), float(density[i, j]))
-        for i in range(chi_ax.size)
-        for j in range(zeta_ax.size)
-    ]
-    _write_csv(out_dir / "density.csv", ["chi", "zeta", "min_omega_over_xi"], density_rows)
+        chi_ax, zeta_ax, xi_ax = result.axes()
+        for index in range(0, result.omega.size, VERIFY_STRIDE):
+            i, j, k = np.unravel_index(index, (grid_steps,) * 3)
+            params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), theta_cap)
+            _verify_omega(rho, params, party, float(result.omega[index]), f"grid index {index}")
+    _write_grid_csv(out_dir / "grid.csv", result)
+    _write_density_csv(out_dir / "density.csv", result)
 
     summary = {
         "min_omega": result.min_omega,
@@ -458,28 +472,15 @@ def cmd_figures(args) -> int:
     rho_bell = psi_lambda(0.5).density()
     axis = (-PI, PI, args.grid)
     result = sweep(rho_bell, grid=(axis, axis, axis), theta_cap=0.0)
-    chi_ax, zeta_ax, _ = result.axes()
-    density = result.density_min_over_xi()
-    rows = []
-    index = 0
-    shape = tuple(int(s) for _, _, s in result.grid)
-    omega_grid = result.omega.reshape(shape)
-    for i in range(chi_ax.size):
-        for j in range(zeta_ax.size):
-            value = float(density[i, j])
-            if verify and index % VERIFY_STRIDE == 0:
-                xi_ax = result.axes()[2]
-                k = int(np.argmin(omega_grid[i, j]))
-                params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), 0.0)
-                reference = omega(rho_bell, params)
-                if abs(reference - value) > VERIFY_TOL:
-                    raise InvariantError(
-                        f"verification mismatch in fig1 at row {index}: "
-                        f"emitted {value!r}, recomputed {reference!r}"
-                    )
-            rows.append((float(chi_ax[i]), float(zeta_ax[j]), value))
-            index += 1
-    _write_csv(out_dir / "fig1.csv", ["chi", "zeta", "min_omega_over_xi"], rows)
+    if verify:
+        chi_ax, zeta_ax, xi_ax = result.axes()
+        cube = result.omega.reshape((args.grid,) * 3)
+        for index in range(0, args.grid**2, VERIFY_STRIDE):
+            i, j = divmod(index, args.grid)
+            k = int(np.argmin(cube[i, j]))
+            params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), 0.0)
+            _verify_omega(rho_bell, params, 0, float(cube[i, j, k]), f"fig1 row {index}")
+    _write_density_csv(out_dir / "fig1.csv", result)
 
     base = argparse.Namespace(
         start=None, stop=None, steps=steps, verify=verify, alpha=None, theta=None, nu=None
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_locc = sub.add_parser("locc", help="POVM monotonicity sweep for a two-qubit state")
-    p_locc.add_argument("--family", choices=("bell", "psi_lambda"), default="bell")
+    p_locc.add_argument("--family", choices=("bell", "psi_lambda"), help="default: bell")
     p_locc.add_argument("--state", help="path to a JSON state file")
     p_locc.add_argument("--lambda", dest="lam", type=float)
     p_locc.add_argument("--grid", type=int, default=61)

@@ -33,6 +33,18 @@ ZERO_BRANCH_TOL = 1e-12
 
 DEFAULT_GRID = ((-np.pi, np.pi, 61), (-np.pi, np.pi, 61), (-np.pi, np.pi, 61))
 
+# Grid points per sweep block.  A multiple of every gemm unroll width, so
+# that only the last rows of the grid reach BLAS's edge kernel, exactly as
+# in one whole-grid contraction; blocks cut at chi slabs (61^2 points) would
+# put an edge row in every block, and that kernel rounds differently.
+SWEEP_BLOCK = 8192
+
+
+def _check_angle(name: str, value: float) -> None:
+    """The one angle-range rule: closed [-pi, pi]."""
+    if not -np.pi <= value <= np.pi:
+        raise ValueError(f"{name} must lie in [-pi, pi], got {value}")
+
 
 @dataclass(frozen=True)
 class PovmParams:
@@ -45,9 +57,7 @@ class PovmParams:
 
     def __post_init__(self) -> None:
         for name in ("chi", "zeta", "xi", "theta_cap"):
-            value = getattr(self, name)
-            if not -np.pi <= value <= np.pi:
-                raise ValueError(f"{name} must lie in [-pi, pi], got {value}")
+            _check_angle(name, getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,43 +175,26 @@ def sweep(
 ) -> PovmSweepResult:
     """Omega on the full (chi, zeta, xi) grid at fixed theta_cap.
 
-    Vectorized over the whole grid; deterministic; the argmin reports the
-    first minimum in C order (lexicographic in the axis indices).
+    Vectorized over blocks of SWEEP_BLOCK grid points in C order, so peak
+    memory does not grow with the grid beyond the omega array itself;
+    deterministic; the argmin reports the first minimum in C order
+    (lexicographic in the axis indices).
     """
     if rho.dims != (2, 2):
         raise ValueError(f"sweep needs a two-qubit state, got dims {rho.dims}")
     if party not in (0, 1):
         raise ValueError(f"party must be 0 or 1, got {party}")
+    _check_angle("theta_cap", theta_cap)
     grid = tuple((float(lo), float(hi), int(s)) for lo, hi, s in grid)
     if len(grid) != 3 or any(s < 1 for _, _, s in grid):
         raise ValueError(f"grid must give (lo, hi, steps>=1) for three axes, got {grid}")
-    for lo, hi, _ in grid:
-        if not (-np.pi - 1e-12 <= lo <= hi <= np.pi + 1e-12):
-            raise ValueError(f"grid axes must stay within [-pi, pi], got {grid}")
+    for name, (lo, hi, _) in zip(("chi", "zeta", "xi"), grid):
+        _check_angle(f"{name} axis start", lo)
+        _check_angle(f"{name} axis end", hi)
+        if lo > hi:
+            raise ValueError(f"{name} axis must run from low to high, got {grid}")
     if family is None:
         family = fourier_pair(2)
-
-    chi_ax, zeta_ax, xi_ax = (np.linspace(lo, hi, s) for lo, hi, s in grid)
-    ch, ze, xi = (a.reshape(-1) for a in np.meshgrid(chi_ax, zeta_ax, xi_ax, indexing="ij"))
-    phase = np.exp(1j * theta_cap)
-    cxi, sxi = np.cos(xi), np.sin(xi)
-
-    def elements(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-        e = np.empty((ch.size, 2, 2), dtype=np.complex128)
-        e[:, 0, 0] = top * cxi
-        e[:, 0, 1] = -top * phase * sxi
-        e[:, 1, 0] = bottom * sxi
-        e[:, 1, 1] = bottom * phase * cxi
-        return e
-
-    e1 = elements(np.sin(ch), np.sin(ze))
-    e2 = elements(np.cos(ch), np.cos(ze))
-    completeness = np.einsum("nji,njk->nik", e1.conj(), e1) + np.einsum(
-        "nji,njk->nik", e2.conj(), e2
-    )
-    residual = float(np.max(np.abs(completeness - np.eye(2))))
-    if residual > COMPLETENESS_TOL:
-        raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
 
     projector = _matched_outcome_projector(family)
     base = float(np.real(np.trace(rho.entries @ projector)))
@@ -213,12 +206,39 @@ def sweep(
     else:
         t = np.einsum("abAB,ACac->cbCB", rho4, m4)
         subscripts = "ncb,nCB,cbCB->n"
-    branch1 = np.real(np.einsum(subscripts, e1, e1.conj(), t, optimize=True))
-    branch2 = np.real(np.einsum(subscripts, e2, e2.conj(), t, optimize=True))
-    values = base - branch1 - branch2
 
-    flat_argmin = int(np.argmin(values)) if values.size else 0
-    i, j, k = np.unravel_index(flat_argmin, (chi_ax.size, zeta_ax.size, xi_ax.size))
+    shape = tuple(s for _, _, s in grid)
+    chi_ax, zeta_ax, xi_ax = (np.linspace(lo, hi, s) for lo, hi, s in grid)
+    phase = np.exp(1j * theta_cap)
+
+    def elements(top, bottom, cxi, sxi) -> np.ndarray:
+        e = np.empty((top.size, 2, 2), dtype=np.complex128)
+        e[:, 0, 0] = top * cxi
+        e[:, 0, 1] = -top * phase * sxi
+        e[:, 1, 0] = bottom * sxi
+        e[:, 1, 1] = bottom * phase * cxi
+        return e
+
+    values = np.empty(chi_ax.size * zeta_ax.size * xi_ax.size)
+    residual = 0.0
+    for start in range(0, values.size, SWEEP_BLOCK):
+        stop = min(start + SWEEP_BLOCK, values.size)
+        i, j, k = np.unravel_index(np.arange(start, stop), shape)
+        ch, ze, xi = chi_ax[i], zeta_ax[j], xi_ax[k]
+        cxi, sxi = np.cos(xi), np.sin(xi)
+        e1 = elements(np.sin(ch), np.sin(ze), cxi, sxi)
+        e2 = elements(np.cos(ch), np.cos(ze), cxi, sxi)
+        completeness = np.einsum("nji,njk->nik", e1.conj(), e1) + np.einsum(
+            "nji,njk->nik", e2.conj(), e2
+        )
+        residual = max(residual, float(np.max(np.abs(completeness - np.eye(2)))))
+        branch1 = np.real(np.einsum(subscripts, e1, e1.conj(), t, optimize=True))
+        branch2 = np.real(np.einsum(subscripts, e2, e2.conj(), t, optimize=True))
+        values[start:stop] = base - branch1 - branch2
+    if residual > COMPLETENESS_TOL:
+        raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
+
+    i, j, k = np.unravel_index(int(np.argmin(values)), shape)
     argmin = PovmParams(
         chi=float(chi_ax[i]), zeta=float(zeta_ax[j]), xi=float(xi_ax[k]), theta_cap=theta_cap
     )

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import filecmp
+import hashlib
 import json
 import math
 import shutil
@@ -97,6 +98,18 @@ def test_certify_input_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--family", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("family", ["bell", "ghz3"])
+def test_certify_rejects_lambda_outside_psi_lambda(tmp_path, capsys, family):
+    code, out = _run(capsys, "certify", "--family", family, "--lambda", "0.2")
+    assert (code, out) == (2, "")
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(state_to_json_dict(psi_lambda(0.5))))
+    code, out = _run(capsys, "certify", "--state", str(path), "--lambda", "0.2")
+    assert (code, out) == (2, "")
+    data = _run_json(capsys, "certify", "--family", "psi_lambda", "--lambda", "0.2")
+    assert data["params"] == {"lambda": 0.2}
 
 
 def test_certify_malformed_state_file(tmp_path, capsys):
@@ -213,6 +226,69 @@ def test_locc_mirror_and_family(tmp_path, capsys):
 def test_locc_rejects_tiny_grid(tmp_path, capsys):
     code, _ = _run(capsys, "locc", "--grid", "1", "--out-dir", str(tmp_path))
     assert code == 2
+
+
+def test_locc_rejects_theta_cap_out_of_range(tmp_path, capsys):
+    code = main(["locc", "--theta-cap", "4", "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "theta_cap must lie in [-pi, pi]" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lambda", "0.2"],
+        ["--family", "bell", "--lambda", "0.2"],
+        ["--state", "STATE", "--lambda", "0.2"],
+        ["--state", "STATE", "--family", "psi_lambda"],
+        ["--state", "STATE", "--family", "bell"],
+    ],
+)
+def test_locc_rejects_conflicting_state_arguments(tmp_path, capsys, argv):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(psi_lambda(0.3))))
+    argv = [str(path) if a == "STATE" else a for a in argv]
+    code, out = _run(capsys, "locc", "--grid", "3", "--out-dir", str(tmp_path / "out"), *argv)
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "out").exists()
+
+
+# SHA-256 of the files written at grid 7, pinned before the grid sweep and
+# grid.csv writer were streamed; the streamed code must reproduce each byte.
+# Pinned on x86-64 (AVX-512) with numpy 2.4 and OpenBLAS 0.3.31: the last
+# bits of omega follow numpy's SIMD sin/cos and the BLAS gemm kernel, so
+# another build may need its own pins.
+LOCC_GOLDEN = {
+    ("locc", "--grid", "7"): {
+        "grid.csv": "2256a3213a3dcb5b561b85a10fb92824fa3391fa687e801efe7f52b1c6d013d5",
+        "density.csv": "70bd1ab20887f3359d30726179773ed3811f81c465b128d276e26702cd02971b",
+        "summary.json": "af670d26ac0c768d374fd44260346cb7e5d3af0940da266969a331f3daefa930",
+    },
+    (
+        "locc", "--grid", "7", "--family", "psi_lambda", "--lambda", "0.3",
+        "--mirror-povm", "--theta-cap", "0.5",
+    ): {
+        "grid.csv": "f092e526f6b33a5c2e1d7e9129b887ec685e9d4ab909e15345914973b8955f2e",
+        "density.csv": "f0b845ccfa70241b79fe940510bce80fd7217859fc8a64f1e9d8d02fbdd84dcd",
+        "summary.json": "30ea69f2bad670823f9d22776360192df1f5fc9413d049151a94158bd3e1dffc",
+    },
+    ("figures", "--steps", "5", "--grid", "7", "--verify"): {
+        "fig1.csv": "70bd1ab20887f3359d30726179773ed3811f81c465b128d276e26702cd02971b",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(LOCC_GOLDEN), ids=lambda argv: " ".join(argv))
+def test_locc_outputs_are_pinned(tmp_path, capsys, argv):
+    code, _ = _run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in LOCC_GOLDEN[argv]
+    }
+    assert digests == LOCC_GOLDEN[argv]
 
 
 # ----------------------------------------------------------- check-bounds

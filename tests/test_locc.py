@@ -1,10 +1,12 @@
 """Local two-outcome POVM family, the monotonicity residual, grid sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mubcert.locc
 from mubcert import (
     InvariantError,
     PovmParams,
@@ -139,6 +141,113 @@ def test_sweep_validation():
         sweep(rho, grid=((-7.0, math.pi, 5),) * 3)
     with pytest.raises(ValueError):
         sweep(random_pure((2, 2, 2), 1).density())
+
+
+def _whole_grid_sweep(rho, grid, theta_cap, party):
+    """Reference: the sweep as one vectorized pass over every grid point.
+
+    Returns (omega, argmin params).  Peak memory grows with grid^3.
+    """
+    family = mubcert.locc.fourier_pair(2)
+    chi_ax, zeta_ax, xi_ax = (np.linspace(lo, hi, s) for lo, hi, s in grid)
+    ch, ze, xi = (a.reshape(-1) for a in np.meshgrid(chi_ax, zeta_ax, xi_ax, indexing="ij"))
+    phase = np.exp(1j * theta_cap)
+    cxi, sxi = np.cos(xi), np.sin(xi)
+
+    def elements(top, bottom):
+        e = np.empty((ch.size, 2, 2), dtype=np.complex128)
+        e[:, 0, 0] = top * cxi
+        e[:, 0, 1] = -top * phase * sxi
+        e[:, 1, 0] = bottom * sxi
+        e[:, 1, 1] = bottom * phase * cxi
+        return e
+
+    e1 = elements(np.sin(ch), np.sin(ze))
+    e2 = elements(np.cos(ch), np.cos(ze))
+    completeness = np.einsum("nji,njk->nik", e1.conj(), e1) + np.einsum(
+        "nji,njk->nik", e2.conj(), e2
+    )
+    assert float(np.max(np.abs(completeness - np.eye(2)))) <= mubcert.locc.COMPLETENESS_TOL
+
+    projector = mubcert.locc._matched_outcome_projector(family)
+    base = float(np.real(np.trace(rho.entries @ projector)))
+    m4 = projector.reshape(2, 2, 2, 2)
+    rho4 = rho.entries.reshape(2, 2, 2, 2)
+    if party == 0:
+        t = np.einsum("abAB,CBcb->caCA", rho4, m4)
+        subscripts = "nca,nCA,caCA->n"
+    else:
+        t = np.einsum("abAB,ACac->cbCB", rho4, m4)
+        subscripts = "ncb,nCB,cbCB->n"
+    branch1 = np.real(np.einsum(subscripts, e1, e1.conj(), t, optimize=True))
+    branch2 = np.real(np.einsum(subscripts, e2, e2.conj(), t, optimize=True))
+    values = base - branch1 - branch2
+
+    i, j, k = np.unravel_index(int(np.argmin(values)), (chi_ax.size, zeta_ax.size, xi_ax.size))
+    argmin = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), theta_cap)
+    return values, argmin
+
+
+GRID_61 = ((-math.pi, math.pi, 61),) * 3
+# Unequal bounds and steps per axis catch an axis-order mistake.
+GRID_UNEVEN = ((-3.0, 2.0, 5), (-1.0, 1.0, 9), (0.0, 3.0, 13))
+
+
+@pytest.mark.parametrize(
+    "lam, grid, party, theta_cap",
+    [
+        (0.5, GRID_61, 0, 0.0),
+        (0.3137, GRID_61, 1, 0.0),
+        (0.5, GRID_61, 1, 0.5),
+        (0.77, GRID_61, 0, 0.5),
+        (0.3137, GRID_UNEVEN, 0, 0.5),
+        (0.77, GRID_UNEVEN, 1, -2.0),
+    ],
+)
+def test_sweep_matches_whole_grid_reference(lam, grid, party, theta_cap):
+    rho = psi_lambda(lam).density()
+    expected, argmin = _whole_grid_sweep(rho, grid, theta_cap, party)
+    result = sweep(rho, grid=grid, theta_cap=theta_cap, party=party)
+    assert np.array_equal(result.omega, expected)
+    assert result.min_omega == float(expected.min())
+    assert result.argmin == argmin
+
+
+@pytest.mark.parametrize(
+    "grid, theta_cap",
+    [
+        (GRID_61, 4.0),
+        (GRID_61, -math.pi - 1e-12),
+        (((-math.pi - 1e-12, math.pi, 61),) + GRID_61[1:], 0.0),
+        ((GRID_61[0], (-math.pi, math.pi + 1e-12, 61), GRID_61[2]), 0.0),
+        ((GRID_61[0], GRID_61[1], (1.0, -1.0, 61)), 0.0),
+    ],
+)
+def test_sweep_rejects_angles_before_any_grid_work(monkeypatch, grid, theta_cap):
+    def no_grid_work(family):
+        raise AssertionError("sweep started grid work before validating its angles")
+
+    monkeypatch.setattr(mubcert.locc, "_matched_outcome_projector", no_grid_work)
+    with pytest.raises(ValueError, match="must"):
+        sweep(psi_lambda(0.5).density(), grid=grid, theta_cap=theta_cap)
+
+
+def test_sweep_accepts_the_closed_angle_range():
+    result = sweep(psi_lambda(0.5).density(), grid=((-math.pi, math.pi, 3),) * 3, theta_cap=math.pi)
+    assert result.argmin.theta_cap == math.pi
+
+
+def test_sweep_peak_memory_does_not_scale_with_grid():
+    rho = psi_lambda(0.5).density()
+    sweep(rho, grid=((-math.pi, math.pi, 5),) * 3)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        sweep(rho, grid=GRID_61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The whole-grid pass peaks at about 113 MB here; omega alone is 1.8 MB.
+    assert peak < 16e6
 
 
 def test_convexity_probe():
