@@ -8,14 +8,17 @@ comma separators, LF line endings and 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .correlations import (
+    VIOLATION_MARGIN,
     CertificationReport,
     i3,
     i3_oracle,
@@ -33,7 +36,7 @@ from .correlations import (
 from .linalg import DensityMatrix, InvariantError, StateVector
 from .locc import PovmParams, PovmSweepResult, omega, sweep
 from .measures import global_q, triangle_tau
-from .mub import MubFamily, fourier_pair, prime_mub_family
+from .mub import fourier_pair, prime_mub_family
 from .states import (
     W3_STANDARD_ALPHA,
     W3_STANDARD_THETA,
@@ -62,20 +65,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+def _output(path: str | Path | None):
+    """The file at ``path`` with LF line endings, or stdout when no path is given."""
+    return open(path, "w", newline="\n") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _write_csv(path: str | Path | None, header, rows) -> None:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _dump_json(obj, path: Path | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+def _dump_json(obj, path: str | Path | None) -> None:
+    with _output(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_state(path: str) -> StateVector:
@@ -87,9 +91,31 @@ def _load_state(path: str) -> StateVector:
     return state_from_json_dict(data)
 
 
-def _i2_check(rho: DensityMatrix, family: MubFamily) -> float:
+# --------------------------------------------------------------- families
+#
+# What the commands know about quantities and state families lives in the
+# two tables below.  Each is built when read, not at import, so that every
+# function in it is looked up by name at call time: the benchmark's tracer
+# times calls by swapping module-level functions for wrappers.
+
+
+class _Quantity(NamedTuple):
+    name: str  # sweep column; "paper_" + name is the reference column
+    certify: Callable[..., CertificationReport]  # (rho, basis_search=False)
+    oracle: Callable[[DensityMatrix], float]  # independent route for --verify
+    measure: tuple[str, Callable[[StateVector], float]] | None  # extra sweep column
+
+
+def _i2(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
+    if basis_search:
+        raise ValueError("--basis-search applies only to three- and four-party states")
+    return i_m_bipartite(rho, fourier_pair(rho.dims[0]))
+
+
+def _i2_check(rho: DensityMatrix) -> float:
     # Verification route for bipartite rows: per-outcome quadratic forms
     # summed directly, bypassing the vectorized distribution path.
+    family = fourier_pair(rho.dims[0])
     total = []
     for basis in family.bases:
         setting = uniform_setting(basis, 2)
@@ -97,13 +123,73 @@ def _i2_check(rho: DensityMatrix, family: MubFamily) -> float:
     return math.fsum(total)
 
 
-def _verify_row(kind: str, rho: DensityMatrix, value: float, context: str) -> None:
-    if kind == "i3":
-        reference = i3_oracle(rho)
-    elif kind == "i4":
-        reference = i4_oracle(rho)
-    else:
-        reference = _i2_check(rho, fourier_pair(2))
+def _quantity(psi: StateVector) -> _Quantity:
+    quantities = {
+        2: _Quantity("i2", _i2, _i2_check, None),
+        3: _Quantity("i3", i3, i3_oracle, ("tau", triangle_tau)),
+        4: _Quantity("i4", i4, i4_oracle, ("q", global_q)),
+    }
+    if psi.n_parties not in quantities:
+        raise ValueError(f"certification supports 2-4 parties, got {psi.n_parties}")
+    return quantities[psi.n_parties]
+
+
+class _Family(NamedTuple):
+    build: Callable[..., StateVector]
+    params: dict[str, float]  # certify defaults, in the builder's argument order
+    reference: Callable[..., float] | None = None  # paper_* curve over the same arguments
+    sweep: tuple[str, float, float] | None = None  # swept parameter and its default range
+    sweep_params: dict[str, float] = {}  # defaults that differ under sweep
+    fixed: tuple[str, ...] = ()  # shown in params but not settable
+
+
+def _families() -> dict[str, _Family]:
+    return {
+        "psi_lambda": _Family(
+            psi_lambda, {"lambda": 0.5}, paper_i2_psi_lambda, ("lambda", 0.0, 1.0)
+        ),
+        "bell": _Family(psi_lambda, {"lambda": 0.5}, paper_i2_psi_lambda, fixed=("lambda",)),
+        "ghz3": _Family(ghz3, {"theta": PI / 4}, paper_i3_ghz3, ("theta", 0.0, PI / 2)),
+        "w3": _Family(
+            w3,
+            {"theta": W3_STANDARD_THETA, "alpha": W3_STANDARD_ALPHA},
+            paper_i3_w3,
+            ("theta", 0.0, PI / 2),
+        ),
+        "ghz4": _Family(ghz4, {"theta": PI / 4}, paper_i4_ghz4, ("theta", 0.0, PI / 2)),
+        "wg4": _Family(
+            wg4,
+            {"theta": 1.05, "mu": 0.62, "nu": PI / 4},
+            sweep=("mu", 0.0, PI / 2),
+            sweep_params={"nu": 0.5},
+        ),
+        "product3": _Family(lambda: StateVector((2, 2, 2), [1] + [0] * 7), {}),
+        "product4": _Family(lambda: StateVector((2, 2, 2, 2), [1] + [0] * 15), {}),
+    }
+
+
+def _param_flags(args, settable, owner: str) -> dict[str, float]:
+    """The parameter flags given in ``args``; any not in ``settable`` is an input error."""
+    names = ("lambda", "theta", "alpha", "mu", "nu")
+    given = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+    rejected = [f"--{k}" for k in given if k not in settable]
+    if rejected:
+        raise ValueError(f"{owner} does not take {', '.join(rejected)}")
+    return given
+
+
+def _family(name: str, args=None, for_sweep: bool = False) -> tuple[_Family, dict[str, float]]:
+    """A family's table entry and builder arguments: its defaults, then the flags in ``args``."""
+    family = _families()[name]
+    values = {**family.params, **(family.sweep_params if for_sweep else {})}
+    if args is not None:
+        swept = family.sweep[0] if for_sweep else None
+        settable = [k for k in values if k not in family.fixed and k != swept]
+        values.update(_param_flags(args, settable, f"{args.command} --family {name}"))
+    return family, values
+
+
+def _verify(reference: float, value: float, context: str) -> None:
     if abs(reference - value) > VERIFY_TOL:
         raise InvariantError(
             f"verification mismatch at {context}: emitted {value!r}, recomputed {reference!r}"
@@ -112,98 +198,33 @@ def _verify_row(kind: str, rho: DensityMatrix, value: float, context: str) -> No
 
 # ---------------------------------------------------------------- certify
 
-_CERTIFY_FAMILIES = ("psi_lambda", "bell", "ghz3", "w3", "ghz4", "wg4", "product3", "product4")
-
-
-def _check_lambda(args) -> None:
-    if args.lam is not None and (args.state is not None or args.family != "psi_lambda"):
-        raise ValueError("--lambda applies only to --family psi_lambda")
-
-
-def _family_state(args) -> tuple[StateVector, dict]:
-    name = args.family
-    if name in ("psi_lambda", "bell"):
-        lam = 0.5 if args.lam is None else args.lam
-        return psi_lambda(lam), {"lambda": lam}
-    if name == "ghz3":
-        theta = PI / 4 if args.theta is None else args.theta
-        return ghz3(theta), {"theta": theta}
-    if name == "w3":
-        theta = W3_STANDARD_THETA if args.theta is None else args.theta
-        alpha = W3_STANDARD_ALPHA if args.alpha is None else args.alpha
-        return w3(theta, alpha), {"theta": theta, "alpha": alpha}
-    if name == "ghz4":
-        theta = PI / 4 if args.theta is None else args.theta
-        return ghz4(theta), {"theta": theta}
-    if name == "wg4":
-        theta = 1.05 if args.theta is None else args.theta
-        mu = 0.62 if args.mu is None else args.mu
-        nu = PI / 4 if args.nu is None else args.nu
-        return wg4(theta, mu, nu), {"theta": theta, "mu": mu, "nu": nu}
-    if name == "product3":
-        return StateVector((2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 0]), {}
-    if name == "product4":
-        return StateVector((2, 2, 2, 2), [1] + [0] * 15), {}
-    raise ValueError(f"unknown family {name!r}")
-
-
-def _reference_value(name: str, params: dict) -> tuple[str, float] | None:
-    if name in ("psi_lambda", "bell"):
-        return "paper_i2", paper_i2_psi_lambda(params["lambda"])
-    if name == "ghz3":
-        return "paper_i3", paper_i3_ghz3(params["theta"])
-    if name == "w3":
-        return "paper_i3", paper_i3_w3(params["theta"], params["alpha"])
-    if name == "ghz4":
-        return "paper_i4", paper_i4_ghz4(params["theta"])
-    return None
-
-
-def _certify_state(psi: StateVector, basis_search: bool):
-    rho = psi.density()
-    n = psi.n_parties
-    if n == 2:
-        if psi.dims[0] != psi.dims[1]:
-            raise ValueError(f"bipartite certification needs equal dims, got {psi.dims}")
-        return i_m_bipartite(rho, fourier_pair(psi.dims[0]))
-    if n == 3:
-        return i3(rho, basis_search=basis_search)
-    if n == 4:
-        return i4(rho, basis_search=basis_search)
-    raise ValueError(f"certification supports 2-4 parties, got {n}")
-
 
 def cmd_certify(args) -> int:
     if (args.family is None) == (args.state is None):
         raise ValueError("give exactly one of --family or --state")
-    _check_lambda(args)
     if args.family is not None:
-        psi, params = _family_state(args)
-        out = {"family": args.family, "params": params}
-        reference = _reference_value(args.family, params)
+        family, values = _family(args.family, args)
+        psi = family.build(*values.values())
+        out = {"family": args.family, "params": values}
     else:
+        _param_flags(args, (), f"{args.command} --state")
+        family = None
         psi = _load_state(args.state)
         out = {"state": args.state, "dims": list(psi.dims)}
-        reference = None
-    report = _certify_state(psi, args.basis_search)
-    out["report"] = report.to_dict()
-    if reference is not None:
-        out[reference[0]] = reference[1]
+    quantity = _quantity(psi)
+    out["report"] = quantity.certify(psi.density(), basis_search=args.basis_search).to_dict()
+    if family is not None and family.reference is not None:
+        out["paper_" + quantity.name] = family.reference(*values.values())
     if abs(psi.original_norm - 1.0) > 1e-12:
         out["original_norm"] = psi.original_norm
     if args.format == "csv":
-        header, row = _flatten_certify(out)
-        if args.out:
-            _write_csv(Path(args.out), header, [row])
-        else:
-            sys.stdout.write(",".join(header) + "\n")
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(args.out, *_flatten_certify(out))
     else:
-        _dump_json(out, Path(args.out) if args.out else None)
+        _dump_json(out, args.out)
     return 0
 
 
-def _flatten_certify(out: dict) -> tuple[list[str], list]:
+def _flatten_certify(out: dict) -> tuple[list[str], list[list]]:
     # One flat CSV row; nested report/params keys are promoted, sequence
     # values (per-basis terms, dims) joined with ';' so the row stays flat.
     flat: dict[str, object] = {}
@@ -219,116 +240,61 @@ def _flatten_certify(out: dict) -> tuple[list[str], list]:
         if isinstance(value, (list, tuple)):
             value = ";".join(_fmt(v) for v in value)
         row.append(value)
-    return header, row
+    return header, [row]
 
 
 # ------------------------------------------------------------------ sweep
 
-_SWEEP_FAMILIES = ("psi_lambda", "ghz3", "w3", "ghz4", "wg4")
 
-
-def _sweep_rows(args):
-    name = args.family
-    start = args.start
-    stop = args.stop
-    if name == "psi_lambda":
-        lo = 0.0 if start is None else start
-        hi = 1.0 if stop is None else stop
-    elif name in ("ghz3", "w3", "ghz4", "wg4"):
-        lo = 0.0 if start is None else start
-        hi = PI / 2 if stop is None else stop
-    else:
-        raise ValueError(f"unknown family {name!r}")
-    values = np.linspace(lo, hi, args.steps)
-
-    family2 = fourier_pair(2)
-    alpha = W3_STANDARD_ALPHA if args.alpha is None else args.alpha
-    wg_theta = 1.05 if args.theta is None else args.theta
-    wg_nu = 0.5 if args.nu is None else args.nu
-
-    if name == "psi_lambda":
-        header = ["lambda", "i2", "bound", "paper_i2"]
-    elif name in ("ghz3", "w3"):
-        header = ["theta", "i3", "tau", "bound", "paper_i3"]
-    elif name == "ghz4":
-        header = ["theta", "i4", "q", "bound", "paper_i4"]
-    else:
-        header = ["mu", "i4", "q", "bound"]
-
+def _sweep_rows(name: str, steps: int, verify: bool, args=None):
+    family, values = _family(name, args, for_sweep=True)
+    swept, lo, hi = family.sweep
+    if args is not None:
+        lo = lo if args.start is None else args.start
+        hi = hi if args.stop is None else args.stop
     rows = []
-    for index, x in enumerate(values):
-        x = float(x)
-        if name == "psi_lambda":
-            psi = psi_lambda(x)
-            rho = psi.density()
-            report = i_m_bipartite(rho, family2)
-            row = (x, report.i_value, report.bound, paper_i2_psi_lambda(x))
-            kind = "i2"
-        elif name == "ghz3":
-            psi = ghz3(x)
-            rho = psi.density()
-            report = i3(rho)
-            row = (x, report.i_value, triangle_tau(psi), report.bound, paper_i3_ghz3(x))
-            kind = "i3"
-        elif name == "w3":
-            psi = w3(x, alpha)
-            rho = psi.density()
-            report = i3(rho)
-            row = (x, report.i_value, triangle_tau(psi), report.bound, paper_i3_w3(x, alpha))
-            kind = "i3"
-        elif name == "ghz4":
-            psi = ghz4(x)
-            rho = psi.density()
-            report = i4(rho)
-            row = (x, report.i_value, global_q(psi), report.bound, paper_i4_ghz4(x))
-            kind = "i4"
-        else:
-            psi = wg4(wg_theta, x, wg_nu)
-            rho = psi.density()
-            report = i4(rho)
-            row = (x, report.i_value, global_q(psi), report.bound)
-            kind = "i4"
-        if args.verify and index % VERIFY_STRIDE == 0:
-            _verify_row(kind, rho, report.i_value, f"{name} row {index}")
+    for index, x in enumerate(np.linspace(lo, hi, steps)):
+        values[swept] = x = float(x)
+        psi = family.build(*values.values())
+        rho = psi.density()
+        quantity = _quantity(psi)
+        report = quantity.certify(rho)
+        row = {swept: x, quantity.name: report.i_value}
+        if quantity.measure is not None:
+            row[quantity.measure[0]] = quantity.measure[1](psi)
+        row["bound"] = report.bound
+        if family.reference is not None:
+            row["paper_" + quantity.name] = family.reference(*values.values())
+        if verify and index % VERIFY_STRIDE == 0:
+            _verify(quantity.oracle(rho), report.i_value, f"{name} row {index}")
         rows.append(row)
-    return header, rows
+    return list(rows[0]), [list(row.values()) for row in rows]
 
 
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    header, rows = _sweep_rows(args)
+    header, rows = _sweep_rows(args.family, args.steps, args.verify, args)
     if args.format == "json":
-        _dump_json([dict(zip(header, row)) for row in rows], Path(args.out) if args.out else None)
-    elif args.out:
-        _write_csv(Path(args.out), header, rows)
+        _dump_json([dict(zip(header, row)) for row in rows], args.out)
     else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(args.out, header, rows)
     return 0
 
 
 # ------------------------------------------------------------------- locc
 
 def _locc_state(args) -> DensityMatrix:
-    if args.state is not None and args.family is not None:
+    if args.state is None:
+        family, values = _family(args.family or "bell", args)
+        return family.build(*values.values()).density()
+    if args.family is not None:
         raise ValueError("give at most one of --family or --state")
-    _check_lambda(args)
-    if args.state is not None:
-        psi = _load_state(args.state)
-        if psi.dims != (2, 2):
-            raise ValueError(f"locc needs a two-qubit state, got dims {psi.dims}")
-        return psi.density()
-    return psi_lambda(0.5 if args.lam is None else args.lam).density()
-
-
-def _verify_omega(rho: DensityMatrix, params: PovmParams, party: int, value: float, context: str) -> None:
-    reference = omega(rho, params, party=party)
-    if abs(reference - value) > VERIFY_TOL:
-        raise InvariantError(
-            f"verification mismatch at {context}: emitted {value!r}, recomputed {reference!r}"
-        )
+    _param_flags(args, (), f"{args.command} --state")
+    psi = _load_state(args.state)
+    if psi.dims != (2, 2):
+        raise ValueError(f"locc needs a two-qubit state, got dims {psi.dims}")
+    return psi.density()
 
 
 def _write_grid_csv(path: Path, result: PovmSweepResult) -> None:
@@ -362,7 +328,8 @@ def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int,
         for index in range(0, result.omega.size, VERIFY_STRIDE):
             i, j, k = np.unravel_index(index, (grid_steps,) * 3)
             params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), theta_cap)
-            _verify_omega(rho, params, party, float(result.omega[index]), f"grid index {index}")
+            value = float(result.omega[index])
+            _verify(omega(rho, params, party=party), value, f"grid index {index}")
     _write_grid_csv(out_dir / "grid.csv", result)
     _write_density_csv(out_dir / "density.csv", result)
 
@@ -377,7 +344,7 @@ def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int,
         "grid_steps": grid_steps,
         "theta_cap": theta_cap,
         "party": party,
-        "non_negative": bool(result.min_omega >= -1e-9),
+        "non_negative": bool(result.min_omega >= -VIOLATION_MARGIN),
     }
     _dump_json(summary, out_dir / "summary.json")
     return summary
@@ -389,7 +356,7 @@ def cmd_locc(args) -> int:
     rho = _locc_state(args)
     party = 1 if args.mirror_povm else 0
     summary = _run_locc(rho, args.grid, args.theta_cap, party, args.verify, Path(args.out_dir))
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _dump_json(summary, None)
     return 0
 
 
@@ -449,10 +416,14 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
 
 
 def cmd_check_bounds(args) -> int:
+    if args.klass != "separable-bipartite" and (args.d is not None or args.complete_family):
+        flag = "--d" if args.d is not None else "--complete-family"
+        raise ValueError(f"{flag} applies only to --class separable-bipartite")
+    d = 2 if args.d is None else args.d
     summary = run_bound_campaign(
-        args.klass, args.trials, args.seed, d=args.d, complete_family=args.complete_family
+        args.klass, args.trials, args.seed, d=d, complete_family=args.complete_family
     )
-    _dump_json(summary, Path(args.out) if args.out else None)
+    _dump_json(summary, args.out)
     return 0 if summary["pass"] else 3
 
 
@@ -465,30 +436,24 @@ def cmd_figures(args) -> int:
         raise ValueError(f"--grid must be at least 2, got {args.grid}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    steps = args.steps
-    verify = args.verify
 
     # fig1: (chi, zeta) density of min-over-xi omega for the Bell state.
-    rho_bell = psi_lambda(0.5).density()
+    bell, values = _family("bell")
+    rho_bell = bell.build(*values.values()).density()
     axis = (-PI, PI, args.grid)
     result = sweep(rho_bell, grid=(axis, axis, axis), theta_cap=0.0)
-    if verify:
+    if args.verify:
         chi_ax, zeta_ax, xi_ax = result.axes()
         cube = result.omega.reshape((args.grid,) * 3)
         for index in range(0, args.grid**2, VERIFY_STRIDE):
             i, j = divmod(index, args.grid)
             k = int(np.argmin(cube[i, j]))
             params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), 0.0)
-            _verify_omega(rho_bell, params, 0, float(cube[i, j, k]), f"fig1 row {index}")
+            _verify(omega(rho_bell, params), float(cube[i, j, k]), f"fig1 row {index}")
     _write_density_csv(out_dir / "fig1.csv", result)
 
-    base = argparse.Namespace(
-        start=None, stop=None, steps=steps, verify=verify, alpha=None, theta=None, nu=None
-    )
     for fig_name, family in (("fig2", "ghz3"), ("fig3", "w3"), ("fig4", "ghz4"), ("fig5", "wg4")):
-        base.family = family
-        header, fam_rows = _sweep_rows(base)
-        _write_csv(out_dir / f"{fig_name}.csv", header, fam_rows)
+        _write_csv(out_dir / f"{fig_name}.csv", *_sweep_rows(family, args.steps, args.verify))
     return 0
 
 
@@ -502,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cert = sub.add_parser("certify", help="certify one state (family or JSON file)")
-    p_cert.add_argument("--family", choices=_CERTIFY_FAMILIES)
+    p_cert.add_argument("--family", choices=list(_families()))
     p_cert.add_argument("--state", help="path to a JSON state file")
-    p_cert.add_argument("--lambda", dest="lam", type=float)
+    p_cert.add_argument("--lambda", type=float)
     p_cert.add_argument("--theta", type=float)
     p_cert.add_argument("--alpha", type=float)
     p_cert.add_argument("--mu", type=float)
@@ -515,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="sweep one family parameter to CSV")
-    p_sweep.add_argument("--family", choices=_SWEEP_FAMILIES, required=True)
+    sweepable = [name for name, family in _families().items() if family.sweep]
+    p_sweep.add_argument("--family", choices=sweepable, required=True)
     p_sweep.add_argument("--from", dest="start", type=float)
     p_sweep.add_argument("--to", dest="stop", type=float)
     p_sweep.add_argument("--steps", type=int, default=201)
@@ -528,9 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_locc = sub.add_parser("locc", help="POVM monotonicity sweep for a two-qubit state")
-    p_locc.add_argument("--family", choices=("bell", "psi_lambda"), help="default: bell")
+    # locc takes two-qubit states: the families built by psi_lambda.
+    two_qubit = [name for name, family in _families().items() if family.build is psi_lambda]
+    p_locc.add_argument("--family", choices=two_qubit, help="default: bell")
     p_locc.add_argument("--state", help="path to a JSON state file")
-    p_locc.add_argument("--lambda", dest="lam", type=float)
+    p_locc.add_argument("--lambda", type=float)
     p_locc.add_argument("--grid", type=int, default=61)
     p_locc.add_argument("--theta-cap", type=float, default=0.0)
     p_locc.add_argument("--mirror-povm", action="store_true")
@@ -542,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--class", dest="klass", choices=_BOUND_CLASSES, required=True)
     p_check.add_argument("--trials", type=int, default=10000)
     p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_check.add_argument("--d", type=int, default=2)
+    p_check.add_argument("--d", type=int, help="default: 2")
     p_check.add_argument("--complete-family", action="store_true")
     p_check.add_argument("--out")
     p_check.set_defaults(func=cmd_check_bounds)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import filecmp
+import io
 import hashlib
 import json
 import math
@@ -9,6 +11,8 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubcert import StateVector, ghz3, kron, psi_lambda
 from mubcert.cli import main
@@ -112,6 +116,33 @@ def test_certify_rejects_lambda_outside_psi_lambda(tmp_path, capsys, family):
     assert data["params"] == {"lambda": 0.2}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--family", "bell", "--theta", "0.3"],
+        ["certify", "--family", "ghz3", "--alpha", "0.3", "--mu", "2"],
+        ["certify", "--state", "STATE", "--theta", "1"],
+        ["certify", "--family", "psi_lambda", "--basis-search"],
+        ["certify", "--state", "STATE", "--basis-search"],
+        ["sweep", "--family", "ghz3", "--theta", "0.2"],
+        ["sweep", "--family", "ghz3", "--alpha", "0.2"],
+        ["sweep", "--family", "psi_lambda", "--nu", "0.3"],
+        ["check-bounds", "--class", "biseparable3", "--d", "7", "--complete-family"],
+        ["check-bounds", "--class", "biseparable4", "--d", "2"],
+        ["check-bounds", "--class", "biseparable3", "--complete-family"],
+    ],
+    ids=" ".join,
+)
+def test_inapplicable_flags_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(psi_lambda(0.3))))
+    argv = [str(path) if a == "STATE" else a for a in argv]
+    code = main([*argv, *(["--trials", "5"] if argv[0] == "check-bounds" else [])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert argv[3] in captured.err  # the first flag after the family, state or class
+
+
 def test_certify_malformed_state_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -176,6 +207,45 @@ def test_sweep_to_file_and_json(tmp_path, capsys):
     data = _run_json(capsys, "sweep", "--family", "psi_lambda", "--steps", "3", "--format", "json")
     assert len(data) == 3
     assert abs(data[1]["i2"] - 2.0) <= 1e-12
+
+
+# The parameter flags each family takes under certify and under sweep.
+CERTIFY_TAKES = {
+    "psi_lambda": {"lambda"}, "bell": set(), "ghz3": {"theta"}, "w3": {"theta", "alpha"},
+    "ghz4": {"theta"}, "wg4": {"theta", "mu", "nu"}, "product3": set(), "product4": set(),
+}
+SWEEP_TAKES = {
+    "psi_lambda": set(), "ghz3": set(), "w3": {"alpha"}, "ghz4": set(), "wg4": {"theta", "nu"},
+}
+SWEEP_FLAGS = ("theta", "alpha", "nu")  # sweep has no --lambda or --mu option
+
+
+@st.composite
+def _family_flags(draw):
+    command = draw(st.sampled_from(["certify", "sweep"]))
+    takes = CERTIFY_TAKES if command == "certify" else SWEEP_TAKES
+    family = draw(st.sampled_from(sorted(takes)))
+    names = ("lambda", "theta", "alpha", "mu", "nu") if command == "certify" else SWEEP_FLAGS
+    flags = draw(st.lists(st.sampled_from(names), unique=True))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(flags), max_size=len(flags)))
+    return command, family, flags, values, [f for f in flags if f not in takes[family]]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_family_flags())
+def test_parameter_flags_exit_0_only_when_the_family_takes_them(case):
+    command, family, flags, values, rejected = case
+    argv = [command, "--family", family, *(["--steps", "2"] if command == "sweep" else [])]
+    for flag, value in zip(flags, values):
+        argv.append(f"--{flag}={value!r}")  # "=" keeps argparse from reading -1e+16 as a flag
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in ((2,) if rejected else (0, 2))
+    if code == 2:
+        assert stdout.getvalue() == ""
+    assert all(f"--{flag}" in stderr.getvalue() for flag in rejected)
 
 
 def test_sweep_rejects_single_step(capsys):
@@ -259,7 +329,9 @@ def test_locc_rejects_conflicting_state_arguments(tmp_path, capsys, argv):
 # grid.csv writer were streamed; the streamed code must reproduce each byte.
 # Pinned on x86-64 (AVX-512) with numpy 2.4 and OpenBLAS 0.3.31: the last
 # bits of omega follow numpy's SIMD sin/cos and the BLAS gemm kernel, so
-# another build may need its own pins.
+# another build may need its own pins.  The "stdout" pins and the fig2-fig5
+# pins were recorded before the family table replaced the CLI's per-family
+# code: every family under certify and sweep, with and without parameters.
 LOCC_GOLDEN = {
     ("locc", "--grid", "7"): {
         "grid.csv": "2256a3213a3dcb5b561b85a10fb92824fa3391fa687e801efe7f52b1c6d013d5",
@@ -277,15 +349,144 @@ LOCC_GOLDEN = {
     ("figures", "--steps", "5", "--grid", "7", "--verify"): {
         "fig1.csv": "70bd1ab20887f3359d30726179773ed3811f81c465b128d276e26702cd02971b",
     },
+    ("certify", "--family", "psi_lambda", "--format", "json"): {
+        "stdout": "aef1da1df7a0bc42370a7a2d27c045fc42f41bbd1c581afa9de85dddd51162f0",
+    },
+    ("certify", "--family", "psi_lambda", "--format", "csv"): {
+        "stdout": "a9e0a847475a0264573e7ebf748568824a886bd39cf7cad50fb3ee19d2bda16c",
+    },
+    ("certify", "--family", "bell", "--format", "json"): {
+        "stdout": "eea41fd6cd0b118941151144e096a6a2b77e23ff48beae907198d674d1875e0f",
+    },
+    ("certify", "--family", "bell", "--format", "csv"): {
+        "stdout": "3dc65107c5e397375ed5955a20dfdb515d01be02e655e5dc830b60aa5110fe53",
+    },
+    ("certify", "--family", "ghz3", "--format", "json"): {
+        "stdout": "6dd866fc7b1517b0437b320f07a7b5dffed2407447cd0774ae73bec2ce7de400",
+    },
+    ("certify", "--family", "ghz3", "--format", "csv"): {
+        "stdout": "86aac36c5faaf5f27676212b82b6a94cc7925e17d07dcfa78cf1f7d3267a20b6",
+    },
+    ("certify", "--family", "w3", "--format", "json"): {
+        "stdout": "783762d9e937098e69b0e378c8e4bda1a01ccf22b2d4a01f9ca1b572131b7d55",
+    },
+    ("certify", "--family", "w3", "--format", "csv"): {
+        "stdout": "9c68c5239f487854ae00b8ab199607af5b01f9d0221cf7436cb6b7a70210c5f9",
+    },
+    ("certify", "--family", "ghz4", "--format", "json"): {
+        "stdout": "1851748de3de69c44530c135ca28bfbacaa55080d04eea101b10c564e0657c30",
+    },
+    ("certify", "--family", "ghz4", "--format", "csv"): {
+        "stdout": "d78f4186a470761d5559b635c4fde9b7c38f96a3bae6dc84d09f2fd28322c42c",
+    },
+    ("certify", "--family", "wg4", "--format", "json"): {
+        "stdout": "c17e2d98419533a2b0120d9e9bf5c7440d82b27d0d37db9043dce9bbd0587b1f",
+    },
+    ("certify", "--family", "wg4", "--format", "csv"): {
+        "stdout": "f9ec095de33936a140ba716b32f3bd000246dec0eefe7953f56732be309daeb2",
+    },
+    ("certify", "--family", "product3", "--format", "json"): {
+        "stdout": "18b1620d03096d64d72f314056a023eb00d4d82dc6d6a45d950086e43b087ba4",
+    },
+    ("certify", "--family", "product3", "--format", "csv"): {
+        "stdout": "ef5ecdc729ae6b80cd7f0f42fbec03fb0f560a084bd5ca389f9e98d364403d85",
+    },
+    ("certify", "--family", "product4", "--format", "json"): {
+        "stdout": "09381e7bb946294973aff1ab09a805edc2ff1cc886e4fe747ee5371815ab7340",
+    },
+    ("certify", "--family", "product4", "--format", "csv"): {
+        "stdout": "19b312ed13e9704f44e311ac87d1acdda2a38fd9e122be3689450e269f781aa0",
+    },
+    ("certify", "--family", "psi_lambda", "--lambda", "0.2", "--format", "json"): {
+        "stdout": "e8c241a1bf8762d21b0f90e9c8687f9d36d058da631281be544213308fded526",
+    },
+    ("certify", "--family", "ghz3", "--theta", "0.3", "--format", "json"): {
+        "stdout": "5da002d2c10f9084895e2554e83c58fb4f94db7ac011aa2a8c7f8cd130805817",
+    },
+    ("certify", "--family", "w3", "--theta", "0.9", "--alpha", "0.4", "--format", "json"): {
+        "stdout": "78500f1f7da16e6bb7c125b8bea55c4be9e4e1500dd2283424c21fe5c04dbe0f",
+    },
+    ("certify", "--family", "ghz4", "--theta", "0.4", "--format", "json"): {
+        "stdout": "4bd9a3c6cd235dd5414c4131eb84ba44d02fbf6293832b0068debbef6c0de2ab",
+    },
+    (
+        "certify", "--family", "wg4", "--theta", "0.9", "--mu", "0.3", "--nu", "1.1",
+        "--format", "json",
+    ): {
+        "stdout": "7aeb6a03ef722e30c9cae08b7c58b7f4dc0e024106bedc8665c46833658ff509",
+    },
+    ("certify", "--family", "psi_lambda", "--lambda", "0.2", "--format", "csv"): {
+        "stdout": "f57fca8a68ebe5df2b1ec05b5295689a5c68392753b73cb644f4aaf281bee5f1",
+    },
+    ("certify", "--family", "ghz3", "--theta", "0.3", "--format", "csv"): {
+        "stdout": "5487314bdb309584ccd206ee7a50d404034e39dd355d74830baff5b20fbb37ac",
+    },
+    ("certify", "--family", "w3", "--theta", "0.9", "--alpha", "0.4", "--format", "csv"): {
+        "stdout": "dcced38a4bac64cc1c0b4ae60389361d379cec547e3d9f1d8ad99fbf3295c662",
+    },
+    ("certify", "--family", "ghz4", "--theta", "0.4", "--format", "csv"): {
+        "stdout": "e4bd22e70d60afe94fe864c5b0528b6fd6ba6d88932a4a42208e6a1ff74d70e1",
+    },
+    (
+        "certify", "--family", "wg4", "--theta", "0.9", "--mu", "0.3", "--nu", "1.1",
+        "--format", "csv",
+    ): {
+        "stdout": "ae81ab96f183a99823c3617ac12e06c63c7751c8e662e06a404c2f02de76227b",
+    },
+    ("certify", "--family", "ghz3", "--basis-search"): {
+        "stdout": "6dd866fc7b1517b0437b320f07a7b5dffed2407447cd0774ae73bec2ce7de400",
+    },
+    ("sweep", "--family", "psi_lambda", "--steps", "5", "--verify"): {
+        "stdout": "251a39fca1b3b01ad77040fb79156225ef70929c283ebdea91e5e49d9d2b13cd",
+    },
+    ("sweep", "--family", "psi_lambda", "--steps", "3", "--format", "json"): {
+        "stdout": "ee1c1a00d7582c5fec865f724582b3ef01e9a771e4ff5d72f3698383926f6c28",
+    },
+    ("sweep", "--family", "ghz3", "--steps", "11", "--verify"): {
+        "stdout": "c4680efe8dee7465ebdca47d3ea0d7ae5999f8afbfa8cd0498e31d6868402146",
+    },
+    (
+        "sweep", "--family", "ghz3", "--from", "0.2", "--to", "1.2", "--steps", "4",
+        "--format", "json",
+    ): {
+        "stdout": "9cf0662ba0ebc8425c16cf0b95158ab909f3066b55ff6880e52833cd5eea2d84",
+    },
+    ("sweep", "--family", "w3", "--steps", "6", "--verify"): {
+        "stdout": "372569e279fdf099e7da2112ee1460fbce81666235491085ac33a4dfed0f1345",
+    },
+    ("sweep", "--family", "w3", "--alpha", "0.4", "--steps", "5"): {
+        "stdout": "1bd913ba5304262dd62f6b934bbed1ec82602c6e33e5d019862f14e150fc330e",
+    },
+    ("sweep", "--family", "ghz4", "--steps", "5", "--verify", "--format", "json"): {
+        "stdout": "bbc1592101ac840750d4624b4f469c839f5354e14d1de4f409f6b9b49382b4a7",
+    },
+    ("sweep", "--family", "ghz4", "--from", "0.5", "--to", "1.0", "--steps", "3"): {
+        "stdout": "038af4669c0ec320fa4bbb01f29f13d484753ef9328c2f2a36560e084a63b9c5",
+    },
+    ("sweep", "--family", "wg4", "--steps", "5", "--verify"): {
+        "stdout": "1136182db4444df080470361fd6cf04c6f2b3646fd338cf8d25bed7ea425658a",
+    },
+    ("sweep", "--family", "wg4", "--theta", "0.7", "--nu", "1.1", "--steps", "5"): {
+        "stdout": "353cc1cbed22fb020e9fec9a12bcbbdfdb327c9a41c5a3f628d50446491669a3",
+    },
+    ("figures", "--steps", "21", "--grid", "7", "--verify"): {
+        "fig2.csv": "3b47e5f33ab465b5347da7ec3a84c4b8fb608d586f54c775750a3752d9a8c177",
+        "fig3.csv": "886a56ab362e0c6832b03ce81c7004e7de90b681f86b5d085bf00a2ae962db94",
+        "fig4.csv": "cb55d268786afedabbc6fe87616002dda3f9517c1e7a7935a6bb54ee76905f39",
+        "fig5.csv": "bad7d285dbaa94ed2e97dbd185449b79e64308edcc2247dd0bfaab211db0e26e",
+    },
 }
 
 
 @pytest.mark.parametrize("argv", list(LOCC_GOLDEN), ids=lambda argv: " ".join(argv))
 def test_locc_outputs_are_pinned(tmp_path, capsys, argv):
-    code, _ = _run(capsys, *argv, "--out-dir", str(tmp_path))
+    writes_files = argv[0] in ("locc", "figures")
+    code, out = _run(capsys, *argv, *(("--out-dir", str(tmp_path)) if writes_files else ()))
     assert code == 0
     digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        name: hashlib.sha256(
+            out.encode() if name == "stdout" else (tmp_path / name).read_bytes()
+        ).hexdigest()
         for name in LOCC_GOLDEN[argv]
     }
     assert digests == LOCC_GOLDEN[argv]
