@@ -459,8 +459,31 @@ def cmd_figures(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
+
+class _NegativeNumber:
+    """Any token float() reads, "-1e-05" and "-inf" among them."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse takes a token that starts with "-" for a value only when
+    # _negative_number_matcher matches it; its own pattern has no exponent,
+    # so "--theta -1e-05" failed where "--theta=-1e-05" worked.  Subparsers
+    # are built with the parent's class, so every command reads them alike.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mubcert",
         description="Certify genuine multipartite entanglement from correlations in mutually unbiased bases.",
     )

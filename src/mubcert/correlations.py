@@ -315,15 +315,8 @@ def c_pattern_sum(rho: DensityMatrix, setting: BasisAssignment, pattern_set: Lbp
     return c_max(rho, setting, [pattern_set])[0]
 
 
-def c_max(rho: DensityMatrix, setting: BasisAssignment, sets) -> tuple[float, str]:
-    """Maximum pattern sum over a collection of sets; first attaining set wins ties.
-
-    Every set is summed from one outcome distribution of the setting.
-    """
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one pattern set")
-    probs = outcome_distribution(rho, setting)
+def _best_set(probs: np.ndarray, setting: BasisAssignment, sets) -> tuple[float, str]:
+    # The one pattern-set max: first attaining set wins ties.
     best_value, best_name = -1.0, ""
     for s in sets:
         value = _pattern_sum(probs, setting, s)
@@ -332,26 +325,41 @@ def c_max(rho: DensityMatrix, setting: BasisAssignment, sets) -> tuple[float, st
     return best_value, best_name
 
 
-def _qubit_setting_pairs():
-    # Ordered pairs of distinct bases from the qubit MUB triple; distinct
-    # members of the triple are automatically mutually unbiased.
-    triple = qubit_mub_triple().bases
-    return [(triple[i], triple[j]) for i in range(3) for j in range(3) if i != j]
+def c_max(rho: DensityMatrix, setting: BasisAssignment, sets) -> tuple[float, str]:
+    """Maximum pattern sum over a collection of sets; first attaining set wins ties.
+
+    Every set is summed from one outcome distribution of the setting.
+    """
+    sets = list(sets)
+    if not sets:
+        raise ValueError("need at least one pattern set")
+    return _best_set(outcome_distribution(rho, setting), setting, sets)
 
 
 def _certify(rho: DensityMatrix, sets, bound: float, basis_search: bool) -> CertificationReport:
-    diagonal = diagonal_set(rho.n_parties)
+    n = rho.n_parties
+    diagonal = diagonal_set(n)
     if not basis_search:
-        n = rho.n_parties
         c1 = c_pattern_sum(rho, computational_setting(n), diagonal)
         c2, name2 = c_max(rho, hadamard_setting(n), sets)
         return _make_report(c1, c2, bound, diagonal.name, name2)
+    # One distribution per choice of one basis of the qubit MUB triple per
+    # party (3^n), read for both terms: the diagonal sum if the choice is
+    # the first setting, the best pattern set if it is the second.
+    triple = qubit_mub_triple().bases
+    terms = {}
+    for choice in itertools.product(range(3), repeat=n):
+        setting = BasisAssignment(tuple(triple[k] for k in choice))
+        probs = outcome_distribution(rho, setting)
+        terms[choice] = (_pattern_sum(probs, setting, diagonal), *_best_set(probs, setting, sets))
+    # Each party takes an ordered pair of distinct bases (distinct members
+    # of the triple are unbiased); of the 6^n assignments the first maximum
+    # wins ties.
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     best = None
-    for assignment in itertools.product(_qubit_setting_pairs(), repeat=rho.n_parties):
-        setting1 = BasisAssignment(tuple(pair[0] for pair in assignment))
-        setting2 = BasisAssignment(tuple(pair[1] for pair in assignment))
-        c1 = c_pattern_sum(rho, setting1, diagonal)
-        c2, name2 = c_max(rho, setting2, sets)
+    for assignment in itertools.product(pairs, repeat=n):
+        c1 = terms[tuple(pair[0] for pair in assignment)][0]
+        _, c2, name2 = terms[tuple(pair[1] for pair in assignment)]
         if best is None or c1 + c2 > best[0] + best[1]:
             best = (c1, c2, name2)
     c1, c2, name2 = best

@@ -213,9 +213,12 @@ def state_from_json_dict(data: dict) -> StateVector:
     if not isinstance(data, dict) or "dims" not in data or "amplitudes" not in data:
         raise ValueError('state JSON must carry "dims" and "amplitudes"')
     dims = data["dims"]
+    # int() would truncate 2.9 to 2 and read true as 1, so only JSON integers pass.
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
     raw = data["amplitudes"]
     try:
         amps = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed amplitude list: {exc}") from None
-    return StateVector(tuple(int(d) for d in dims), amps)
+    return StateVector(tuple(dims), amps)

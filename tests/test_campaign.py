@@ -207,6 +207,13 @@ def test_i3_and_i4_take_one_distribution_per_setting(monkeypatch):
     calls.clear()
     i4(rho4)
     assert len(calls) == 2
+    # A basis search takes one distribution per local setting: 3^n.
+    calls.clear()
+    i3(rho3, basis_search=True)
+    assert len(calls) == 27
+    calls.clear()
+    i4(rho4, basis_search=True)
+    assert len(calls) == 81
 
 
 @pytest.mark.parametrize(

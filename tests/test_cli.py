@@ -6,15 +6,19 @@ import io
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubcert import StateVector, ghz3, kron, psi_lambda
+from mubcert import StateVector, ghz3, kron, psi_lambda, random_pure
 from mubcert.cli import main
 from mubcert.states import state_to_json_dict
 
@@ -81,6 +85,24 @@ def test_certify_basis_search_flag(tmp_path, capsys):
     searched = _run_json(capsys, "certify", "--state", str(path), "--basis-search")
     assert searched["report"]["violated"] is True
     assert abs(searched["report"]["i_value"] - 1.75) <= 1e-9
+
+
+# SHA-256 of the searched report (json.dumps, sorted keys) for seeded Haar
+# states, recorded while the search still took two distributions for each
+# of the 6^n setting pairs.  The report, not stdout: stdout names the file.
+SEARCH_REPORT_PINS = {
+    ((2, 2, 2), 5003): "21972846692018e414e865564c8c71cf8687e971f82d8d0d0e201fd4a9d9f771",
+    ((2, 2, 2, 2), 5004): "f1c4d33acf4711d635baa0c79588c4a820b58c4e366231652c0a8b07a9c0241a",
+}
+
+
+@pytest.mark.parametrize("dims, seed", list(SEARCH_REPORT_PINS), ids=lambda v: str(v))
+def test_certify_basis_search_report_is_pinned(tmp_path, capsys, dims, seed):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(random_pure(dims, seed))))
+    report = _run_json(capsys, "certify", "--state", str(path), "--basis-search")["report"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == SEARCH_REPORT_PINS[dims, seed]
 
 
 def test_certify_csv_format(capsys):
@@ -151,6 +173,56 @@ def test_certify_malformed_state_file(tmp_path, capsys):
     bad.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[1.0, 0.0]]}))
     code, _ = _run(capsys, "certify", "--state", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("dims", [4, None, [2.9, 2], [2, True], "22", {"2": 2}], ids=repr)
+def test_certify_rejects_dims_that_are_not_a_list_of_integers(tmp_path, capsys, dims):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": dims, "amplitudes": [[0.5, 0.0]] * 4}))
+    code = main(["certify", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert '"dims" must be a list of integers' in captured.err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_NUMBER = st.integers() | st.floats()
+
+
+@st.composite
+def _matching_amplitudes(draw):
+    # Amplitude counts that fit the dims, so the numbers reach certification.
+    dims = draw(st.sampled_from([[2, 2], [3, 3], [2, 3], [2, 2, 2], [2, 2, 2, 2], [2] * 5]))
+    pair = st.lists(_NUMBER, min_size=2, max_size=2)
+    return {"dims": dims, "amplitudes": draw(st.lists(pair, min_size=math.prod(dims), max_size=math.prod(dims)))}
+
+
+_STATE_DOCUMENTS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({
+        "dims": _JSON | st.lists(st.integers(0, 4), max_size=4) | st.lists(_NUMBER, max_size=4),
+        "amplitudes": _JSON | st.lists(st.lists(_NUMBER, min_size=1, max_size=3), max_size=16),
+    }),
+    _matching_amplitudes(),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_STATE_DOCUMENTS, st.booleans())
+def test_certify_state_file_exits_0_or_2(document, basis_search):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps(document))
+        argv = ["certify", "--state", str(path), *(["--basis-search"] if basis_search else [])]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2)
+    assert (code == 2) == (stdout.getvalue() == "")
 
 
 # ------------------------------------------------------------------ sweep
@@ -246,6 +318,24 @@ def test_parameter_flags_exit_0_only_when_the_family_takes_them(case):
     if code == 2:
         assert stdout.getvalue() == ""
     assert all(f"--{flag}" in stderr.getvalue() for flag in rejected)
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["certify", "--family", "ghz3"], "--theta"),
+        (["sweep", "--family", "ghz3", "--steps", "3"], "--from"),
+        (["locc", "--grid", "3"], "--theta-cap"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+@pytest.mark.parametrize("value", ["-1e-05", "-2.5E-1", "-inf"])
+def test_negative_values_read_alike_with_space_or_equals(tmp_path, capsys, command, option, value):
+    out_dir = ["--out-dir", str(tmp_path)] if command[0] == "locc" else []
+    spaced = _run(capsys, *command, *out_dir, option, value)
+    joined = _run(capsys, *command, *out_dir, f"{option}={value}")
+    assert spaced == joined
+    assert spaced[0] == (2 if value == "-inf" else 0)
 
 
 def test_sweep_rejects_single_step(capsys):
@@ -563,3 +653,18 @@ def test_console_script_help():
     done = subprocess.run(["mubcert", "--help"], capture_output=True, text=True)
     assert done.returncode == 0
     assert "certify" in done.stdout
+
+
+def test_module_entry_point_exit_codes():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        command = [sys.executable, "-m", "mubcert", *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env)
+
+    done = run("--help")
+    assert done.returncode == 0
+    assert "certify" in done.stdout
+    done = run("certify", "--family", "bell", "--lambda", "0.2")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "--lambda" in done.stderr
