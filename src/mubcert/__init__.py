@@ -5,22 +5,22 @@ from .correlations import (
     BasisAssignment,
     CertificationReport,
     LbpsPatternSet,
-    c_max,
-    c_pattern_sum,
+    Witness,
     computational_setting,
     diagonal_set,
     hadamard_setting,
     i3,
     i3_oracle,
+    i3_witness,
     i4,
     i4_oracle,
+    i4_witness,
     i_m_bipartite,
+    i_m_witness,
     i_value_oracle,
     joint_probability,
     lbps_quadripartite,
     lbps_tripartite,
-    mub_settings,
-    mutual_predictability,
     outcome_distribution,
     uniform_setting,
 )

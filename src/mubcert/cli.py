@@ -20,13 +20,14 @@ import numpy as np
 from .correlations import (
     VIOLATION_MARGIN,
     CertificationReport,
+    diagonal_set,
     i3,
     i3_oracle,
     i4,
     i4_oracle,
     i_m_bipartite,
-    joint_probability,
-    mub_settings,
+    i_m_witness,
+    i_value_oracle,
     paper_i2_psi_lambda,
     paper_i3_ghz3,
     paper_i3_w3,
@@ -112,26 +113,21 @@ def _i2(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
     return i_m_bipartite(rho, fourier_pair(rho.dims[0]))
 
 
-def _i2_check(rho: DensityMatrix) -> float:
-    # Verification route for bipartite rows: per-outcome quadratic forms
-    # summed directly, bypassing the vectorized distribution path.
-    family = fourier_pair(rho.dims[0])
-    total = []
-    for basis in family.bases:
-        setting = uniform_setting(basis, 2)
-        total.extend(joint_probability(rho, setting, (i, i)) for i in range(family.d))
-    return math.fsum(total)
+def _i2_oracle(rho: DensityMatrix) -> float:
+    d = rho.dims[0]
+    settings = [uniform_setting(b, 2) for b in fourier_pair(d).bases]
+    return i_value_oracle(rho, settings, [diagonal_set(2, d)])
 
 
-def _quantity(psi: StateVector) -> _Quantity:
+def _quantity(n_parties: int) -> _Quantity:
     quantities = {
-        2: _Quantity("i2", _i2, _i2_check, None),
+        2: _Quantity("i2", _i2, _i2_oracle, None),
         3: _Quantity("i3", i3, i3_oracle, ("tau", triangle_tau)),
         4: _Quantity("i4", i4, i4_oracle, ("q", global_q)),
     }
-    if psi.n_parties not in quantities:
-        raise ValueError(f"certification supports 2-4 parties, got {psi.n_parties}")
-    return quantities[psi.n_parties]
+    if n_parties not in quantities:
+        raise ValueError(f"certification supports 2-4 parties, got {n_parties}")
+    return quantities[n_parties]
 
 
 class _Family(NamedTuple):
@@ -175,7 +171,14 @@ def _param_flags(args, settable, owner: str) -> dict[str, float]:
     rejected = [f"--{k}" for k in given if k not in settable]
     if rejected:
         raise ValueError(f"{owner} does not take {', '.join(rejected)}")
+    _check_finite({f"--{k}": v for k, v in given.items()})
     return given
+
+
+def _check_finite(flags: dict[str, float | None]) -> None:
+    bad = [f"{flag}={value}" for flag, value in flags.items() if value is not None and not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"values must be finite: {', '.join(bad)}")
 
 
 def _family(name: str, args=None, for_sweep: bool = False) -> tuple[_Family, dict[str, float]]:
@@ -211,7 +214,7 @@ def cmd_certify(args) -> int:
         family = None
         psi = _load_state(args.state)
         out = {"state": args.state, "dims": list(psi.dims)}
-    quantity = _quantity(psi)
+    quantity = _quantity(psi.n_parties)
     out["report"] = quantity.certify(psi.density(), basis_search=args.basis_search).to_dict()
     if family is not None and family.reference is not None:
         out["paper_" + quantity.name] = family.reference(*values.values())
@@ -257,7 +260,7 @@ def _sweep_rows(name: str, steps: int, verify: bool, args=None):
         values[swept] = x = float(x)
         psi = family.build(*values.values())
         rho = psi.density()
-        quantity = _quantity(psi)
+        quantity = _quantity(psi.n_parties)
         report = quantity.certify(rho)
         row = {swept: x, quantity.name: report.i_value}
         if quantity.measure is not None:
@@ -274,6 +277,7 @@ def _sweep_rows(name: str, steps: int, verify: bool, args=None):
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    _check_finite({"--from": args.start, "--to": args.stop})
     header, rows = _sweep_rows(args.family, args.steps, args.verify, args)
     if args.format == "json":
         _dump_json([dict(zip(header, row)) for row in rows], args.out)
@@ -362,7 +366,8 @@ def cmd_locc(args) -> int:
 
 # ----------------------------------------------------------- check-bounds
 
-_BOUND_CLASSES = ("biseparable3", "biseparable4", "separable-bipartite")
+# Each campaign class and the party count of its trial states.
+_BOUND_CLASSES = {"biseparable3": 3, "biseparable4": 4, "separable-bipartite": 2}
 
 
 def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_family: bool = False) -> dict:
@@ -373,25 +378,21 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if klass == "biseparable3":
-
-        def certify(trial: int) -> CertificationReport:
-            return i3(biseparable_sample(3, trial, seed))
-
-    elif klass == "biseparable4":
-
-        def certify(trial: int) -> CertificationReport:
-            return i4(biseparable_sample(4, trial, seed))
-
-    elif klass == "separable-bipartite":
+    if klass not in _BOUND_CLASSES:
+        raise ValueError(f"unknown class {klass!r}")
+    n = _BOUND_CLASSES[klass]
+    if n == 2:
         family = prime_mub_family(d) if complete_family else fourier_pair(d)
-        settings = mub_settings(family)
+        witness = i_m_witness(family)  # built once, not once per trial
 
         def certify(trial: int) -> CertificationReport:
-            return i_m_bipartite(separable_sample(d, trial, seed), family, settings)
+            return i_m_bipartite(separable_sample(d, trial, seed), family, witness)
 
     else:
-        raise ValueError(f"unknown class {klass!r}")
+        quantity = _quantity(n).certify
+
+        def certify(trial: int) -> CertificationReport:
+            return quantity(biseparable_sample(n, trial, seed))
 
     # Trials stream one at a time, so memory stays flat in the trial count.
     # Bound and verdict come from the worst trial's report.
@@ -409,9 +410,9 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
         "worst_trial": worst_trial,
         "pass": not worst.violated,
     }
-    if klass == "separable-bipartite":
+    if n == 2:
         summary["d"] = d
-        summary["m"] = (d + 1) if complete_family else 2
+        summary["m"] = family.m
     return summary
 
 

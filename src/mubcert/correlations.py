@@ -8,19 +8,17 @@ probabilities over fixed index-pattern sets:
   give I_m with separable bound 1 + (m-1)/d;
 * three qubits: I3 = [diagonal sum P(000)+P(111) in the first setting]
   + [maximum over the six canonical 5-pattern sets in the second setting],
-  with biseparable bound 13/8;
+  with the paper's biseparability bound 13/8;
 * four qubits: I4 = [diagonal sum P(0000)+P(1111) in the first setting]
-  + [12-pattern sum in the second setting], with biseparable bound 7/4.
+  + [12-pattern sum in the second setting], with the paper's bound 7/4.
 
 One rule covers all arities: the first term is the n-party mutual
 predictability (all parties agree on the outcome index), the second term
-is the maximized pattern-set sum in the unbiased setting.  The diagonal
-first term is what makes the biseparability bounds hold: promoting it to
-a maximized pattern sum lets product states overshoot them (three qubits:
-a Bell pair on parties 1,2 times |0> reaches 2 > 13/8; four qubits: a
-GHZ triple times cos(pi/8)|0>+sin(pi/8)|1> reaches ~1.85 > 7/4).  For
-the tripartite collection the diagonal is also exactly the intersection
-of all six sets.
+is the maximized pattern-set sum in the unbiased setting; each quantity is
+one ``Witness``.  ``violated`` compares with the paper's 13/8 and 7/4, but
+fully product states exceed both: with qubits cos(t/2)|0> + sin(t/2)|1>,
+t = (0.14, -0.6, 0.14) gives I3 = 1.756751, above GHZ3's 1.75, and
+t = (-0.37, -0.16, 0.16, 0.16) gives I4 = 1.825992 (ROADMAP item 1).
 
 Every quantity is linear in the density matrix, so mixed states are
 accepted throughout.
@@ -31,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import cos, fsum, sin, sqrt
+from math import cos, fsum, prod, sin, sqrt
 
 import numpy as np
 
@@ -173,13 +171,9 @@ def diagonal_set(arity: int, d: int = 2) -> LbpsPatternSet:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of one certification: the two C terms, their sum, the verdict.
-
-    c_first is the pattern sum taken in the first (computational) setting,
-    c_second the maximized pattern sum in the second (Hadamard) setting.
-    For the bipartite quantity, c_first is the first MUB's diagonal sum and
-    c_second the total over the remaining MUBs, with the per-basis values
-    kept in c_per_basis.
+    """Outcome of one ``Witness.evaluate``: the first term (c_first), the sum
+    of the others (c_second), their sum, the verdict, and for I_m every
+    basis's term in c_per_basis.
     """
 
     c_first: float
@@ -215,20 +209,6 @@ class CertificationReport:
         return out
 
 
-def _make_report(c_first, c_second, bound, name_first, name_second, c_per_basis=None):
-    i_value = c_first + c_second
-    return CertificationReport(
-        c_first=c_first,
-        c_second=c_second,
-        i_value=i_value,
-        bound=bound,
-        violated=bool(i_value > bound + VIOLATION_MARGIN),
-        attaining_set_first=name_first,
-        attaining_set_second=name_second,
-        c_per_basis=c_per_basis,
-    )
-
-
 def _check_state_setting(rho: DensityMatrix, setting: BasisAssignment) -> None:
     if rho.dims != setting.dims:
         raise ValueError(f"state dims {rho.dims} do not match setting dims {setting.dims}")
@@ -255,141 +235,157 @@ def outcome_distribution(rho: DensityMatrix, setting: BasisAssignment) -> np.nda
     return np.clip(probs, 0.0, 1.0)
 
 
-def mutual_predictability(rho: DensityMatrix, setting: BasisAssignment) -> float:
-    """Sum of diagonal joint probabilities P(i, i) for a bipartite state."""
-    if rho.n_parties != 2:
-        raise ValueError(f"mutual predictability needs two parties, got {rho.n_parties}")
-    d0, d1 = rho.dims
-    if d0 != d1:
-        raise ValueError(f"local dimensions must match, got {rho.dims}")
-    probs = outcome_distribution(rho, setting).reshape(d0, d1)
-    return fsum(float(probs[i, i]) for i in range(d0))
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """A certification quantity: terms, each a (setting, pattern sets) pair, and a bound.
+
+    A term's value is the largest outcome-probability sum over its sets in
+    its setting, the first attaining set winning ties; c_first is the first
+    term's value, c_second the sum of the rest.  ``exact`` is the set-sum
+    rule, kept as data because pinned outputs depend on it: True (I_m) sums
+    with math.fsum, unclamped, and reports every term in c_per_basis; False
+    (I3, I4) sums with np.sum, checked against and clamped at 1.
+    """
+
+    terms: tuple[tuple[BasisAssignment, tuple[LbpsPatternSet, ...]], ...]
+    bound: float
+    exact: bool = False
+
+    def __post_init__(self) -> None:
+        terms = tuple((setting, tuple(sets)) for setting, sets in self.terms)
+        if len(terms) < 2 or not all(sets for _, sets in terms):
+            raise ValueError("a witness needs two or more terms, each with a pattern set")
+        object.__setattr__(self, "terms", terms)
+        # Every set is raveled to flat outcome indices once, here; a pattern
+        # that does not fit its setting's dims raises ValueError.
+        flat = [[np.ravel_multi_index(np.array(s.patterns).T, t.dims) for s in sets] for t, sets in terms]
+        object.__setattr__(self, "_flat", flat)
+
+    def _read(self, probs: np.ndarray, k: int) -> tuple[float, str]:
+        best = (-1.0, "")
+        for s, flat in zip(self.terms[k][1], self._flat[k]):
+            if self.exact:
+                value = fsum(probs[flat].tolist())
+            else:
+                value = float(np.sum(probs[flat]))
+                if value > 1.0 + 1e-10:
+                    raise InvariantError(f"pattern sum {value!r} exceeds 1")
+                value = min(value, 1.0)
+            if value > best[0]:
+                best = (value, s.name)
+        return best
+
+    def evaluate(self, rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
+        """The report for ``rho``, from one outcome distribution per term.
+
+        With basis_search, a two-term qubit witness instead maximizes over
+        each party's ordered pair of distinct bases of the qubit MUB triple.
+        """
+        if not basis_search:
+            reads = [self._read(outcome_distribution(rho, s), k) for k, (s, _) in enumerate(self.terms)]
+        else:
+            n = rho.n_parties
+            if len(self.terms) != 2 or rho.dims != (2,) * n:
+                raise ValueError("basis search needs a two-term witness on qubits")
+            # One distribution per choice of one basis per party (3^n), read for both terms.
+            triple = qubit_mub_triple().bases
+            table = {}
+            for choice in itertools.product(range(3), repeat=n):
+                probs = outcome_distribution(rho, BasisAssignment(tuple(triple[k] for k in choice)))
+                table[choice] = (self._read(probs, 0), self._read(probs, 1))
+            # Distinct members of the triple are unbiased; of the 6^n pair
+            # assignments the first maximum wins ties.
+            pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+            reads = None
+            for assignment in itertools.product(pairs, repeat=n):
+                first, second = (table[tuple(pair[t] for pair in assignment)][t] for t in (0, 1))
+                if reads is None or first[0] + second[0] > reads[0][0] + reads[1][0]:
+                    reads = (first, second)
+        values = [value for value, _ in reads]
+        c_first, c_second = values[0], fsum(values[1:])
+        i_value = c_first + c_second
+        return CertificationReport(
+            c_first=c_first,
+            c_second=c_second,
+            i_value=i_value,
+            bound=self.bound,
+            violated=bool(i_value > self.bound + VIOLATION_MARGIN),
+            attaining_set_first=reads[0][1],
+            attaining_set_second=reads[-1][1],
+            c_per_basis=tuple(values) if self.exact else None,
+        )
+
+    def operator(self) -> np.ndarray:
+        """W = sum of |v><v| over the product vectors v of every term's patterns.
+
+        Tr(rho W) is the witness value.  A term that maximizes over several
+        sets has no such W and raises ValueError.
+        """
+        if any(len(sets) > 1 for _, sets in self.terms):
+            raise ValueError("a term that maximizes over several pattern sets has no operator")
+        dim = prod(self.terms[0][0].dims)
+        w = np.zeros((dim, dim), dtype=np.complex128)
+        for (setting, _), (flat,) in zip(self.terms, self._flat):
+            for v in setting.product_unitary[:, flat].T:
+                w += np.outer(v, v.conj())
+        return w
 
 
-def mub_settings(family: MubFamily) -> tuple[BasisAssignment, ...]:
-    """One two-party setting per basis of the family, both parties in that basis."""
-    return tuple(uniform_setting(b, 2) for b in family.bases)
+def i_m_witness(family: MubFamily) -> Witness:
+    """I_m: the diagonal with both parties in each basis of the family; bound 1 + (m-1)/d."""
+    diagonal = (diagonal_set(2, family.d),)
+    terms = tuple((uniform_setting(b, 2), diagonal) for b in family.bases)
+    return Witness(terms, 1.0 + (family.m - 1) / family.d, exact=True)
 
 
-def i_m_bipartite(rho: DensityMatrix, family: MubFamily, settings=None) -> CertificationReport:
+@lru_cache(maxsize=None)
+def i3_witness() -> Witness:
+    """I3: the diagonal P(000) + P(111) in the computational setting (also the
+    intersection of all six tri sets) plus the best tri set in the Hadamard setting."""
+    terms = ((computational_setting(3), (diagonal_set(3),)), (hadamard_setting(3), _TRI_SETS))
+    return Witness(terms, TRIPARTITE_BOUND)
+
+
+@lru_cache(maxsize=None)
+def i4_witness() -> Witness:
+    """I4: the diagonal P(0000) + P(1111) in the computational setting plus quad1
+    in the Hadamard setting."""
+    terms = ((computational_setting(4), (diagonal_set(4),)), (hadamard_setting(4), (_QUAD_SET,)))
+    return Witness(terms, QUADRIPARTITE_BOUND)
+
+
+def i_m_bipartite(rho: DensityMatrix, family: MubFamily, witness: Witness | None = None) -> CertificationReport:
     """Sum of mutual predictabilities over the m settings of a MUB family.
 
     Separable bound 1 + (m-1)/d; for a complete family (m = d+1) that is 2.
-    settings, if given, must be ``mub_settings(family)``: a caller that
-    certifies many states against one family builds them once.
+    witness, if given, must be ``i_m_witness(family)``, so that a caller
+    certifying many states against one family builds it once.
     """
-    if rho.n_parties != 2 or rho.dims[0] != rho.dims[1]:
-        raise ValueError(f"need a bipartite state with equal dims, got {rho.dims}")
-    if rho.dims[0] != family.d:
-        raise ValueError(f"family dimension {family.d} does not match state dims {rho.dims}")
-    if settings is None:
-        settings = mub_settings(family)
-    elif [s.bases for s in settings] != [(b, b) for b in family.bases]:
-        raise ValueError("settings must be mub_settings(family)")
-    per_basis = tuple(mutual_predictability(rho, s) for s in settings)
-    bound = 1.0 + (family.m - 1) / family.d
-    return _make_report(
-        per_basis[0],
-        fsum(per_basis[1:]),
-        bound,
-        "diagonal",
-        "diagonal",
-        c_per_basis=per_basis,
-    )
-
-
-def _pattern_sum(probs: np.ndarray, setting: BasisAssignment, pattern_set: LbpsPatternSet) -> float:
-    if pattern_set.arity != setting.n_parties:
-        raise ValueError(
-            f"pattern arity {pattern_set.arity} does not match {setting.n_parties} parties"
-        )
-    flat = np.ravel_multi_index(np.array(pattern_set.patterns).T, setting.dims)
-    value = float(np.sum(probs[flat]))
-    if value > 1.0 + 1e-10:
-        raise InvariantError(f"pattern sum {value!r} exceeds 1")
-    return min(value, 1.0)
-
-
-def c_pattern_sum(rho: DensityMatrix, setting: BasisAssignment, pattern_set: LbpsPatternSet) -> float:
-    """Sum of joint probabilities over one pattern set."""
-    return c_max(rho, setting, [pattern_set])[0]
-
-
-def _best_set(probs: np.ndarray, setting: BasisAssignment, sets) -> tuple[float, str]:
-    # The one pattern-set max: first attaining set wins ties.
-    best_value, best_name = -1.0, ""
-    for s in sets:
-        value = _pattern_sum(probs, setting, s)
-        if value > best_value:
-            best_value, best_name = value, s.name
-    return best_value, best_name
-
-
-def c_max(rho: DensityMatrix, setting: BasisAssignment, sets) -> tuple[float, str]:
-    """Maximum pattern sum over a collection of sets; first attaining set wins ties.
-
-    Every set is summed from one outcome distribution of the setting.
-    """
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one pattern set")
-    return _best_set(outcome_distribution(rho, setting), setting, sets)
-
-
-def _certify(rho: DensityMatrix, sets, bound: float, basis_search: bool) -> CertificationReport:
-    n = rho.n_parties
-    diagonal = diagonal_set(n)
-    if not basis_search:
-        c1 = c_pattern_sum(rho, computational_setting(n), diagonal)
-        c2, name2 = c_max(rho, hadamard_setting(n), sets)
-        return _make_report(c1, c2, bound, diagonal.name, name2)
-    # One distribution per choice of one basis of the qubit MUB triple per
-    # party (3^n), read for both terms: the diagonal sum if the choice is
-    # the first setting, the best pattern set if it is the second.
-    triple = qubit_mub_triple().bases
-    terms = {}
-    for choice in itertools.product(range(3), repeat=n):
-        setting = BasisAssignment(tuple(triple[k] for k in choice))
-        probs = outcome_distribution(rho, setting)
-        terms[choice] = (_pattern_sum(probs, setting, diagonal), *_best_set(probs, setting, sets))
-    # Each party takes an ordered pair of distinct bases (distinct members
-    # of the triple are unbiased); of the 6^n assignments the first maximum
-    # wins ties.
-    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-    best = None
-    for assignment in itertools.product(pairs, repeat=n):
-        c1 = terms[tuple(pair[0] for pair in assignment)][0]
-        _, c2, name2 = terms[tuple(pair[1] for pair in assignment)]
-        if best is None or c1 + c2 > best[0] + best[1]:
-            best = (c1, c2, name2)
-    c1, c2, name2 = best
-    return _make_report(c1, c2, bound, diagonal.name, name2)
+    if rho.dims != (family.d, family.d):
+        raise ValueError(f"need a bipartite state with dims {(family.d, family.d)}, got {rho.dims}")
+    if witness is None:
+        witness = i_m_witness(family)
+    elif [s.bases for s, _ in witness.terms] != [(b, b) for b in family.bases]:
+        raise ValueError("witness must be i_m_witness(family)")
+    return witness.evaluate(rho)
 
 
 def i3(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
-    """Three-qubit certification quantity with biseparable bound 13/8.
+    """Three-qubit certification quantity ``i3_witness()``, paper bound 13/8.
 
-    First term: the diagonal sum P(000) + P(111) in the computational
-    setting (also the intersection of all six canonical sets).  Second
-    term: maximum over the six sets of the Hadamard-setting pattern sum.
-    With basis_search, both settings additionally range over per-party
-    ordered pairs of distinct bases from the qubit MUB triple.
+    With basis_search, both settings range over per-party ordered pairs of
+    distinct bases from the qubit MUB triple (``Witness.evaluate``).
     """
     if rho.dims != (2, 2, 2):
         raise ValueError(f"i3 needs three qubits, got dims {rho.dims}")
-    return _certify(rho, lbps_tripartite(), TRIPARTITE_BOUND, basis_search)
+    return i3_witness().evaluate(rho, basis_search)
 
 
 def i4(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
-    """Four-qubit certification quantity with biseparable bound 7/4.
-
-    First term: the diagonal sum P(0000) + P(1111) in the computational
-    setting.  Second term: the single canonical 12-pattern set summed in
-    the Hadamard setting.
-    """
+    """Four-qubit certification quantity ``i4_witness()``, paper bound 7/4; basis_search as in i3."""
     if rho.dims != (2, 2, 2, 2):
         raise ValueError(f"i4 needs four qubits, got dims {rho.dims}")
-    return _certify(rho, [lbps_quadripartite()], QUADRIPARTITE_BOUND, basis_search)
+    return i4_witness().evaluate(rho, basis_search)
 
 
 def _oracle_probability(rho: DensityMatrix, setting: BasisAssignment, pattern: IndexPattern) -> float:

@@ -25,7 +25,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .correlations import i_m_bipartite
+from .correlations import i_m_bipartite, i_m_witness
 from .linalg import COMPLETENESS_TOL, DensityMatrix, InvariantError, dagger, kron, mix
 from .mub import MubFamily, fourier_pair
 
@@ -155,17 +155,6 @@ def omega(rho: DensityMatrix, params: PovmParams, family: MubFamily | None = Non
     return value
 
 
-def _matched_outcome_projector(family: MubFamily) -> np.ndarray:
-    """M = sum over bases, outcomes of |ii><ii|; I2(rho) = Tr(rho M)."""
-    d = family.d
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for basis in family.bases:
-        for i in range(d):
-            v = np.kron(basis.vectors[:, i], basis.vectors[:, i])
-            m += np.outer(v, v.conj())
-    return m
-
-
 def sweep(
     rho: DensityMatrix,
     grid=DEFAULT_GRID,
@@ -196,7 +185,7 @@ def sweep(
     if family is None:
         family = fourier_pair(2)
 
-    projector = _matched_outcome_projector(family)
+    projector = i_m_witness(family).operator()
     base = float(np.real(np.trace(rho.entries @ projector)))
     m4 = projector.reshape(2, 2, 2, 2)
     rho4 = rho.entries.reshape(2, 2, 2, 2)

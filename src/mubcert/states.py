@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import cos, sin, sqrt
+from math import cos, prod, sin, sqrt
 
 import numpy as np
 
@@ -201,6 +201,11 @@ def separable_sample(d: int, trial: int, seed: int) -> DensityMatrix:
     return random_separable(d, [seed, trial])
 
 
+# Largest prod(dims) a state file may declare: an outcome distribution costs
+# O(D^3), so 16 x 16 certifies in about half a second and 48 x 48 takes minutes.
+MAX_STATE_DIM = 256
+
+
 def state_to_json_dict(psi: StateVector) -> dict:
     """Serializable form: {"dims": [...], "amplitudes": [[re, im], ...]}."""
     return {
@@ -216,9 +221,13 @@ def state_from_json_dict(data: dict) -> StateVector:
     # int() would truncate 2.9 to 2 and read true as 1, so only JSON integers pass.
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
+    if prod(dims) > MAX_STATE_DIM:
+        raise ValueError(f"total dimension {prod(dims)} of dims {dims} exceeds {MAX_STATE_DIM}")
     raw = data["amplitudes"]
     try:
         amps = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed amplitude list: {exc}") from None
-    return StateVector(tuple(dims), amps)
+    # An overflowing norm is rejected as non-finite; numpy need not warn first.
+    with np.errstate(over="ignore"):
+        return StateVector(tuple(dims), amps)

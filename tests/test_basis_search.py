@@ -2,8 +2,9 @@
 
 The reference below is the search it replaces: every assignment of an
 ordered pair of distinct qubit MUBs to each party, with one distribution
-for each setting of the pair.  Both must give equal reports, floats and
-set names included, so ties must go to the same first assignment.
+for each setting of the pair, read by an unsearched two-term ``Witness``.
+Both must give equal reports, floats and set names included, so ties must
+go to the same first assignment.
 """
 
 import itertools
@@ -17,8 +18,7 @@ from mubcert import (
     CertificationReport,
     DensityMatrix,
     StateVector,
-    c_max,
-    c_pattern_sum,
+    Witness,
     diagonal_set,
     ghz3,
     ghz4,
@@ -49,8 +49,8 @@ def _reference_search(rho: DensityMatrix) -> CertificationReport:
     for assignment in itertools.product(pairs, repeat=rho.n_parties):
         setting1 = BasisAssignment(tuple(pair[0] for pair in assignment))
         setting2 = BasisAssignment(tuple(pair[1] for pair in assignment))
-        c1 = c_pattern_sum(rho, setting1, diagonal)
-        c2, name2 = c_max(rho, setting2, sets)
+        fixed = Witness(((setting1, (diagonal,)), (setting2, tuple(sets))), bound).evaluate(rho)
+        c1, c2, name2 = fixed.c_first, fixed.c_second, fixed.attaining_set_second
         if best is None or c1 + c2 > best[0] + best[1]:
             best = (c1, c2, name2)
     c1, c2, name2 = best

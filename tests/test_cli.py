@@ -165,6 +165,43 @@ def test_inapplicable_flags_exit_2(tmp_path, capsys, argv):
     assert argv[3] in captured.err  # the first flag after the family, state or class
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["certify", "--family", "w3", "--alpha=inf"], "--alpha"),
+        (["certify", "--family", "ghz3", "--theta=nan"], "--theta"),
+        (["certify", "--family", "psi_lambda", "--lambda=-inf"], "--lambda"),
+        (["sweep", "--family", "ghz3", "--steps", "3", "--from=-inf"], "--from"),
+        (["sweep", "--family", "ghz3", "--steps", "3", "--to=nan"], "--to"),
+        (["locc", "--grid", "3", "--family", "psi_lambda", "--lambda=nan"], "--lambda"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_nonfinite_values_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    code = main([*argv, *(["--out-dir", str(tmp_path)] if argv[0] == "locc" else [])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{flag}=" in captured.err and "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"dims": [48, 48], "amplitudes": [[1.0, 0.0]]}, "exceeds 256"),
+        ({"dims": [2] * 9, "amplitudes": [[1.0, 0.0]]}, "exceeds 256"),
+        ({"dims": [2, 2], "amplitudes": [[1e200, 0.0]] * 4}, "finite"),
+    ],
+    ids=["48x48", "nine-qubits", "overflowing-norm"],
+)
+def test_certify_rejects_oversized_or_overflowing_state_files(tmp_path, capsys, document, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(document))
+    code = main(["certify", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
 def test_certify_malformed_state_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -298,8 +335,10 @@ def _family_flags(draw):
     takes = CERTIFY_TAKES if command == "certify" else SWEEP_TAKES
     family = draw(st.sampled_from(sorted(takes)))
     names = ("lambda", "theta", "alpha", "mu", "nu") if command == "certify" else SWEEP_FLAGS
-    flags = draw(st.lists(st.sampled_from(names), unique=True))
-    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+    # Half the draws take only flags the family takes, so their values reach it.
+    pool = draw(st.sampled_from([names, sorted(takes[family]) or names]))
+    flags = draw(st.lists(st.sampled_from(pool), unique=True))
+    values = draw(st.lists(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]),
                            min_size=len(flags), max_size=len(flags)))
     return command, family, flags, values, [f for f in flags if f not in takes[family]]
 
@@ -308,16 +347,19 @@ def _family_flags(draw):
 @given(_family_flags())
 def test_parameter_flags_exit_0_only_when_the_family_takes_them(case):
     command, family, flags, values, rejected = case
+    nonfinite = [f for f, v in zip(flags, values) if not math.isfinite(v)]
     argv = [command, "--family", family, *(["--steps", "2"] if command == "sweep" else [])]
     for flag, value in zip(flags, values):
         argv.append(f"--{flag}={value!r}")  # "=" keeps argparse from reading -1e+16 as a flag
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    assert code in ((2,) if rejected else (0, 2))
+    assert code in ((2,) if rejected or nonfinite else (0, 2))
     if code == 2:
         assert stdout.getvalue() == ""
-    assert all(f"--{flag}" in stderr.getvalue() for flag in rejected)
+    # Flags the family does not take are named first; else every non-finite one.
+    named = rejected or nonfinite
+    assert all(f"--{flag}" in stderr.getvalue() for flag in named)
 
 
 @pytest.mark.parametrize(

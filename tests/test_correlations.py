@@ -11,8 +11,7 @@ from mubcert import (
     InvariantError,
     LbpsPatternSet,
     StateVector,
-    c_max,
-    c_pattern_sum,
+    Witness,
     computational_setting,
     diagonal_set,
     fourier_pair,
@@ -21,16 +20,17 @@ from mubcert import (
     hadamard_setting,
     i3,
     i3_oracle,
+    i3_witness,
     i4,
     i4_oracle,
+    i4_witness,
     i_m_bipartite,
+    i_m_witness,
     joint_probability,
     kron,
     lbps_quadripartite,
     lbps_tripartite,
     mix,
-    mub_settings,
-    mutual_predictability,
     outcome_distribution,
     partial_trace,
     prime_mub_family,
@@ -112,12 +112,13 @@ def test_joint_probability_linearity():
 # -------------------------------------------------------------- bipartite
 
 
-def test_mutual_predictability_known_values():
+def test_i_m_per_basis_known_values():
+    # c_per_basis holds the mutual predictability of each basis of the pair.
+    witness = i_m_witness(fourier_pair(2))
     bell = psi_lambda(0.5).density()
-    assert abs(mutual_predictability(bell, computational_setting(2)) - 1.0) <= 1e-12
+    assert abs(witness.evaluate(bell).c_per_basis[0] - 1.0) <= 1e-12
     ket00 = psi_lambda(1.0).density()
-    second = uniform_setting(fourier_pair(2).bases[1], 2)
-    assert abs(mutual_predictability(ket00, second) - 0.5) <= 1e-12
+    assert abs(witness.evaluate(ket00).c_per_basis[1] - 0.5) <= 1e-12
 
 
 def test_i2_bell_and_product():
@@ -157,13 +158,13 @@ def test_i2_requires_matching_dims():
 
 def test_i2_reuses_prebuilt_settings():
     family = prime_mub_family(3)
-    settings = mub_settings(family)
+    witness = i_m_witness(family)
     rho = random_pure((3, 3), 8).density()
-    assert i_m_bipartite(rho, family, settings) == i_m_bipartite(rho, family)
+    assert i_m_bipartite(rho, family, witness) == i_m_bipartite(rho, family)
     with pytest.raises(ValueError):
-        i_m_bipartite(rho, family, settings[:2])
+        i_m_bipartite(rho, family, Witness(witness.terms[:2], witness.bound, exact=True))
     with pytest.raises(ValueError):
-        i_m_bipartite(rho, family, mub_settings(prime_mub_family(3)))
+        i_m_bipartite(rho, family, i_m_witness(prime_mub_family(3)))
 
 
 # ------------------------------------------------------------ pattern sets
@@ -202,20 +203,60 @@ def test_pattern_set_validation():
         LbpsPatternSet("bad", ())
 
 
-def test_c_pattern_sum_ghz():
+def test_witness_pattern_sums_ghz():
     rho = ghz3(math.pi / 4).density()
     tri4 = lbps_tripartite()[3]
+    terms = ((computational_setting(3), (diagonal_set(3),)), (hadamard_setting(3), (tri4,)))
+    report = Witness(terms, TRIPARTITE_BOUND).evaluate(rho)
     # three even-parity plus two odd-parity strings: (5 + sin 2theta)/8
-    assert abs(c_pattern_sum(rho, hadamard_setting(3), tri4) - 0.75) <= 1e-12
-    assert abs(c_pattern_sum(rho, computational_setting(3), diagonal_set(3)) - 1.0) <= 1e-12
+    assert abs(report.c_second - 0.75) <= 1e-12
+    assert abs(report.c_first - 1.0) <= 1e-12
 
 
-def test_c_max_tie_breaks_to_first_listed():
+def test_witness_best_set_tie_breaks_to_first_listed():
     # |000> is uniform in the Hadamard setting: every 5-pattern set gives 5/8
     rho = ghz3(0.0).density()
-    value, name = c_max(rho, hadamard_setting(3), lbps_tripartite())
-    assert abs(value - 0.625) <= 1e-12
-    assert name == "tri1"
+    report = i3_witness().evaluate(rho)
+    assert abs(report.c_second - 0.625) <= 1e-12
+    assert report.attaining_set_second == "tri1"
+
+
+# ----------------------------------------------------------------- witness
+
+
+@pytest.mark.parametrize(
+    "witness, dims",
+    [
+        (i_m_witness(fourier_pair(2)), (2, 2)),
+        (i_m_witness(prime_mub_family(3)), (3, 3)),
+        (i_m_witness(fourier_pair(5)), (5, 5)),
+        (i4_witness(), (2, 2, 2, 2)),
+    ],
+)
+def test_witness_operator_gives_the_value_as_a_trace(witness, dims):
+    w = witness.operator()
+    assert float(np.max(np.abs(w - w.conj().T))) <= 1e-15
+    for seed in range(5):
+        rho = random_pure(dims, [7, seed]).density()
+        trace = float(np.real(np.trace(rho.entries @ w)))
+        assert abs(trace - witness.evaluate(rho).i_value) <= 1e-12
+
+
+def test_witness_operator_rejects_a_maximum_over_sets():
+    with pytest.raises(ValueError, match="several pattern sets"):
+        i3_witness().operator()
+
+
+def test_witness_validation():
+    setting = computational_setting(3)
+    with pytest.raises(ValueError):
+        Witness(((setting, (diagonal_set(3),)),), 1.0)
+    with pytest.raises(ValueError):
+        Witness(((setting, (diagonal_set(3),)), (setting, ())), 1.0)
+    with pytest.raises(ValueError):
+        Witness(((setting, (diagonal_set(3),)), (setting, (diagonal_set(2),))), 1.0)
+    with pytest.raises(ValueError, match="basis search"):
+        i_m_witness(prime_mub_family(3)).evaluate(random_pure((3, 3), 1).density(), True)
 
 
 # ---------------------------------------------------------- certification
@@ -351,6 +392,29 @@ def test_oracle_matches_fast_path_on_random_states():
     for seed in range(50):
         rho = random_pure((2, 2, 2, 2), [2, seed]).density()
         assert abs(i4(rho).i_value - i4_oracle(rho)) <= 1e-10
+
+
+def _qubit_product(angles) -> StateVector:
+    amps = np.ones(1)
+    for t in angles:
+        amps = np.kron(amps, [math.cos(t / 2), math.sin(t / 2)])
+    return StateVector((2,) * len(angles), amps)
+
+
+def test_product_states_exceed_the_paper_bounds():
+    # Fully product, hence biseparable, yet above 13/8 and 7/4 (ROADMAP item 1).
+    rho3 = _qubit_product((0.14, -0.6, 0.14)).density()
+    report3 = i3(rho3)
+    assert abs(report3.i_value - i3_oracle(rho3)) <= 1e-10
+    assert abs(report3.i_value - 1.756751) <= 1e-6
+    assert report3.i_value > TRIPARTITE_BOUND + 0.1
+    assert report3.violated
+    rho4 = _qubit_product((-0.37, -0.16, 0.16, 0.16)).density()
+    report4 = i4(rho4)
+    assert abs(report4.i_value - i4_oracle(rho4)) <= 1e-10
+    assert abs(report4.i_value - 1.825992) <= 1e-6
+    assert report4.i_value > QUADRIPARTITE_BOUND + 0.07
+    assert report4.violated
 
 
 def test_oracle_on_pinned_states():

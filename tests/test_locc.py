@@ -10,13 +10,18 @@ import mubcert.locc
 from mubcert import (
     InvariantError,
     PovmParams,
+    Witness,
     apply_branch,
     build_povm,
     convexity_probe,
     dagger,
+    fourier_pair,
+    i_m_witness,
     mix,
     omega,
+    prime_mub_family,
     psi_lambda,
+    qubit_mub_triple,
     random_pure,
     sweep,
 )
@@ -143,6 +148,26 @@ def test_sweep_validation():
         sweep(random_pure((2, 2, 2), 1).density())
 
 
+def _kron_projector(family):
+    """Reference: M = sum over bases, outcomes of |ii><ii|, from kron products."""
+    d = family.d
+    m = np.zeros((d * d, d * d), dtype=np.complex128)
+    for basis in family.bases:
+        for i in range(d):
+            v = np.kron(basis.vectors[:, i], basis.vectors[:, i])
+            m += np.outer(v, v.conj())
+    return m
+
+
+@pytest.mark.parametrize(
+    "family",
+    [fourier_pair(2), fourier_pair(3), prime_mub_family(3), prime_mub_family(5), qubit_mub_triple()],
+    ids=["pair2", "pair3", "complete3", "complete5", "triple"],
+)
+def test_witness_operator_is_the_kron_projector(family):
+    assert np.array_equal(i_m_witness(family).operator(), _kron_projector(family))
+
+
 def _whole_grid_sweep(rho, grid, theta_cap, party):
     """Reference: the sweep as one vectorized pass over every grid point.
 
@@ -169,7 +194,7 @@ def _whole_grid_sweep(rho, grid, theta_cap, party):
     )
     assert float(np.max(np.abs(completeness - np.eye(2)))) <= mubcert.locc.COMPLETENESS_TOL
 
-    projector = mubcert.locc._matched_outcome_projector(family)
+    projector = _kron_projector(family)
     base = float(np.real(np.trace(rho.entries @ projector)))
     m4 = projector.reshape(2, 2, 2, 2)
     rho4 = rho.entries.reshape(2, 2, 2, 2)
@@ -224,10 +249,10 @@ def test_sweep_matches_whole_grid_reference(lam, grid, party, theta_cap):
     ],
 )
 def test_sweep_rejects_angles_before_any_grid_work(monkeypatch, grid, theta_cap):
-    def no_grid_work(family):
+    def no_grid_work(witness):
         raise AssertionError("sweep started grid work before validating its angles")
 
-    monkeypatch.setattr(mubcert.locc, "_matched_outcome_projector", no_grid_work)
+    monkeypatch.setattr(Witness, "operator", no_grid_work)
     with pytest.raises(ValueError, match="must"):
         sweep(psi_lambda(0.5).density(), grid=grid, theta_cap=theta_cap)
 
