@@ -1,8 +1,9 @@
 """Command-line front end: certify, sweep, locc, check-bounds, figures.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 internal
-invariant breach.  All angles are radians.  CSV output uses '.' decimals,
-comma separators, LF line endings and 17 significant digits.
+Exit codes: 0 success, 2 invalid input or configuration (a request too
+large to allocate among them), 3 internal invariant breach.  All angles
+are radians.  CSV output uses '.' decimals, comma separators, LF line
+endings and 17 significant digits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .correlations import (
     i4,
     i4_oracle,
     i_m_bipartite,
-    i_m_witness,
     i_value_oracle,
     paper_i2_psi_lambda,
     paper_i3_ghz3,
@@ -39,6 +39,7 @@ from .locc import PovmParams, PovmSweepResult, omega, sweep
 from .measures import global_q, triangle_tau
 from .mub import fourier_pair, prime_mub_family
 from .states import (
+    MAX_STATE_DIM,
     W3_STANDARD_ALPHA,
     W3_STANDARD_THETA,
     biseparable_sample,
@@ -383,10 +384,9 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
     n = _BOUND_CLASSES[klass]
     if n == 2:
         family = prime_mub_family(d) if complete_family else fourier_pair(d)
-        witness = i_m_witness(family)  # built once, not once per trial
 
         def certify(trial: int) -> CertificationReport:
-            return i_m_bipartite(separable_sample(d, trial, seed), family, witness)
+            return i_m_bipartite(separable_sample(d, trial, seed), family)
 
     else:
         quantity = _quantity(n).certify
@@ -421,6 +421,10 @@ def cmd_check_bounds(args) -> int:
         flag = "--d" if args.d is not None else "--complete-family"
         raise ValueError(f"{flag} applies only to --class separable-bipartite")
     d = 2 if args.d is None else args.d
+    if d * d > MAX_STATE_DIM:
+        raise ValueError(f"--d {d} gives total dimension {d * d}, above {MAX_STATE_DIM}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     summary = run_bound_campaign(
         args.klass, args.trials, args.seed, d=d, complete_family=args.complete_family
     )
@@ -557,7 +561,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -331,8 +331,13 @@ class Witness:
         return w
 
 
+@lru_cache(maxsize=None)
 def i_m_witness(family: MubFamily) -> Witness:
-    """I_m: the diagonal with both parties in each basis of the family; bound 1 + (m-1)/d."""
+    """I_m: the diagonal with both parties in each basis of the family; bound 1 + (m-1)/d.
+
+    Built once per family, as the family itself is, so each setting's
+    product unitary is computed once.
+    """
     diagonal = (diagonal_set(2, family.d),)
     terms = tuple((uniform_setting(b, 2), diagonal) for b in family.bases)
     return Witness(terms, 1.0 + (family.m - 1) / family.d, exact=True)
@@ -354,20 +359,14 @@ def i4_witness() -> Witness:
     return Witness(terms, QUADRIPARTITE_BOUND)
 
 
-def i_m_bipartite(rho: DensityMatrix, family: MubFamily, witness: Witness | None = None) -> CertificationReport:
+def i_m_bipartite(rho: DensityMatrix, family: MubFamily) -> CertificationReport:
     """Sum of mutual predictabilities over the m settings of a MUB family.
 
     Separable bound 1 + (m-1)/d; for a complete family (m = d+1) that is 2.
-    witness, if given, must be ``i_m_witness(family)``, so that a caller
-    certifying many states against one family builds it once.
     """
     if rho.dims != (family.d, family.d):
         raise ValueError(f"need a bipartite state with dims {(family.d, family.d)}, got {rho.dims}")
-    if witness is None:
-        witness = i_m_witness(family)
-    elif [s.bases for s, _ in witness.terms] != [(b, b) for b in family.bases]:
-        raise ValueError("witness must be i_m_witness(family)")
-    return witness.evaluate(rho)
+    return i_m_witness(family).evaluate(rho)
 
 
 def i3(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:

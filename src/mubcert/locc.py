@@ -27,7 +27,7 @@ import numpy as np
 
 from .correlations import i_m_bipartite, i_m_witness
 from .linalg import COMPLETENESS_TOL, DensityMatrix, InvariantError, dagger, kron, mix
-from .mub import MubFamily, fourier_pair
+from .mub import fourier_pair
 
 ZERO_BRANCH_TOL = 1e-12
 
@@ -134,22 +134,17 @@ def apply_branch(rho: DensityMatrix, e: np.ndarray, party: int = 0):
     return p, DensityMatrix(rho.dims, raw / p)
 
 
-def _i2(rho: DensityMatrix, family: MubFamily) -> float:
-    return i_m_bipartite(rho, family).i_value
-
-
-def omega(rho: DensityMatrix, params: PovmParams, family: MubFamily | None = None, party: int = 0) -> float:
+def omega(rho: DensityMatrix, params: PovmParams, party: int = 0) -> float:
     """Monotonicity residual I2(rho) - sum_k p_k I2(rho_k) for one POVM."""
-    if family is None:
-        family = fourier_pair(2)
+    pair = fourier_pair(2)
     e1, e2 = build_povm(params)
-    value = _i2(rho, family)
+    value = i_m_bipartite(rho, pair).i_value
     total_p = 0.0
     for e in (e1, e2):
         p, branch = apply_branch(rho, e, party)
         total_p += p
         if branch is not None:
-            value -= p * _i2(branch, family)
+            value -= p * i_m_bipartite(branch, pair).i_value
     if abs(total_p - 1.0) > 1e-10:
         raise InvariantError(f"branch probabilities sum to {total_p!r}, not 1")
     return value
@@ -159,7 +154,6 @@ def sweep(
     rho: DensityMatrix,
     grid=DEFAULT_GRID,
     theta_cap: float = 0.0,
-    family: MubFamily | None = None,
     party: int = 0,
 ) -> PovmSweepResult:
     """Omega on the full (chi, zeta, xi) grid at fixed theta_cap.
@@ -182,10 +176,8 @@ def sweep(
         _check_angle(f"{name} axis end", hi)
         if lo > hi:
             raise ValueError(f"{name} axis must run from low to high, got {grid}")
-    if family is None:
-        family = fourier_pair(2)
 
-    projector = i_m_witness(family).operator()
+    projector = i_m_witness(fourier_pair(2)).operator()
     base = float(np.real(np.trace(rho.entries @ projector)))
     m4 = projector.reshape(2, 2, 2, 2)
     rho4 = rho.entries.reshape(2, 2, 2, 2)
@@ -240,20 +232,17 @@ def sweep(
     )
 
 
-def convexity_probe(rho1: DensityMatrix, rho2: DensityMatrix, weights, family: MubFamily | None = None) -> float:
-    """Max deviation of I2 from exact mixing linearity over the given weights."""
+def convexity_probe(rho1: DensityMatrix, rho2: DensityMatrix, weights) -> float:
+    """Max deviation of I2 (Fourier pair) from exact mixing linearity over the given weights."""
     if rho1.dims != rho2.dims:
         raise ValueError(f"dims differ: {rho1.dims} vs {rho2.dims}")
-    if family is None:
-        if rho1.dims[0] != rho1.dims[1]:
-            raise ValueError(f"need equal local dims, got {rho1.dims}")
-        family = fourier_pair(rho1.dims[0])
-    a, b = _i2(rho1, family), _i2(rho2, family)
+    pair = fourier_pair(rho1.dims[0])  # i_m_bipartite rejects unequal local dims
+    a, b = i_m_bipartite(rho1, pair).i_value, i_m_bipartite(rho2, pair).i_value
     worst = 0.0
     for w in weights:
         w = float(w)
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weights must lie in [0, 1], got {w}")
         mixed = mix([rho1, rho2], [w, 1.0 - w])
-        worst = max(worst, abs(_i2(mixed, family) - (w * a + (1.0 - w) * b)))
+        worst = max(worst, abs(i_m_bipartite(mixed, pair).i_value - (w * a + (1.0 - w) * b)))
     return worst

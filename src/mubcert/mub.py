@@ -3,12 +3,14 @@
 Two orthonormal bases of a d-dimensional space are mutually unbiased when
 every cross overlap satisfies |<b_i|c_j>|^2 = 1/d.  This module builds the
 qubit Pauli triple, complete families for odd prime dimension, and the
-computational/Fourier pair that exists for every d >= 2.
+computational/Fourier pair that exists for every d >= 2.  Families are
+immutable, so each constructor builds its family once per argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +86,7 @@ def fourier_basis(d: int) -> Basis:
     return Basis(d, w ** np.outer(j, j) / np.sqrt(d))
 
 
+@lru_cache(maxsize=None)
 def qubit_mub_triple() -> MubFamily:
     """The three qubit MUBs: eigenbases of the Pauli Z, X and Y operators."""
     s = 1.0 / np.sqrt(2.0)
@@ -99,6 +102,7 @@ def _is_odd_prime(d: int) -> bool:
     return all(d % q for q in range(3, int(d**0.5) + 1, 2))
 
 
+@lru_cache(maxsize=None)
 def prime_mub_family(d: int) -> MubFamily:
     """Complete family of d+1 MUBs for odd prime d.
 
@@ -118,6 +122,7 @@ def prime_mub_family(d: int) -> MubFamily:
     return MubFamily(d, tuple(bases))
 
 
+@lru_cache(maxsize=None)
 def fourier_pair(d: int) -> MubFamily:
     """Computational + Fourier pair, unbiased for every d >= 2."""
     d = int(d)

@@ -669,6 +669,77 @@ def test_check_bounds_deterministic(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "options, flag",
+    [
+        (["--d", "1000"], "--d"),
+        (["--d", "17", "--complete-family"], "--d"),
+        (["--seed", "-1"], "--seed"),
+    ],
+    ids=["d-1000", "d-17-complete-family", "negative-seed"],
+)
+def test_check_bounds_rejects_oversized_d_and_negative_seed(capsys, options, flag):
+    code = main(["check-bounds", "--class", "separable-bipartite", "--trials", "1", *options])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert flag in captured.err
+
+
+def test_check_bounds_accepts_d_at_the_state_dimension_limit(capsys):
+    data = _run_json(capsys, "check-bounds", "--class", "separable-bipartite", "--d", "16", "--trials", "1")
+    assert data["d"] == 16 and data["pass"] is True
+
+
+@pytest.mark.parametrize("command", ["locc", "figures"])
+def test_allocation_failure_exits_2(tmp_path, capsys, command):
+    # 100000^3 omega values need 7.1 PiB, above any x86-64 user address
+    # space, so the allocation fails at once and nothing is allocated.
+    code = main([command, "--grid", "100000", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+_FLOAT_VALUES = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _campaign_and_locc_argv(draw):
+    def optional(flag, values):
+        return [f"{flag}={draw(values)!r}"] if draw(st.booleans()) else []
+
+    if draw(st.booleans()):
+        klass = draw(st.sampled_from(["biseparable3", "biseparable4", "separable-bipartite"]))
+        # --trials is always given: its default of 10^4 would make each example slow.
+        argv = ["check-bounds", "--class", klass, f"--trials={draw(st.integers(-2, 4))}"]
+        # No mid-size d: were the --d limit lost, d = 300 would ask for gigabytes.
+        argv += optional("--d", st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 16, 17, 1000]))
+        argv += optional("--seed", st.integers(-(2**64), 2**64))
+        return argv + (["--complete-family"] if draw(st.booleans()) else [])
+    # No mid-size grid: --grid 1000 alone would ask for 8 GB.
+    argv = ["locc", f"--grid={draw(st.sampled_from([-1, 0, 1, 2, 3, 100000]))}"]
+    argv += draw(st.sampled_from([[], ["--family", "psi_lambda"]]))
+    argv += optional("--theta-cap", _FLOAT_VALUES) + optional("--lambda", _FLOAT_VALUES)
+    argv += [f for f in ("--mirror-povm", "--verify") if draw(st.booleans())]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_campaign_and_locc_argv())
+def test_check_bounds_and_locc_options_exit_0_2_or_3(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "locc":
+            argv = [*argv, "--out-dir", tmp]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2:
+        assert stdout.getvalue() == ""
+
+
 # ---------------------------------------------------------------- figures
 
 

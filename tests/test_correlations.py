@@ -35,6 +35,7 @@ from mubcert import (
     partial_trace,
     prime_mub_family,
     psi_lambda,
+    qubit_mub_triple,
     random_pure,
     reduced_rank,
     uniform_setting,
@@ -156,15 +157,15 @@ def test_i2_requires_matching_dims():
         i_m_bipartite(StateVector((2, 3), np.eye(6)[0]).density(), fourier_pair(2))
 
 
-def test_i2_reuses_prebuilt_settings():
-    family = prime_mub_family(3)
-    witness = i_m_witness(family)
-    rho = random_pure((3, 3), 8).density()
-    assert i_m_bipartite(rho, family, witness) == i_m_bipartite(rho, family)
-    with pytest.raises(ValueError):
-        i_m_bipartite(rho, family, Witness(witness.terms[:2], witness.bound, exact=True))
-    with pytest.raises(ValueError):
-        i_m_bipartite(rho, family, i_m_witness(prime_mub_family(3)))
+def test_families_and_i_m_witnesses_are_built_once():
+    assert fourier_pair(2) is fourier_pair(2)
+    assert prime_mub_family(3) is prime_mub_family(3)
+    assert qubit_mub_triple() is qubit_mub_triple()
+    for family in (fourier_pair(2), fourier_pair(5), prime_mub_family(3)):
+        assert i_m_witness(family) is i_m_witness(family)
+    # A family built outside the cache gets its own witness.
+    fresh = fourier_pair.__wrapped__(2)
+    assert i_m_witness(fresh) is not i_m_witness(fourier_pair(2))
 
 
 # ------------------------------------------------------------ pattern sets

@@ -2,13 +2,16 @@
 
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import mubcert.locc
 from mubcert import (
+    BasisAssignment,
     InvariantError,
+    MubFamily,
     PovmParams,
     Witness,
     apply_branch,
@@ -282,3 +285,36 @@ def test_convexity_probe():
     # identical inputs: deviation is pure weight-arithmetic rounding
     assert convexity_probe(bell, bell, (0.3, 0.6)) <= 1e-12
     assert convexity_probe(_random_mixed(1), _random_mixed(2), np.linspace(0, 1, 11)) <= 1e-10
+    qubit_qutrit = random_pure((2, 3), 4).density()
+    with pytest.raises(ValueError):
+        convexity_probe(qubit_qutrit, qubit_qutrit, (0.5,))
+
+
+def test_omega_builds_no_family_or_product_unitary_after_warm_up(monkeypatch):
+    rng = np.random.default_rng(99)
+    states = [psi_lambda(0.5).density(), _random_mixed(3)]
+    omega(states[0], IDENTITY_POVM)  # warm-up: builds the pair and its witness
+    families, products = [], []
+    build_family = MubFamily.__post_init__
+
+    def counted_family(self):
+        families.append(1)
+        build_family(self)
+
+    product = BasisAssignment.__dict__["product_unitary"].func
+
+    def counted_product(self):
+        products.append(1)
+        return product(self)
+
+    counted = cached_property(counted_product)
+    counted.__set_name__(BasisAssignment, "product_unitary")
+    monkeypatch.setattr(MubFamily, "__post_init__", counted_family)
+    monkeypatch.setattr(BasisAssignment, "product_unitary", counted)
+    for k in range(50):
+        assert math.isfinite(omega(states[k % 2], _random_params(rng), party=k // 2 % 2))
+    assert families == [] and products == []
+    # The counters see a build made outside the caches.
+    fourier_pair.__wrapped__(2)
+    assert BasisAssignment(fourier_pair(2).bases).product_unitary.shape == (4, 4)
+    assert families == [1] and products == [1]
