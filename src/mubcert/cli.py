@@ -55,6 +55,10 @@ from .states import (
 DEFAULT_SEED = 20260816
 VERIFY_STRIDE = 100
 VERIFY_TOL = 1e-10
+# Formatted values _write_slabs keeps before it starts afresh, about 2.5 MB.
+# A LOCC grid of a pure state repeats most values (its 61^3 points hold 5k
+# to 20k distinct ones); the cap holds memory flat on a grid that does not.
+TEXT_CACHE_LIMIT = 1 << 14
 
 PI = math.pi
 
@@ -177,9 +181,11 @@ def _param_flags(args, settable, owner: str) -> dict[str, float]:
 
 
 def _check_finite(flags: dict[str, float | None]) -> None:
-    bad = [f"{flag}={value}" for flag, value in flags.items() if value is not None and not math.isfinite(value)]
+    # Twice the value must be finite too: the reference curves take
+    # sin(2 theta), and linspace takes --to minus --from.
+    bad = [f"{flag}={value}" for flag, value in flags.items() if value is not None and not math.isfinite(2 * value)]
     if bad:
-        raise ValueError(f"values must be finite: {', '.join(bad)}")
+        raise ValueError(f"values and their doubles must be finite: {', '.join(bad)}")
 
 
 def _family(name: str, args=None, for_sweep: bool = False) -> tuple[_Family, dict[str, float]]:
@@ -193,11 +199,23 @@ def _family(name: str, args=None, for_sweep: bool = False) -> tuple[_Family, dic
     return family, values
 
 
-def _verify(reference: float, value: float, context: str) -> None:
-    if abs(reference - value) > VERIFY_TOL:
-        raise InvariantError(
-            f"verification mismatch at {context}: emitted {value!r}, recomputed {reference!r}"
-        )
+class _Verification:
+    """The --verify check of one output: rows recomputed and the largest gap seen."""
+
+    def __init__(self, output: str) -> None:
+        self.output, self.rows, self.gap = output, 0, 0.0
+
+    def check(self, reference: float, value: float, context: str) -> None:
+        gap = abs(reference - value)
+        if not gap <= VERIFY_TOL:  # a NaN gap fails too
+            raise InvariantError(
+                f"verification mismatch at {context}: emitted {value!r}, recomputed {reference!r}"
+            )
+        self.rows, self.gap = self.rows + 1, max(self.gap, gap)
+
+    def report(self) -> None:
+        gap = f"largest |emitted - recomputed| {self.gap:.3g}"
+        print(f"verified {self.output}: rows checked {self.rows}, {gap}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------- certify
@@ -250,7 +268,7 @@ def _flatten_certify(out: dict) -> tuple[list[str], list[list]]:
 # ------------------------------------------------------------------ sweep
 
 
-def _sweep_rows(name: str, steps: int, verify: bool, args=None):
+def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
     family, values = _family(name, args, for_sweep=True)
     swept, lo, hi = family.sweep
     if args is not None:
@@ -269,8 +287,8 @@ def _sweep_rows(name: str, steps: int, verify: bool, args=None):
         row["bound"] = report.bound
         if family.reference is not None:
             row["paper_" + quantity.name] = family.reference(*values.values())
-        if verify and index % VERIFY_STRIDE == 0:
-            _verify(quantity.oracle(rho), report.i_value, f"{name} row {index}")
+        if check and index % VERIFY_STRIDE == 0:
+            check.check(quantity.oracle(rho), report.i_value, f"{name} row {index}")
         rows.append(row)
     return list(rows[0]), [list(row.values()) for row in rows]
 
@@ -279,11 +297,14 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
     _check_finite({"--from": args.start, "--to": args.stop})
-    header, rows = _sweep_rows(args.family, args.steps, args.verify, args)
+    check = _Verification(args.out or "stdout") if args.verify else None
+    header, rows = _sweep_rows(args.family, args.steps, check, args)
     if args.format == "json":
         _dump_json([dict(zip(header, row)) for row in rows], args.out)
     else:
         _write_csv(args.out, header, rows)
+    if check:
+        check.report()
     return 0
 
 
@@ -302,40 +323,58 @@ def _locc_state(args) -> DensityMatrix:
     return psi.density()
 
 
+def _write_slabs(path: Path, header: str, chi_ax: list[str], tails: list[str], slabs: np.ndarray) -> None:
+    # One row "chi,tail,value" per chi and tail, one chi slab of values at a
+    # time.  Each distinct value is formatted once, looked up by its bit
+    # pattern, not by equality: -0.0 == 0.0, but they print as -0 and 0.
+    # The bytes match _write_csv's.
+    text: dict[int, str] = {}
+    parts = [""] * (3 * len(tails))
+    parts[1::3] = tails
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for chi, slab in zip(chi_ax, slabs):
+            bits = slab.view(np.int64).tolist()
+            if len(text) > TEXT_CACHE_LIMIT:
+                text.clear()
+            new = list(set(bits).difference(text))
+            if new:
+                values = np.array(new, dtype=np.int64).view(np.float64).tolist()
+                text.update(zip(new, map("{:.17g}\n".format, values)))
+            parts[0::3] = [chi + ","] * len(tails)
+            parts[2::3] = map(text.__getitem__, bits)
+            fh.write("".join(parts))
+
+
 def _write_grid_csv(path: Path, result: PovmSweepResult) -> None:
-    # One row per grid point: each axis value and theta_cap is formatted
-    # once, omega per row, one chi slab at a time; the bytes match _write_csv's.
     chi_ax, zeta_ax, xi_ax = ([_fmt(float(v)) for v in ax] for ax in result.axes())
     cap = _fmt(result.theta_cap)
     tails = [f"{z},{x},{cap}," for z in zeta_ax for x in xi_ax]
     slabs = result.omega.reshape(len(chi_ax), len(tails))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("chi,zeta,xi,theta_cap,omega\n")
-        for chi, slab in zip(chi_ax, slabs):
-            fh.write("".join([f"{chi},{tail}{v:.17g}\n" for tail, v in zip(tails, slab.tolist())]))
+    _write_slabs(path, "chi,zeta,xi,theta_cap,omega", chi_ax, tails, slabs)
 
 
 def _write_density_csv(path: Path, result: PovmSweepResult) -> None:
-    chi_ax, zeta_ax, _ = result.axes()
-    density = result.density_min_over_xi()
-    rows = (
-        (float(c), float(z), float(v)) for c, row in zip(chi_ax, density) for z, v in zip(zeta_ax, row)
-    )
-    _write_csv(path, ["chi", "zeta", "min_omega_over_xi"], rows)
+    chi_ax, zeta_ax, _ = ([_fmt(float(v)) for v in ax] for ax in result.axes())
+    tails = [f"{z}," for z in zeta_ax]
+    _write_slabs(path, "chi,zeta,min_omega_over_xi", chi_ax, tails, result.density_min_over_xi())
 
 
 def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int, verify: bool, out_dir: Path):
     axis = (-PI, PI, grid_steps)
     result = sweep(rho, grid=(axis, axis, axis), theta_cap=theta_cap, party=party)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if verify:
+    check = _Verification("grid.csv") if verify else None
+    if check:
         chi_ax, zeta_ax, xi_ax = result.axes()
         for index in range(0, result.omega.size, VERIFY_STRIDE):
             i, j, k = np.unravel_index(index, (grid_steps,) * 3)
             params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), theta_cap)
             value = float(result.omega[index])
-            _verify(omega(rho, params, party=party), value, f"grid index {index}")
+            check.check(omega(rho, params, party=party), value, f"grid index {index}")
     _write_grid_csv(out_dir / "grid.csv", result)
+    if check:
+        check.report()
     _write_density_csv(out_dir / "density.csv", result)
 
     summary = {
@@ -447,18 +486,24 @@ def cmd_figures(args) -> int:
     rho_bell = bell.build(*values.values()).density()
     axis = (-PI, PI, args.grid)
     result = sweep(rho_bell, grid=(axis, axis, axis), theta_cap=0.0)
-    if args.verify:
+    check = _Verification("fig1.csv") if args.verify else None
+    if check:
         chi_ax, zeta_ax, xi_ax = result.axes()
         cube = result.omega.reshape((args.grid,) * 3)
         for index in range(0, args.grid**2, VERIFY_STRIDE):
             i, j = divmod(index, args.grid)
             k = int(np.argmin(cube[i, j]))
             params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), 0.0)
-            _verify(omega(rho_bell, params), float(cube[i, j, k]), f"fig1 row {index}")
+            check.check(omega(rho_bell, params), float(cube[i, j, k]), f"fig1 row {index}")
     _write_density_csv(out_dir / "fig1.csv", result)
+    if check:
+        check.report()
 
     for fig_name, family in (("fig2", "ghz3"), ("fig3", "w3"), ("fig4", "ghz4"), ("fig5", "wg4")):
-        _write_csv(out_dir / f"{fig_name}.csv", *_sweep_rows(family, args.steps, args.verify))
+        check = _Verification(f"{fig_name}.csv") if args.verify else None
+        _write_csv(out_dir / f"{fig_name}.csv", *_sweep_rows(family, args.steps, check))
+        if check:
+            check.report()
     return 0
 
 

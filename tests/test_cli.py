@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubcert import StateVector, ghz3, kron, psi_lambda, random_pure
+from mubcert import StateVector, cli, ghz3, kron, psi_lambda, random_pure
 from mubcert.cli import main
+from mubcert.locc import PovmParams, PovmSweepResult, sweep
 from mubcert.states import state_to_json_dict
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
@@ -166,22 +168,27 @@ def test_inapplicable_flags_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flags",
     [
-        (["certify", "--family", "w3", "--alpha=inf"], "--alpha"),
-        (["certify", "--family", "ghz3", "--theta=nan"], "--theta"),
-        (["certify", "--family", "psi_lambda", "--lambda=-inf"], "--lambda"),
-        (["sweep", "--family", "ghz3", "--steps", "3", "--from=-inf"], "--from"),
-        (["sweep", "--family", "ghz3", "--steps", "3", "--to=nan"], "--to"),
-        (["locc", "--grid", "3", "--family", "psi_lambda", "--lambda=nan"], "--lambda"),
+        (["certify", "--family", "w3", "--alpha=inf"], ("--alpha",)),
+        (["certify", "--family", "ghz3", "--theta=nan"], ("--theta",)),
+        (["certify", "--family", "psi_lambda", "--lambda=-inf"], ("--lambda",)),
+        (["sweep", "--family", "ghz3", "--steps", "3", "--from=-inf"], ("--from",)),
+        (["sweep", "--family", "ghz3", "--steps", "3", "--to=nan"], ("--to",)),
+        (["locc", "--grid", "3", "--family", "psi_lambda", "--lambda=nan"], ("--lambda",)),
+        # Finite, but twice the value overflows: sin(2 theta) and --to minus
+        # --from failed with "math domain error" and a numpy RuntimeWarning.
+        (["certify", "--family", "ghz3", "--theta", "1e308"], ("--theta",)),
+        (["certify", "--family", "w3", "--theta", "1e308"], ("--theta",)),
+        (["sweep", "--family", "ghz3", "--steps", "3", "--from=-1e308", "--to", "1e308"], ("--from", "--to")),
     ],
-    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    ids=lambda v: " ".join(v),
 )
-def test_nonfinite_values_exit_2_naming_the_flag(tmp_path, capsys, argv, flag):
+def test_nonfinite_values_exit_2_naming_the_flag(tmp_path, capsys, argv, flags):
     code = main([*argv, *(["--out-dir", str(tmp_path)] if argv[0] == "locc" else [])])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert f"{flag}=" in captured.err and "finite" in captured.err
+    assert all(f"{flag}=" in captured.err for flag in flags) and "finite" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -338,8 +345,8 @@ def _family_flags(draw):
     # Half the draws take only flags the family takes, so their values reach it.
     pool = draw(st.sampled_from([names, sorted(takes[family]) or names]))
     flags = draw(st.lists(st.sampled_from(pool), unique=True))
-    values = draw(st.lists(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]),
-                           min_size=len(flags), max_size=len(flags)))
+    overflowing = [math.inf, -math.inf, math.nan, 1e308, -1e308, sys.float_info.max, -sys.float_info.max]
+    values = draw(st.lists(st.floats() | st.sampled_from(overflowing), min_size=len(flags), max_size=len(flags)))
     return command, family, flags, values, [f for f in flags if f not in takes[family]]
 
 
@@ -347,7 +354,7 @@ def _family_flags(draw):
 @given(_family_flags())
 def test_parameter_flags_exit_0_only_when_the_family_takes_them(case):
     command, family, flags, values, rejected = case
-    nonfinite = [f for f, v in zip(flags, values) if not math.isfinite(v)]
+    nonfinite = [f for f, v in zip(flags, values) if not math.isfinite(2 * v)]
     argv = [command, "--family", family, *(["--steps", "2"] if command == "sweep" else [])]
     for flag, value in zip(flags, values):
         argv.append(f"--{flag}={value!r}")  # "=" keeps argparse from reading -1e+16 as a flag
@@ -357,7 +364,8 @@ def test_parameter_flags_exit_0_only_when_the_family_takes_them(case):
     assert code in ((2,) if rejected or nonfinite else (0, 2))
     if code == 2:
         assert stdout.getvalue() == ""
-    # Flags the family does not take are named first; else every non-finite one.
+    # Flags the family does not take are named first; else every one whose
+    # value or its double is not finite.
     named = rejected or nonfinite
     assert all(f"--{flag}" in stderr.getvalue() for flag in named)
 
@@ -622,6 +630,121 @@ def test_locc_outputs_are_pinned(tmp_path, capsys, argv):
         for name in LOCC_GOLDEN[argv]
     }
     assert digests == LOCC_GOLDEN[argv]
+
+
+def _reference_grid_csv(path, result):
+    # The former grid.csv writer: omega formatted on every row.
+    chi_ax, zeta_ax, xi_ax = ([format(float(v), ".17g") for v in ax] for ax in result.axes())
+    cap = format(result.theta_cap, ".17g")
+    tails = [f"{z},{x},{cap}," for z in zeta_ax for x in xi_ax]
+    slabs = result.omega.reshape(len(chi_ax), len(tails))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("chi,zeta,xi,theta_cap,omega\n")
+        for chi, slab in zip(chi_ax, slabs):
+            fh.write("".join([f"{chi},{tail}{v:.17g}\n" for tail, v in zip(tails, slab.tolist())]))
+
+
+def _reference_density_csv(path, result):
+    # The former density.csv writer: one _write_csv row per (chi, zeta) cell.
+    chi_ax, zeta_ax, _ = result.axes()
+    density = result.density_min_over_xi()
+    rows = ((float(c), float(z), float(v)) for c, row in zip(chi_ax, density) for z, v in zip(zeta_ax, row))
+    cli._write_csv(path, ["chi", "zeta", "min_omega_over_xi"], rows)
+
+
+def _assert_writers_match(tmp_path, result):
+    for write, reference in ((cli._write_grid_csv, _reference_grid_csv),
+                             (cli._write_density_csv, _reference_density_csv)):
+        write(tmp_path / "new.csv", result)
+        reference(tmp_path / "old.csv", result)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+GRID_61 = ((-math.pi, math.pi, 61),) * 3
+
+
+@pytest.fixture(scope="module")
+def grid_61_results():
+    return {
+        "bell": sweep(psi_lambda(0.5).density(), grid=GRID_61),
+        "mirrored-psi-lambda": sweep(psi_lambda(0.3137).density(), grid=GRID_61, theta_cap=0.5, party=1),
+        "random-state": sweep(random_pure((2, 2), 9101).density(), grid=GRID_61),
+    }
+
+
+@pytest.mark.parametrize("name", ["bell", "mirrored-psi-lambda", "random-state"])
+def test_grid_writers_match_the_per_row_writer_at_grid_61(tmp_path, grid_61_results, name):
+    _assert_writers_match(tmp_path, grid_61_results[name])
+
+
+def test_grid_writers_tell_negative_zero_from_zero(tmp_path):
+    # One slab holds -0.0, 0.0 and repeats; the next repeats them in another
+    # order and adds the smallest normal and the smallest subnormal.
+    omega = np.array([-0.0, 0.0, 0.25, -0.0, 0.25, 0.0, 0.0, -0.0, 0.25, 2.2250738585072014e-308, 5e-324, -0.0])
+    grid = ((-1.0, 1.0, 2), (-1.0, 1.0, 2), (-1.0, 1.0, 3))
+    result = PovmSweepResult(grid, 0.5, omega, float(omega.min()), PovmParams(-1.0, -1.0, -1.0, 0.5))
+    _assert_writers_match(tmp_path, result)
+    cli._write_grid_csv(tmp_path / "grid.csv", result)
+    column = [line.rsplit(",", 1)[1] for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+    assert column == ["-0", "0", "0.25", "-0", "0.25", "0", "0", "-0", "0.25",
+                      "2.2250738585072014e-308", "4.9406564584124654e-324", "-0"]
+
+
+def _write_peak(tmp_path, result) -> int:
+    cli._write_grid_csv(tmp_path / "warm-up.csv", result)
+    tracemalloc.start()
+    try:
+        cli._write_grid_csv(tmp_path / "grid.csv", result)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_write_peak_memory_stays_below_the_sweep(tmp_path, grid_61_results):
+    # A 61^3 sweep peaks at 6.4 MB under tracemalloc.  The former writer
+    # peaked at 1.2 MB; the formatted values add 0.7 MB for the Bell state and
+    # 2.3 MB for this random state (15.8k distinct values).  Values that all
+    # differ fill cli.TEXT_CACHE_LIMIT entries at most.
+    values = np.random.default_rng(9101).random(61**3)
+    distinct = PovmSweepResult(GRID_61, 0.0, values, float(values.min()), PovmParams(0.0, 0.0, 0.0, 0.0))
+    for result in (grid_61_results["random-state"], distinct):
+        assert _write_peak(tmp_path, result) < 5e6
+
+
+def _stderr_lines(capsys, *argv) -> list[str]:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0
+    return captured.err.splitlines()
+
+
+def test_verify_reports_rows_and_largest_gap_per_output(tmp_path, capsys):
+    def parsed(lines):
+        report = {}
+        for line in lines:
+            output, rest = line.removeprefix("verified ").split(": ")
+            rows, gap = rest.split(", ")
+            assert rows.startswith("rows checked ") and gap.startswith("largest |emitted - recomputed| ")
+            report[output] = (int(rows.rsplit(" ", 1)[1]), float(gap.rsplit(" ", 1)[1]))
+        return report
+
+    # Every VERIFY_STRIDE-th row is recomputed, the first one included.
+    locc = parsed(_stderr_lines(capsys, "locc", "--grid", "7", "--verify", "--out-dir", str(tmp_path)))
+    assert list(locc) == ["grid.csv"] and locc["grid.csv"][0] == 4  # 343 rows
+    figures = parsed(_stderr_lines(capsys, "figures", "--steps", "201", "--grid", "11", "--verify",
+                                   "--out-dir", str(tmp_path)))
+    assert {name: rows for name, (rows, _) in figures.items()} == {
+        "fig1.csv": 2, "fig2.csv": 3, "fig3.csv": 3, "fig4.csv": 3, "fig5.csv": 3,
+    }
+    sweep_stdout = parsed(_stderr_lines(capsys, "sweep", "--family", "w3", "--steps", "5", "--verify"))
+    target = tmp_path / "rows.json"
+    sweep_file = parsed(_stderr_lines(capsys, "sweep", "--family", "ghz4", "--steps", "5", "--verify",
+                                      "--format", "json", "--out", str(target)))
+    assert list(sweep_stdout) == ["stdout"] and list(sweep_file) == [str(target)]
+    for report in (locc, figures, sweep_stdout, sweep_file):
+        assert all(0.0 <= gap <= cli.VERIFY_TOL for _, gap in report.values())
+    assert _stderr_lines(capsys, "locc", "--grid", "3", "--out-dir", str(tmp_path)) == []
+    assert _stderr_lines(capsys, "sweep", "--family", "w3", "--steps", "5") == []
 
 
 # ----------------------------------------------------------- check-bounds
