@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -379,12 +380,7 @@ def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int,
 
     summary = {
         "min_omega": result.min_omega,
-        "argmin": {
-            "chi": result.argmin.chi,
-            "zeta": result.argmin.zeta,
-            "xi": result.argmin.xi,
-            "theta_cap": result.argmin.theta_cap,
-        },
+        "argmin": dataclasses.asdict(result.argmin),
         "grid_steps": grid_steps,
         "theta_cap": theta_cap,
         "party": party,

@@ -27,13 +27,13 @@ accepted throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from math import cos, fsum, prod, sin, sqrt
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvariantError
+from .linalg import DensityMatrix, InvariantError, probability_slack
 from .mub import Basis, MubFamily, computational_basis, fourier_basis, qubit_mub_triple
 
 # A state violates its bound only beyond this margin; values at the bound
@@ -195,18 +195,8 @@ class CertificationReport:
             raise InvariantError("violated flag inconsistent with i_value and bound")
 
     def to_dict(self) -> dict:
-        out = {
-            "c_first": self.c_first,
-            "c_second": self.c_second,
-            "i_value": self.i_value,
-            "bound": self.bound,
-            "violated": self.violated,
-            "attaining_set_first": self.attaining_set_first,
-            "attaining_set_second": self.attaining_set_second,
-        }
-        if self.c_per_basis is not None:
-            out["c_per_basis"] = list(self.c_per_basis)
-        return out
+        """The fields as JSON values: None dropped, tuples written as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items() if v is not None}
 
 
 def _check_state_setting(rho: DensityMatrix, setting: BasisAssignment) -> None:
@@ -219,7 +209,8 @@ def joint_probability(rho: DensityMatrix, setting: BasisAssignment, outcome: Ind
     _check_state_setting(rho, setting)
     v = setting.product_vector(tuple(outcome))
     p = float(np.real(v.conj() @ (rho.entries @ v)))
-    if p < -1e-10 or p > 1.0 + 1e-10:
+    slack = probability_slack(rho.dim)
+    if p < -slack or p > 1.0 + slack:
         raise InvariantError(f"probability {p!r} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
 
@@ -255,11 +246,18 @@ class Witness:
         terms = tuple((setting, tuple(sets)) for setting, sets in self.terms)
         if len(terms) < 2 or not all(sets for _, sets in terms):
             raise ValueError("a witness needs two or more terms, each with a pattern set")
+        if len({setting.dims for setting, _ in terms}) > 1:
+            raise ValueError(f"witness terms have different dims: {[s.dims for s, _ in terms]}")
         object.__setattr__(self, "terms", terms)
         # Every set is raveled to flat outcome indices once, here; a pattern
         # that does not fit its setting's dims raises ValueError.
         flat = [[np.ravel_multi_index(np.array(s.patterns).T, t.dims) for s in sets] for t, sets in terms]
         object.__setattr__(self, "_flat", flat)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """The local dimensions of the states it applies to, shared by every term."""
+        return self.terms[0][0].dims
 
     def _read(self, probs: np.ndarray, k: int) -> tuple[float, str]:
         best = (-1.0, "")
@@ -268,7 +266,7 @@ class Witness:
                 value = fsum(probs[flat].tolist())
             else:
                 value = float(np.sum(probs[flat]))
-                if value > 1.0 + 1e-10:
+                if value > 1.0 + probability_slack(probs.size):
                     raise InvariantError(f"pattern sum {value!r} exceeds 1")
                 value = min(value, 1.0)
             if value > best[0]:
@@ -278,14 +276,17 @@ class Witness:
     def evaluate(self, rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
         """The report for ``rho``, from one outcome distribution per term.
 
-        With basis_search, a two-term qubit witness instead maximizes over
-        each party's ordered pair of distinct bases of the qubit MUB triple.
+        ``rho`` must have the witness's dims.  With basis_search, a two-term
+        qubit witness instead maximizes over each party's ordered pair of
+        distinct bases of the qubit MUB triple.
         """
+        if rho.dims != self.dims:
+            raise ValueError(f"state dims {rho.dims} do not match witness dims {self.dims}")
         if not basis_search:
             reads = [self._read(outcome_distribution(rho, s), k) for k, (s, _) in enumerate(self.terms)]
         else:
             n = rho.n_parties
-            if len(self.terms) != 2 or rho.dims != (2,) * n:
+            if len(self.terms) != 2 or set(self.dims) != {2}:
                 raise ValueError("basis search needs a two-term witness on qubits")
             # One distribution per choice of one basis per party (3^n), read for both terms.
             triple = qubit_mub_triple().bases
@@ -323,7 +324,7 @@ class Witness:
         """
         if any(len(sets) > 1 for _, sets in self.terms):
             raise ValueError("a term that maximizes over several pattern sets has no operator")
-        dim = prod(self.terms[0][0].dims)
+        dim = prod(self.dims)
         w = np.zeros((dim, dim), dtype=np.complex128)
         for (setting, _), (flat,) in zip(self.terms, self._flat):
             for v in setting.product_unitary[:, flat].T:
@@ -364,8 +365,6 @@ def i_m_bipartite(rho: DensityMatrix, family: MubFamily) -> CertificationReport:
 
     Separable bound 1 + (m-1)/d; for a complete family (m = d+1) that is 2.
     """
-    if rho.dims != (family.d, family.d):
-        raise ValueError(f"need a bipartite state with dims {(family.d, family.d)}, got {rho.dims}")
     return i_m_witness(family).evaluate(rho)
 
 
@@ -375,15 +374,11 @@ def i3(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
     With basis_search, both settings range over per-party ordered pairs of
     distinct bases from the qubit MUB triple (``Witness.evaluate``).
     """
-    if rho.dims != (2, 2, 2):
-        raise ValueError(f"i3 needs three qubits, got dims {rho.dims}")
     return i3_witness().evaluate(rho, basis_search)
 
 
 def i4(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
     """Four-qubit certification quantity ``i4_witness()``, paper bound 7/4; basis_search as in i3."""
-    if rho.dims != (2, 2, 2, 2):
-        raise ValueError(f"i4 needs four qubits, got dims {rho.dims}")
     return i4_witness().evaluate(rho, basis_search)
 
 

@@ -26,6 +26,13 @@ COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-9
 
 
+def probability_slack(dim: int) -> float:
+    """How far a probability, or a sum of probabilities of orthogonal
+    outcomes, may lie outside [0, 1] on a ``dim``-dimensional
+    DensityMatrix: its trace slack plus PSD_TOL for each eigenvalue."""
+    return CONSTRUCTION_TOL + dim * PSD_TOL
+
+
 class InvariantError(RuntimeError):
     """An internal consistency check failed.
 
@@ -171,24 +178,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if any(k < 0 or k >= n for k in keep_list):
         raise ValueError(f"party index out of range in keep={keep_list} for {n} parties")
     kept = sorted(keep_list)
-
-    letters = "abcdefghijklmnopqrstuvwx"
-    row, col, out_row, out_col = [], [], [], []
-    cursor = 0
-    for p in range(n):
-        if p in kept:
-            r, c = letters[cursor], letters[cursor + 1]
-            cursor += 2
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            r = c = letters[cursor]
-            cursor += 1
-        row.append(r)
-        col.append(c)
-    subscripts = "".join(row + col) + "->" + "".join(out_row + out_col)
+    # Axis p is party p's row, axis n + p its column; a traced party's
+    # column shares its row label, so einsum sums that diagonal.
+    columns = [n + p if p in kept else p for p in range(n)]
     tensor = rho.entries.reshape(rho.dims + rho.dims)
-    sub = np.einsum(subscripts, tensor)
+    sub = np.einsum(tensor, list(range(n)) + columns, kept + [n + p for p in kept])
     d_keep = prod(rho.dims[k] for k in kept)
     return DensityMatrix(tuple(rho.dims[k] for k in kept), sub.reshape(d_keep, d_keep))
 

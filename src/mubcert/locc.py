@@ -21,6 +21,7 @@ independent point check for sweep output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, sin
 
 import numpy as np
@@ -64,15 +65,14 @@ class PovmParams:
 class PovmSweepResult:
     """Omega over a full (chi, zeta, xi) grid at fixed theta_cap.
 
-    omega is flat in C order over (chi, zeta, xi); argmin ties resolve to
-    the lexicographically smallest grid index.
+    omega is flat in C order over (chi, zeta, xi); min_omega and argmin are
+    read from it, argmin ties resolving to the lexicographically smallest
+    grid index.
     """
 
     grid: tuple[tuple[float, float, int], ...]
     theta_cap: float
     omega: np.ndarray
-    min_omega: float
-    argmin: PovmParams
 
     def __post_init__(self) -> None:
         steps = [int(s) for _, _, s in self.grid]
@@ -82,9 +82,17 @@ class PovmSweepResult:
             raise InvariantError(
                 f"omega length {self.omega.size} does not match grid {self.grid}"
             )
-        if self.omega.size and float(self.omega.min()) != self.min_omega:
-            raise InvariantError("min_omega is not the minimum of the omega array")
         self.omega.flags.writeable = False
+
+    @cached_property
+    def min_omega(self) -> float:
+        return float(self.omega.min())
+
+    @cached_property
+    def argmin(self) -> PovmParams:
+        index = np.unravel_index(int(np.argmin(self.omega)), tuple(int(s) for _, _, s in self.grid))
+        chi, zeta, xi = (float(ax[i]) for ax, i in zip(self.axes(), index))
+        return PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=self.theta_cap)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(np.linspace(lo, hi, s) for lo, hi, s in self.grid)
@@ -160,8 +168,7 @@ def sweep(
 
     Vectorized over blocks of SWEEP_BLOCK grid points in C order, so peak
     memory does not grow with the grid beyond the omega array itself;
-    deterministic; the argmin reports the first minimum in C order
-    (lexicographic in the axis indices).
+    deterministic.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"sweep needs a two-qubit state, got dims {rho.dims}")
@@ -218,25 +225,12 @@ def sweep(
         values[start:stop] = base - branch1 - branch2
     if residual > COMPLETENESS_TOL:
         raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
-
-    i, j, k = np.unravel_index(int(np.argmin(values)), shape)
-    argmin = PovmParams(
-        chi=float(chi_ax[i]), zeta=float(zeta_ax[j]), xi=float(xi_ax[k]), theta_cap=theta_cap
-    )
-    return PovmSweepResult(
-        grid=grid,
-        theta_cap=theta_cap,
-        omega=values,
-        min_omega=float(values.min()),
-        argmin=argmin,
-    )
+    return PovmSweepResult(grid=grid, theta_cap=theta_cap, omega=values)
 
 
 def convexity_probe(rho1: DensityMatrix, rho2: DensityMatrix, weights) -> float:
     """Max deviation of I2 (Fourier pair) from exact mixing linearity over the given weights."""
-    if rho1.dims != rho2.dims:
-        raise ValueError(f"dims differ: {rho1.dims} vs {rho2.dims}")
-    pair = fourier_pair(rho1.dims[0])  # i_m_bipartite rejects unequal local dims
+    pair = fourier_pair(rho1.dims[0])  # i_m_bipartite rejects dims other than (d, d)
     a, b = i_m_bipartite(rho1, pair).i_value, i_m_bipartite(rho2, pair).i_value
     worst = 0.0
     for w in weights:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from mubcert import StateVector, cli, ghz3, kron, psi_lambda, random_pure
 from mubcert.cli import main
-from mubcert.locc import PovmParams, PovmSweepResult, sweep
+from mubcert.locc import PovmSweepResult, sweep
 from mubcert.states import state_to_json_dict
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
@@ -682,7 +682,7 @@ def test_grid_writers_tell_negative_zero_from_zero(tmp_path):
     # order and adds the smallest normal and the smallest subnormal.
     omega = np.array([-0.0, 0.0, 0.25, -0.0, 0.25, 0.0, 0.0, -0.0, 0.25, 2.2250738585072014e-308, 5e-324, -0.0])
     grid = ((-1.0, 1.0, 2), (-1.0, 1.0, 2), (-1.0, 1.0, 3))
-    result = PovmSweepResult(grid, 0.5, omega, float(omega.min()), PovmParams(-1.0, -1.0, -1.0, 0.5))
+    result = PovmSweepResult(grid, 0.5, omega)
     _assert_writers_match(tmp_path, result)
     cli._write_grid_csv(tmp_path / "grid.csv", result)
     column = [line.rsplit(",", 1)[1] for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
@@ -706,7 +706,7 @@ def test_grid_write_peak_memory_stays_below_the_sweep(tmp_path, grid_61_results)
     # 2.3 MB for this random state (15.8k distinct values).  Values that all
     # differ fill cli.TEXT_CACHE_LIMIT entries at most.
     values = np.random.default_rng(9101).random(61**3)
-    distinct = PovmSweepResult(GRID_61, 0.0, values, float(values.min()), PovmParams(0.0, 0.0, 0.0, 0.0))
+    distinct = PovmSweepResult(GRID_61, 0.0, values)
     for result in (grid_61_results["random-state"], distinct):
         assert _write_peak(tmp_path, result) < 5e6
 

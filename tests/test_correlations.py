@@ -8,6 +8,7 @@ import pytest
 
 from mubcert import (
     CertificationReport,
+    DensityMatrix,
     InvariantError,
     LbpsPatternSet,
     StateVector,
@@ -258,6 +259,51 @@ def test_witness_validation():
         Witness(((setting, (diagonal_set(3),)), (setting, (diagonal_set(2),))), 1.0)
     with pytest.raises(ValueError, match="basis search"):
         i_m_witness(prime_mub_family(3)).evaluate(random_pure((3, 3), 1).density(), True)
+
+
+def test_witness_dims_come_from_its_terms():
+    assert i3_witness().dims == (2, 2, 2)
+    assert i4_witness().dims == (2, 2, 2, 2)
+    assert i_m_witness(prime_mub_family(3)).dims == (3, 3)
+
+
+@pytest.mark.parametrize("basis_search", [False, True])
+def test_i3_witness_rejects_four_qubits(basis_search):
+    with pytest.raises(ValueError, match="witness dims"):
+        i3_witness().evaluate(random_pure((2, 2, 2, 2), 4).density(), basis_search)
+
+
+@pytest.mark.parametrize("basis_search", [False, True])
+def test_i4_witness_rejects_three_qubits(basis_search):
+    with pytest.raises(ValueError, match="witness dims"):
+        i4_witness().evaluate(random_pure((2, 2, 2), 3).density(), basis_search)
+
+
+def test_witness_terms_must_share_dims():
+    three = (computational_setting(3), (diagonal_set(3),))
+    two = (computational_setting(2), (diagonal_set(2),))
+    with pytest.raises(ValueError, match="different dims"):
+        Witness((three, two), 1.0)
+
+
+# Both states below pass DensityMatrix's checks (eigenvalues down to
+# -PSD_TOL), so their probabilities may stray outside [0, 1] by that much.
+
+
+def test_pattern_sum_admits_every_density_matrix():
+    rho = DensityMatrix((2, 2, 2), np.diag([0.5 + 5e-10, -1e-9, 0, 0, 0, 0, 0, 0.5 + 5e-10]))
+    report = i3(rho)
+    assert report.c_first == 1.0
+    assert report.attaining_set_first == "diagonal"
+    # A pattern sum beyond that slack is still an internal breach.
+    with pytest.raises(InvariantError, match="exceeds 1"):
+        i3_witness()._read(np.full(8, 0.3), 1)
+
+
+def test_joint_probability_admits_every_density_matrix():
+    rho = DensityMatrix((2, 2), np.diag([1 + 5e-10, -5e-10, 0, 0]))
+    assert joint_probability(rho, computational_setting(2), (0, 1)) == 0.0
+    assert joint_probability(rho, computational_setting(2), (0, 0)) == 1.0
 
 
 # ---------------------------------------------------------- certification
