@@ -67,10 +67,15 @@ class BasisAssignment:
 
     @cached_property
     def product_unitary(self) -> np.ndarray:
-        """Column k (row-major over per-party outcomes) is the product vector."""
+        """Column k (row-major over per-party outcomes) is the product vector.
+
+        The Kronecker product of the bases' column matrices, left to right,
+        each factor taken by broadcasting as np.kron does.
+        """
         u = self.bases[0].vectors
         for b in self.bases[1:]:
-            u = np.kron(u, b.vectors)
+            v = b.vectors
+            u = (u[:, None, :, None] * v[None, :, None, :]).reshape(u.shape[0] * b.d, -1)
         u.flags.writeable = False
         return u
 
@@ -215,15 +220,23 @@ def joint_probability(rho: DensityMatrix, setting: BasisAssignment, outcome: Ind
     return min(max(p, 0.0), 1.0)
 
 
+def _distributions(entries: np.ndarray, setting: BasisAssignment) -> np.ndarray:
+    """Outcome probabilities in ``setting`` of each matrix of the (..., D, D)
+    stack ``entries``, shape (..., D); each row checked to sum to 1."""
+    u = setting.product_unitary
+    probs = np.einsum("ji,...jk,ki->...i", u.conj(), entries, u).real
+    total = probs.sum(axis=-1)
+    if abs(total - 1.0).max() > 1e-9:
+        total = total.reshape(-1)
+        row = int((abs(total - 1.0) > 1e-9).argmax())
+        raise InvariantError(f"outcome probabilities sum to {float(total[row])!r}, not 1", row)
+    return probs.clip(0.0, 1.0)
+
+
 def outcome_distribution(rho: DensityMatrix, setting: BasisAssignment) -> np.ndarray:
     """All d^n outcome probabilities (flat, row-major); checked to sum to 1."""
     _check_state_setting(rho, setting)
-    u = setting.product_unitary
-    probs = np.real(np.einsum("ji,jk,ki->i", u.conj(), rho.entries, u))
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InvariantError(f"outcome probabilities sum to {total!r}, not 1")
-    return np.clip(probs, 0.0, 1.0)
+    return _distributions(rho.entries, setting)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,19 +272,60 @@ class Witness:
         """The local dimensions of the states it applies to, shared by every term."""
         return self.terms[0][0].dims
 
-    def _read(self, probs: np.ndarray, k: int) -> tuple[float, str]:
-        best = (-1.0, "")
-        for s, flat in zip(self.terms[k][1], self._flat[k]):
+    def _read(self, probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Term k's value and the index of its attaining set, the first winning
+        ties, for the distribution ``probs`` of shape (D,) or for each row of
+        a (T, D) stack."""
+        sums = []
+        for flat in self._flat[k]:
+            # take() returns C-ordered rows, so each row sums in the order
+            # np.sum takes for one 1-D array; probs[:, flat] is F-ordered and
+            # would sum a 12-pattern set in another order.
+            picked = probs.take(flat, axis=-1)
             if self.exact:
-                value = fsum(probs[flat].tolist())
+                sums.append([fsum(row) for row in picked.reshape(-1, flat.size).tolist()])
             else:
-                value = float(np.sum(probs[flat]))
-                if value > 1.0 + probability_slack(probs.size):
-                    raise InvariantError(f"pattern sum {value!r} exceeds 1")
-                value = min(value, 1.0)
-            if value > best[0]:
-                best = (value, s.name)
-        return best
+                sums.append(picked.sum(axis=-1))
+        sums = np.array(sums).reshape((len(sums),) + probs.shape[:-1])
+        if not self.exact:
+            # Keyed on D: a stack of distributions has the slack of one.
+            limit = 1.0 + probability_slack(probs.shape[-1])
+            if sums.max() > limit:
+                largest = sums.max(axis=0).reshape(-1)
+                row = int((largest > limit).argmax())
+                raise InvariantError(f"pattern sum {float(largest[row])!r} exceeds 1", row)
+            sums = np.minimum(sums, 1.0)
+        return sums.max(axis=0), sums.argmax(axis=0)
+
+    def read(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The value, term values and attaining set indices for each matrix of
+        the (T, D, D) stack ``entries``: shapes (T,), (T, K) and (T, K).
+
+        The matrices must be density matrices of the witness's dims;
+        ``report`` turns row t of the last two into that matrix's report.
+        """
+        reads = [self._read(_distributions(entries, s), k) for k, (s, _) in enumerate(self.terms)]
+        values = np.array([value for value, _ in reads]).T
+        sets = np.array([index for _, index in reads]).T
+        c_second = np.array([fsum(rest) for rest in values[:, 1:].tolist()])
+        return values[:, 0] + c_second, values, sets
+
+    def report(self, values, sets) -> CertificationReport:
+        """The report from each term's value and the index of its attaining set."""
+        values = [float(v) for v in values]
+        c_first, c_second = values[0], fsum(values[1:])
+        i_value = c_first + c_second
+        names = [self.terms[k][1][int(index)].name for k, index in enumerate(sets)]
+        return CertificationReport(
+            c_first=c_first,
+            c_second=c_second,
+            i_value=i_value,
+            bound=self.bound,
+            violated=bool(i_value > self.bound + VIOLATION_MARGIN),
+            attaining_set_first=names[0],
+            attaining_set_second=names[-1],
+            c_per_basis=tuple(values) if self.exact else None,
+        )
 
     def evaluate(self, rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
         """The report for ``rho``, from one outcome distribution per term.
@@ -302,19 +356,7 @@ class Witness:
                 first, second = (table[tuple(pair[t] for pair in assignment)][t] for t in (0, 1))
                 if reads is None or first[0] + second[0] > reads[0][0] + reads[1][0]:
                     reads = (first, second)
-        values = [value for value, _ in reads]
-        c_first, c_second = values[0], fsum(values[1:])
-        i_value = c_first + c_second
-        return CertificationReport(
-            c_first=c_first,
-            c_second=c_second,
-            i_value=i_value,
-            bound=self.bound,
-            violated=bool(i_value > self.bound + VIOLATION_MARGIN),
-            attaining_set_first=reads[0][1],
-            attaining_set_second=reads[-1][1],
-            c_per_basis=tuple(values) if self.exact else None,
-        )
+        return self.report(*zip(*reads))
 
     def operator(self) -> np.ndarray:
         """W = sum of |v><v| over the product vectors v of every term's patterns.

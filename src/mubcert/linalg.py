@@ -12,7 +12,7 @@ invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, prod
+from math import isfinite, prod, sqrt
 
 import numpy as np
 
@@ -39,8 +39,13 @@ class InvariantError(RuntimeError):
     Bad caller input raises ValueError.  InvariantError is reserved for
     conditions that indicate a bug or numerical breakdown inside the
     package itself, such as a probability distribution that does not sum
-    to one.  These are never silently absorbed.
+    to one.  These are never silently absorbed.  A check run over a stack
+    of matrices or distributions names the first failing one in ``row``.
     """
+
+    def __init__(self, message: str, row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -58,12 +63,46 @@ def normalise(amps: np.ndarray) -> tuple[np.ndarray, float]:
     A non-finite norm means a non-finite (or overflowing) amplitude; a
     norm at or below 1e-12 means a zero vector.  Both raise.
     """
-    norm = float(np.linalg.norm(amps))
+    # np.linalg.norm's own formula for a complex vector, without its dispatch.
+    flat = amps.ravel()
+    norm = sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
     if not isfinite(norm):
         raise ValueError("amplitudes must be finite")
     if norm <= 1e-12:
         raise ValueError("cannot normalise a zero vector")
     return amps / norm, norm
+
+
+def density_defect(m: np.ndarray) -> tuple[int, str] | None:
+    """The first check that the (..., D, D) stack ``m`` fails, or None.
+
+    Each matrix must have finite entries, a hermitian residual at most
+    CONSTRUCTION_TOL, a trace within CONSTRUCTION_TOL of 1 and no eigenvalue
+    below -PSD_TOL; the checks run in that order over the whole stack.  A
+    failure is (flat index of the first matrix failing it, message).
+    """
+    # Each check reduces the whole stack first and finds the failing matrix
+    # only when there is one.
+    stack = m.reshape((-1,) + m.shape[-2:])
+    finite = np.isfinite(stack)
+    if not finite.all():
+        return int(finite.all(axis=(1, 2)).argmin()), "entries must be finite"
+    resid = stack.conj().transpose(0, 2, 1)
+    resid = np.abs(np.subtract(stack, resid, out=resid))
+    if resid.max() > CONSTRUCTION_TOL:
+        herm = resid.max(axis=(1, 2))
+        row = int((herm > CONSTRUCTION_TOL).argmax())
+        return row, f"matrix is not hermitian (residual {herm[row]:.3e})"
+    tr = stack.trace(axis1=1, axis2=2)
+    off = np.abs(tr - 1.0)
+    if off.max() > CONSTRUCTION_TOL:
+        row = int((off > CONSTRUCTION_TOL).argmax())
+        return row, f"trace must be 1, got {complex(tr[row])}"
+    lo = np.linalg.eigvalsh(stack)[:, 0]
+    if lo.min() < -PSD_TOL:
+        row = int((lo < -PSD_TOL).argmax())
+        return row, f"matrix has a negative eigenvalue ({lo[row]:.3e})"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +149,8 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator over ``dims``.
 
     The constructor validates hermiticity and trace at 1e-10 and rejects
-    eigenvalues below -1e-9.  It never repairs its input.
+    eigenvalues below -1e-9, through ``density_defect``.  It never repairs
+    its input.
     """
 
     dims: tuple[int, ...]
@@ -122,17 +162,9 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=np.complex128)
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for dims {dims}, got shape {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValueError("entries must be finite")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > CONSTRUCTION_TOL:
-            raise ValueError(f"matrix is not hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > CONSTRUCTION_TOL:
-            raise ValueError(f"trace must be 1, got {tr}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_TOL:
-            raise ValueError(f"matrix has a negative eigenvalue ({lo:.3e})")
+        defect = density_defect(m)
+        if defect is not None:
+            raise ValueError(defect[1])
         m.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", m)

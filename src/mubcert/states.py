@@ -113,11 +113,12 @@ def bipartitions(n: int) -> list[tuple[int, ...]]:
 
 # The campaign samplers build every mixture component from raw arrays:
 # pure vectors pass the scalar norm guard of normalise, weights the guards
-# of convex_sum, and only the returned state is validated as a
-# DensityMatrix.  The float operations (normalise, 1-D kron taken as an
-# outer product, renormalise, transpose, renormalise, projector, weighted
-# accumulation) are those of building StateVector and DensityMatrix objects
-# and mixing them, so seeded samples are the same bit for bit.
+# of convex_sum, and the returned entries are validated as a density matrix
+# by the caller.  The float operations (normalise, 1-D kron taken as a
+# broadcast outer product, renormalise, transpose, renormalise, projector,
+# weighted accumulation) are those of building StateVector and
+# DensityMatrix objects and mixing them, so seeded samples are the same bit
+# for bit.
 
 
 def _product_across_cut(rng: np.random.Generator, n: int, block: tuple[int, ...]) -> np.ndarray:
@@ -125,10 +126,10 @@ def _product_across_cut(rng: np.random.Generator, n: int, block: tuple[int, ...]
     other = tuple(p for p in range(n) if p not in block)
     left, _ = normalise(_gaussian_amplitudes(rng, 2 ** len(block)))
     right, _ = normalise(_gaussian_amplitudes(rng, 2 ** len(other)))
-    joined, _ = normalise(np.outer(left, right).reshape(-1))
+    joined, _ = normalise((left[:, None] * right).reshape(-1))
     order = np.argsort(np.array(block + other))
     psi, _ = normalise(np.transpose(joined.reshape((2,) * n), axes=order).reshape(-1))
-    return np.outer(psi, psi.conj())
+    return psi[:, None] * psi.conj()
 
 
 def _mixture_weights(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -142,6 +143,19 @@ def _biseparable_entries(n: int, block: tuple[int, ...], seed, terms: int | None
     k = int(terms) if terms is not None else int(rng.integers(2, 6))
     weights = _mixture_weights(rng, k)
     return convex_sum([_product_across_cut(rng, n, block) for _ in range(k)], weights)
+
+
+def _separable_entries(d: int, seed, terms: int | None) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    k = int(terms) if terms is not None else int(rng.integers(1, 6))
+    weights = _mixture_weights(rng, k)
+    parts = []
+    for _ in range(k):
+        a = _gaussian_amplitudes(rng, d)
+        b = _gaussian_amplitudes(rng, d)
+        psi, _ = normalise((a[:, None] * b).reshape(-1))
+        parts.append(psi[:, None] * psi.conj())
+    return convex_sum(parts, weights)
 
 
 def random_biseparable(n: int, cut, seed, terms: int | None = None) -> DensityMatrix:
@@ -165,16 +179,23 @@ def random_separable(d: int, seed, terms: int | None = None) -> DensityMatrix:
     """Bipartite d x d separable state: mixture of Haar-random pure products."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    rng = np.random.default_rng(seed)
-    k = int(terms) if terms is not None else int(rng.integers(1, 6))
-    weights = _mixture_weights(rng, k)
-    parts = []
-    for _ in range(k):
-        a = _gaussian_amplitudes(rng, d)
-        b = _gaussian_amplitudes(rng, d)
-        psi, _ = normalise(np.outer(a, b).reshape(-1))
-        parts.append(np.outer(psi, psi.conj()))
-    return DensityMatrix((d, d), convex_sum(parts, weights))
+    return DensityMatrix((d, d), _separable_entries(d, seed, terms))
+
+
+def biseparable_entries(n: int, trial: int, seed: int) -> np.ndarray:
+    """Unvalidated entries of ``biseparable_sample(n, trial, seed)``."""
+    if n not in (3, 4):
+        raise ValueError(f"n must be 3 or 4, got {n}")
+    cuts = bipartitions(n)
+    slot = trial % (len(cuts) + 1)
+    if slot < len(cuts):
+        return _biseparable_entries(n, cuts[slot], [seed, trial], None)
+    rng = np.random.default_rng([seed, trial])
+    i, j = rng.choice(len(cuts), size=2, replace=False)
+    w = float(rng.uniform(0.05, 0.95))
+    part_a = _biseparable_entries(n, cuts[i], [seed, trial, 0], None)
+    part_b = _biseparable_entries(n, cuts[j], [seed, trial, 1], None)
+    return convex_sum([part_a, part_b], [w, 1.0 - w])
 
 
 def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
@@ -184,16 +205,12 @@ def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
     bipartition; one slot in each cycle mixes two components taken across
     two different cuts, which is still biseparable by definition.
     """
-    cuts = bipartitions(n)
-    slot = trial % (len(cuts) + 1)
-    if slot < len(cuts):
-        return random_biseparable(n, cuts[slot], [seed, trial])
-    rng = np.random.default_rng([seed, trial])
-    i, j = rng.choice(len(cuts), size=2, replace=False)
-    w = float(rng.uniform(0.05, 0.95))
-    part_a = _biseparable_entries(n, cuts[i], [seed, trial, 0], None)
-    part_b = _biseparable_entries(n, cuts[j], [seed, trial, 1], None)
-    return DensityMatrix((2,) * n, convex_sum([part_a, part_b], [w, 1.0 - w]))
+    return DensityMatrix((2,) * n, biseparable_entries(n, trial, seed))
+
+
+def separable_entries(d: int, trial: int, seed: int) -> np.ndarray:
+    """Unvalidated entries of ``separable_sample(d, trial, seed)``."""
+    return _separable_entries(d, [seed, trial], None)
 
 
 def separable_sample(d: int, trial: int, seed: int) -> DensityMatrix:

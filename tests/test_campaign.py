@@ -3,26 +3,36 @@
 The campaign samplers build trials from raw arrays.  The reference below is
 the object-based construction they replace (StateVector -> permute_parties
 -> density() -> mix); both must give the same matrix entries bit for bit.
+The campaign evaluates blocks of trials as one stack; its per-trial
+reference is a loop of ``Witness.evaluate`` over the validated samples.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mubcert.correlations as correlations
+import mubcert.linalg as linalg
 from mubcert import (
-    DensityMatrix,
     StateVector,
     bipartitions,
+    fourier_pair,
     ghz4,
     i3,
+    i3_witness,
     i4,
+    i4_witness,
+    i_m_witness,
     mix,
     permute_parties,
+    prime_mub_family,
     random_biseparable,
     random_pure,
     random_separable,
 )
-from mubcert.cli import DEFAULT_SEED, main, run_bound_campaign
+from mubcert import cli
+from mubcert.cli import CAMPAIGN_BLOCK, DEFAULT_SEED, main, run_bound_campaign
 from mubcert.states import biseparable_sample, separable_sample
 
 # ------------------------------------------------------ reference sampler
@@ -216,19 +226,147 @@ def test_i3_and_i4_take_one_distribution_per_setting(monkeypatch):
     assert len(calls) == 81
 
 
-@pytest.mark.parametrize(
-    "klass, options",
-    [
-        ("biseparable3", {}),
-        ("biseparable4", {}),
-        ("separable-bipartite", {"d": 3}),
-        ("separable-bipartite", {"d": 5, "complete_family": True}),
-    ],
-)
+CAMPAIGNS = [
+    ("biseparable3", {}),
+    ("biseparable4", {}),
+    ("separable-bipartite", {"d": 3}),
+    ("separable-bipartite", {"d": 5, "complete_family": True}),
+]
+
+
+@pytest.mark.parametrize("klass, options", CAMPAIGNS)
 def test_campaign_validates_each_trial_once(monkeypatch, klass, options):
-    densities = _count_calls(monkeypatch, DensityMatrix, "__post_init__")
+    # Every validation, of one matrix or of a stack, goes through
+    # linalg.density_defect; count the matrices it sees.
+    rows = []
+    original = linalg.density_defect
+
+    def counted(m):
+        rows.append(m.reshape(-1, *m.shape[-2:]).shape[0])
+        return original(m)
+
+    for module in (linalg, cli):
+        monkeypatch.setattr(module, "density_defect", counted)
     vectors = _count_calls(monkeypatch, StateVector, "__post_init__")
-    trials = 17
+    trials = 2 * CAMPAIGN_BLOCK + 2
     run_bound_campaign(klass, trials, DEFAULT_SEED, **options)
-    assert len(densities) == trials
+    assert sum(rows) == trials
     assert len(vectors) == 0
+
+
+# ------------------------------------------------------ block evaluation
+
+
+def _reference_campaign(klass, options, trials, seed, sample=None):
+    """(max_i, worst_trial, violated) from one Witness.evaluate per trial,
+    the first maximum winning (strict >)."""
+    if klass == "separable-bipartite":
+        d = options["d"]
+        family = prime_mub_family(d) if options.get("complete_family") else fourier_pair(d)
+        witness = i_m_witness(family)
+        sample = sample or (lambda trial: separable_sample(d, trial, seed))
+    else:
+        n = int(klass[-1])
+        witness = {3: i3_witness, 4: i4_witness}[n]()
+        sample = sample or (lambda trial: biseparable_sample(n, trial, seed))
+    worst, worst_trial = None, None
+    for trial in range(trials):
+        report = witness.evaluate(sample(trial))
+        if worst is None or report.i_value > worst.i_value:
+            worst, worst_trial = report, trial
+    return worst.i_value, worst_trial, worst.violated
+
+
+@pytest.mark.parametrize("klass, options", CAMPAIGNS)
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_block_campaign_matches_the_per_trial_loop(klass, options, seed):
+    for trials in (1, CAMPAIGN_BLOCK - 1, CAMPAIGN_BLOCK, CAMPAIGN_BLOCK + 1, 2 * CAMPAIGN_BLOCK + 2):
+        summary = run_bound_campaign(klass, trials, seed, **options)
+        max_i, worst_trial, violated = _reference_campaign(klass, options, trials, seed)
+        assert summary["max_i"] == max_i, (trials, summary["max_i"], max_i)
+        assert summary["worst_trial"] == worst_trial, trials
+        assert summary["pass"] is not violated
+
+
+def test_block_campaign_keeps_the_first_of_tied_trials(monkeypatch):
+    # Trials t and t + 50 share a state, so the maximum ties within a block
+    # and across blocks; the first trial attaining it must win.
+    original = cli.biseparable_entries
+    monkeypatch.setattr(cli, "biseparable_entries", lambda n, trial, seed: original(n, trial % 50, seed))
+    trials = 2 * CAMPAIGN_BLOCK + 2
+    summary = run_bound_campaign("biseparable3", trials, DEFAULT_SEED)
+    sample = lambda trial: biseparable_sample(3, trial % 50, DEFAULT_SEED)  # noqa: E731
+    max_i, worst_trial, _ = _reference_campaign("biseparable3", {}, trials, DEFAULT_SEED, sample)
+    assert (summary["max_i"], summary["worst_trial"]) == (max_i, worst_trial)
+    assert worst_trial < 50
+
+
+def _campaign_peak(klass, trials, options) -> int:
+    tracemalloc.start()
+    try:
+        run_bound_campaign(klass, trials, DEFAULT_SEED, **options)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("klass, options", [CAMPAIGNS[1], CAMPAIGNS[3]])
+def test_campaign_memory_is_flat_in_the_trial_count(klass, options):
+    # Blocks are fixed-size: ten times the trials may not raise the peak by
+    # more than a small margin.  Keeping each trial's matrix would add 3.7 MB
+    # (four qubits) and 9 MB (d = 5).  The warm-up run fills the caches and
+    # free lists that a first long run in a process leaves behind.
+    run_bound_campaign(klass, 1000, DEFAULT_SEED, **options)
+    small = _campaign_peak(klass, 100, options)
+    large = _campaign_peak(klass, 1000, options)
+    assert large <= small + 64_000, (small, large)
+
+
+# ------------------------------------------------------ internal breaches
+
+BREACH_TRIAL = CAMPAIGN_BLOCK + 6
+BREACH_SEED = 5
+
+
+def _breach(monkeypatch, capsys, entries, validate=True):
+    """Run a 3-qubit campaign whose trial BREACH_TRIAL has ``entries``."""
+    original = cli.biseparable_entries
+
+    def sample(n, trial, seed):
+        return entries(original(n, trial, seed)) if trial == BREACH_TRIAL else original(n, trial, seed)
+
+    monkeypatch.setattr(cli, "biseparable_entries", sample)
+    if not validate:
+        monkeypatch.setattr(cli, "density_defect", lambda m: None)
+    code = main(["check-bounds", "--class", "biseparable3", "--trials", "100", "--seed", str(BREACH_SEED)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    return captured.err
+
+
+def test_sampler_breach_exits_3_naming_the_trial(monkeypatch, capsys):
+    err = _breach(monkeypatch, capsys, lambda m: 1.5 * m)
+    assert err.startswith(f"invariant breach: biseparable3 seed {BREACH_SEED} trial {BREACH_TRIAL}: trace must be 1")
+
+
+def test_probability_sum_breach_exits_3_naming_the_trial(monkeypatch, capsys):
+    # Unvalidated, a trace of 1.5 reaches the outcome-sum check.
+    err = _breach(monkeypatch, capsys, lambda m: 1.5 * m, validate=False)
+    prefix = f"invariant breach: biseparable3 seed {BREACH_SEED} trial {BREACH_TRIAL}: "
+    assert err.startswith(prefix + "outcome probabilities sum to 1.5")
+
+
+def test_pattern_sum_breach_exits_3_naming_the_trial(monkeypatch, capsys):
+    # Unit trace but not positive: Hadamard-basis outcomes of even parity
+    # get 1/8 + 1/2 and odd ones 1/8 - 1/2, which sum to 1, and tri5 holds
+    # three even-parity patterns, 1.875 after clipping.
+    def indefinite(m):
+        out = np.eye(8, dtype=complex) / 8
+        out[0, 7] = out[7, 0] = 2.0
+        return out
+
+    err = _breach(monkeypatch, capsys, indefinite, validate=False)
+    prefix = f"invariant breach: biseparable3 seed {BREACH_SEED} trial {BREACH_TRIAL}: "
+    assert err.startswith(prefix + "pattern sum 1.87")
+    assert err.endswith(" exceeds 1\n")

@@ -1,12 +1,14 @@
 """Mutual-predictability correlations, pattern sums, certification reports,
 and the independent oracle route."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mubcert import (
+    BasisAssignment,
     CertificationReport,
     DensityMatrix,
     InvariantError,
@@ -60,6 +62,18 @@ def test_hadamard_setting_product_vector():
     setting = hadamard_setting(2)
     vec = setting.product_vector((0, 0))
     assert np.allclose(vec, np.full(4, 0.5), atol=1e-12)
+
+
+def test_product_unitary_is_the_kron_chain_bit_for_bit():
+    # Every qubit-triple choice the basis search builds, and d = 3, 5 pairs.
+    triple = qubit_mub_triple().bases
+    choices = [tuple(triple[k] for k in c) for n in (3, 4) for c in itertools.product(range(3), repeat=n)]
+    choices += [b for d in (3, 5) for b in itertools.product(prime_mub_family(d).bases, repeat=2)]
+    for bases in choices:
+        want = bases[0].vectors
+        for b in bases[1:]:
+            want = np.kron(want, b.vectors)
+        assert np.array_equal(BasisAssignment(bases).product_unitary, want)
 
 
 def test_uniform_setting_matches_computational():

@@ -22,6 +22,7 @@ from mubcert import (
     reduced_rank,
     schmidt_coefficients,
 )
+from mubcert.linalg import density_defect, normalise
 
 
 def test_state_vector_normalizes_and_reports_original_norm():
@@ -29,6 +30,39 @@ def test_state_vector_normalizes_and_reports_original_norm():
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-10
     assert abs(psi.original_norm - 5.0) <= 1e-12
     assert abs(psi.amplitudes[0] - 0.6) <= 1e-12
+
+
+def test_normalise_takes_the_norm_of_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 3, 8, 16, 25, 256):
+        for scale in (1e-3, 1.0, 1e150):
+            amps = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            unit, norm = normalise(amps)
+            assert norm == float(np.linalg.norm(amps))
+            assert np.array_equal(unit, amps / np.linalg.norm(amps))
+
+
+def test_density_defect_names_the_first_failing_matrix_of_a_stack():
+    good = np.eye(4, dtype=complex) / 4
+    skew = good.copy()
+    skew[0, 1] = 1e-3
+    heavy = 2 * good
+    negative = np.diag([0.5, 0.5, 0.1, -0.1]).astype(complex)
+    nan = good.copy()
+    nan[2, 2] = np.nan
+    # Each check runs over the whole stack before the next one.
+    for stack, want in [
+        ([good, heavy, skew], (2, "matrix is not hermitian (residual 1.000e-03)")),
+        ([good, negative, heavy, negative], (2, "trace must be 1, got (2+0j)")),
+        ([good, good, negative], (2, "matrix has a negative eigenvalue (-1.000e-01)")),
+        ([skew, nan], (1, "entries must be finite")),
+    ]:
+        assert density_defect(np.array(stack)) == want
+        with pytest.raises(ValueError) as exc:
+            DensityMatrix((2, 2), stack[want[0]])
+        assert str(exc.value) == want[1]
+    assert density_defect(np.array([good] * 3)) is None
+    assert density_defect(np.array([[good] * 2] * 3)) is None
 
 
 def test_state_vector_rejects_zero_vector():
