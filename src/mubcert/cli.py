@@ -47,11 +47,11 @@ from .states import (
     MAX_STATE_DIM,
     W3_STANDARD_ALPHA,
     W3_STANDARD_THETA,
-    biseparable_entries,
+    biseparable_block,
     ghz3,
     ghz4,
     psi_lambda,
-    separable_entries,
+    separable_block,
     state_from_json_dict,
     w3,
     wg4,
@@ -418,8 +418,9 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
 
     Returns a summary dict with the worst value seen and a pass flag; the
     campaign is deterministic in (klass, trials, seed, d).  Trial states are
-    built internally, so one that fails validation, or an outcome or
-    pattern sum out of range, is an internal breach naming the trial.
+    built internally, so one that fails a sampler guard or validation, or
+    an outcome or pattern sum out of range, is an internal breach naming
+    the trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -429,20 +430,18 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
     if n == 2:
         family = prime_mub_family(d) if complete_family else fourier_pair(d)
         witness = i_m_witness(family)
-        sample = functools.partial(separable_entries, d)
+        sample = functools.partial(separable_block, d)
     else:
         witness = {3: i3_witness, 4: i4_witness}[n]()
-        sample = functools.partial(biseparable_entries, n)
+        sample = functools.partial(biseparable_block, n)
     dim = math.prod(witness.dims)
     # The worst trial is the first maximum; only its report is built.
     worst = None
     for start in range(0, trials, CAMPAIGN_BLOCK):
-        rows = range(start, min(start + CAMPAIGN_BLOCK, trials))
         # Filled in place: a list of the trials' matrices would double the block's memory.
-        block = np.empty((len(rows), dim, dim), dtype=np.complex128)
-        for row, trial in enumerate(rows):
-            block[row] = sample(trial, seed)
+        block = np.empty((min(CAMPAIGN_BLOCK, trials - start), dim, dim), dtype=np.complex128)
         try:
+            sample(start, seed, block)
             defect = density_defect(block)
             if defect is not None:
                 raise InvariantError(defect[1], defect[0])

@@ -12,7 +12,7 @@ invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, prod, sqrt
+from math import isfinite, prod
 
 import numpy as np
 
@@ -57,20 +57,35 @@ def _check_dims(dims) -> tuple[int, ...]:
     return out
 
 
-def normalise(amps: np.ndarray) -> tuple[np.ndarray, float]:
-    """``amps`` divided by its 2-norm, and that norm.
+class StackError(ValueError):
+    """Bad input in a stack of vectors; ``row`` is the flat index of the first
+    bad one over the leading axes."""
+
+    def __init__(self, message: str, row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the (..., n) stack ``amps`` divided by its 2-norm, and the norms.
 
     A non-finite norm means a non-finite (or overflowing) amplitude; a
-    norm at or below 1e-12 means a zero vector.  Both raise.
+    norm at or below 1e-12 means a zero vector.  Both raise StackError
+    naming the first such row.
     """
-    # np.linalg.norm's own formula for a complex vector, without its dispatch.
-    flat = amps.ravel()
-    norm = sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-    if not isfinite(norm):
-        raise ValueError("amplitudes must be finite")
-    if norm <= 1e-12:
-        raise ValueError("cannot normalise a zero vector")
-    return amps / norm, norm
+    # np.linalg.norm's own formula for a complex vector, without its
+    # dispatch.  A stacked (1, n) @ (n, 1) matmul calls, row by row, the BLAS
+    # ddot that ndarray.dot calls, so a row's norm does not depend on the
+    # stack it sits in; einsum and sum round differently.
+    re, im = amps.real[..., None, :], amps.imag[..., None, :]
+    squares = np.matmul(re, re.swapaxes(-1, -2)) + np.matmul(im, im.swapaxes(-1, -2))
+    norms = np.sqrt(squares[..., 0, 0])
+    ok = np.isfinite(norms) & (norms > 1e-12)
+    if not ok.all():
+        row = int(ok.argmin())
+        finite = isfinite(norms.flat[row])
+        raise StackError("cannot normalise a zero vector" if finite else "amplitudes must be finite", row)
+    return amps / norms[..., None], norms
 
 
 def density_defect(m: np.ndarray) -> tuple[int, str] | None:
@@ -129,7 +144,7 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "original_norm", norm)
+        object.__setattr__(self, "original_norm", float(norm))
 
     @property
     def n_parties(self) -> int:

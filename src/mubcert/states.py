@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import cos, prod, sin, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, StateVector, convex_sum, normalise
+from .linalg import DensityMatrix, InvariantError, StackError, StateVector, convex_sum, normalise
 
 
 def psi_lambda(lam: float) -> StateVector:
@@ -88,15 +90,12 @@ def wg4(theta: float, mu: float, nu: float) -> StateVector:
     return StateVector((2, 2, 2, 2), amps)
 
 
-def _gaussian_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-
 def random_pure(dims, seed) -> StateVector:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
-    return StateVector(dims, _gaussian_amplitudes(rng, int(np.prod(dims))))
+    dim = int(np.prod(dims))
+    return StateVector(dims, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
 def bipartitions(n: int) -> list[tuple[int, ...]]:
@@ -111,51 +110,103 @@ def bipartitions(n: int) -> list[tuple[int, ...]]:
     return cuts
 
 
-# The campaign samplers build every mixture component from raw arrays:
-# pure vectors pass the scalar norm guard of normalise, weights the guards
-# of convex_sum, and the returned entries are validated as a density matrix
-# by the caller.  The float operations (normalise, 1-D kron taken as a
-# broadcast outer product, renormalise, transpose, renormalise, projector,
-# weighted accumulation) are those of building StateVector and
-# DensityMatrix objects and mixing them, so seeded samples are the same bit
-# for bit.
+# The seeded samplers share one core.  Each trial draws from its own
+# generator: the component count, the Dirichlet weights, then all its
+# Gaussian amplitudes in one standard_normal call (the numbers of one call
+# per factor, in the same order).  _fill builds the product vectors of all
+# components that share a cut as one stack and accumulates each trial's
+# projectors through convex_sum.  Its float operations are those of building
+# StateVector and DensityMatrix objects and mixing them, so seeded samples
+# are the same bit for bit.  Trial states are internal, so a guard that
+# fails raises InvariantError naming the trial's row.
 
 
-def _product_across_cut(rng: np.random.Generator, n: int, block: tuple[int, ...]) -> np.ndarray:
-    """Projector onto a Haar-random product across block|rest, as a raw matrix."""
+class _Cut(NamedTuple):
+    """A component's draws are [re a | im a | re b | im b], a of length
+    ``left`` and b of ``right``.  A qubit cut normalises a and b and, after
+    the product, restores party order with ``axes``; a d x d pair (``axes``
+    None) takes the product of a and b as drawn."""
+
+    left: int
+    right: int
+    axes: tuple[int, ...] | None
+
+
+# A trial: the weights of its parts (None for one part) and its parts, each
+# (cut, component weights, draws).
+_Part = tuple[_Cut, np.ndarray, np.ndarray]
+_Mixture = tuple[list[float] | None, list[_Part]]
+
+
+@lru_cache(maxsize=None)
+def _qubit_cut(n: int, block: tuple[int, ...]) -> _Cut:
     other = tuple(p for p in range(n) if p not in block)
-    left, _ = normalise(_gaussian_amplitudes(rng, 2 ** len(block)))
-    right, _ = normalise(_gaussian_amplitudes(rng, 2 ** len(other)))
-    joined, _ = normalise((left[:, None] * right).reshape(-1))
     order = np.argsort(np.array(block + other))
-    psi, _ = normalise(np.transpose(joined.reshape((2,) * n), axes=order).reshape(-1))
-    return psi[:, None] * psi.conj()
+    return _Cut(2 ** len(block), 2 ** len(other), (0,) + tuple(1 + int(o) for o in order))
 
 
-def _mixture_weights(rng: np.random.Generator, k: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _qubit_cuts(n: int) -> tuple[_Cut, ...]:
+    return tuple(_qubit_cut(n, block) for block in bipartitions(n))
+
+
+def _draw(rng: np.random.Generator, cut: _Cut, k_min: int, terms: int | None = None) -> _Part:
+    k = int(terms) if terms is not None else int(rng.integers(k_min, 6))
     if k < 1:
         raise ValueError("terms must be at least 1")
-    return rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+    weights = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+    return cut, weights, rng.standard_normal(k * 2 * (cut.left + cut.right)).reshape(k, -1)
 
 
-def _biseparable_entries(n: int, block: tuple[int, ...], seed, terms: int | None) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    k = int(terms) if terms is not None else int(rng.integers(2, 6))
-    weights = _mixture_weights(rng, k)
-    return convex_sum([_product_across_cut(rng, n, block) for _ in range(k)], weights)
+def _unit_products(cut: _Cut, draws: np.ndarray) -> np.ndarray:
+    """One unit product vector per row of ``draws``."""
+    k, left = len(draws), cut.left
+    a = draws[:, :left] + 1j * draws[:, left : 2 * left]
+    b = draws[:, 2 * left : 2 * left + cut.right] + 1j * draws[:, 2 * left + cut.right :]
+    if cut.axes is not None:
+        a, _ = normalise(a)
+        b, _ = normalise(b)
+    psi, _ = normalise((a[:, :, None] * b[:, None, :]).reshape(k, -1))
+    if cut.axes is not None:
+        tensor = psi.reshape((k,) + (2,) * (len(cut.axes) - 1))
+        psi, _ = normalise(tensor.transpose(cut.axes).reshape(k, -1))
+    return psi
 
 
-def _separable_entries(d: int, seed, terms: int | None) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    k = int(terms) if terms is not None else int(rng.integers(1, 6))
-    weights = _mixture_weights(rng, k)
-    parts = []
-    for _ in range(k):
-        a = _gaussian_amplitudes(rng, d)
-        b = _gaussian_amplitudes(rng, d)
-        psi, _ = normalise((a[:, None] * b).reshape(-1))
-        parts.append(psi[:, None] * psi.conj())
-    return convex_sum(parts, weights)
+def _fill(out: np.ndarray, mixtures: list[_Mixture]) -> None:
+    """Write the entries of ``mixtures[t]`` into ``out[t]``, unvalidated."""
+    parts = [part for _, row_parts in mixtures for part in row_parts]
+    owners = [row for row, (_, row_parts) in enumerate(mixtures) for _ in row_parts]
+    by_cut: dict[_Cut, list[int]] = {}
+    for i, (cut, _, _) in enumerate(parts):
+        by_cut.setdefault(cut, []).append(i)
+    vectors = [None] * len(parts)
+    for cut, members in by_cut.items():
+        draws = [parts[i][2] for i in members]
+        sizes = [len(d) for d in draws]
+        try:
+            stack = _unit_products(cut, np.concatenate(draws))
+        except StackError as exc:
+            owner = np.repeat([owners[i] for i in members], sizes)[exc.row]
+            raise InvariantError(str(exc), int(owner)) from None
+        for i, psi in zip(members, np.split(stack, np.cumsum(sizes)[:-1])):
+            vectors[i] = psi
+    unit = iter(vectors)
+    for row, (weights, row_parts) in enumerate(mixtures):
+        # row_parts leads the zip, so it ends without taking a vector of the next row.
+        projectors = [(psi[:, :, None] * psi.conj()[:, None, :], w) for (_, w, _), psi in zip(row_parts, unit)]
+        try:
+            mats = [convex_sum(p, w) for p, w in projectors]
+            entries = mats[0] if weights is None else convex_sum(mats, weights)
+        except ValueError as exc:
+            raise InvariantError(str(exc), row) from None
+        out[row] = entries
+
+
+def _entries(dim: int, mixture: _Mixture) -> np.ndarray:
+    out = np.empty((1, dim, dim), dtype=np.complex128)
+    _fill(out, [mixture])
+    return out[0]
 
 
 def random_biseparable(n: int, cut, seed, terms: int | None = None) -> DensityMatrix:
@@ -172,30 +223,43 @@ def random_biseparable(n: int, cut, seed, terms: int | None = None) -> DensityMa
         raise ValueError(f"cut must be a nonempty set of distinct parties, got {cut}")
     if any(p < 0 or p >= n for p in block) or len(block) >= n:
         raise ValueError(f"cut must be a proper subset of 0..{n - 1}, got {cut}")
-    return DensityMatrix((2,) * n, _biseparable_entries(n, block, seed, terms))
+    part = _draw(np.random.default_rng(seed), _qubit_cut(n, block), 2, terms)
+    return DensityMatrix((2,) * n, _entries(2**n, (None, [part])))
 
 
 def random_separable(d: int, seed, terms: int | None = None) -> DensityMatrix:
     """Bipartite d x d separable state: mixture of Haar-random pure products."""
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    return DensityMatrix((d, d), _separable_entries(d, seed, terms))
+    part = _draw(np.random.default_rng(seed), _Cut(d, d, None), 1, terms)
+    return DensityMatrix((d, d), _entries(d * d, (None, [part])))
+
+
+def _biseparable_mixture(n: int, trial: int, seed: int) -> _Mixture:
+    cuts = _qubit_cuts(n)
+    slot = trial % (len(cuts) + 1)
+    rng = np.random.default_rng([seed, trial])
+    if slot < len(cuts):
+        return None, [_draw(rng, cuts[slot], 2)]
+    i, j = rng.choice(len(cuts), size=2, replace=False)
+    w = float(rng.uniform(0.05, 0.95))
+    parts = [_draw(np.random.default_rng([seed, trial, s]), cuts[c], 2) for s, c in enumerate((i, j))]
+    return [w, 1.0 - w], parts
+
+
+def biseparable_block(n: int, start: int, seed: int, out: np.ndarray) -> None:
+    """Fill ``out[t]`` with the unvalidated entries of
+    ``biseparable_sample(n, start + t, seed)`` for every row t."""
+    if n not in (3, 4):
+        raise ValueError(f"n must be 3 or 4, got {n}")
+    _fill(out, [_biseparable_mixture(n, start + t, seed) for t in range(len(out))])
 
 
 def biseparable_entries(n: int, trial: int, seed: int) -> np.ndarray:
     """Unvalidated entries of ``biseparable_sample(n, trial, seed)``."""
-    if n not in (3, 4):
-        raise ValueError(f"n must be 3 or 4, got {n}")
-    cuts = bipartitions(n)
-    slot = trial % (len(cuts) + 1)
-    if slot < len(cuts):
-        return _biseparable_entries(n, cuts[slot], [seed, trial], None)
-    rng = np.random.default_rng([seed, trial])
-    i, j = rng.choice(len(cuts), size=2, replace=False)
-    w = float(rng.uniform(0.05, 0.95))
-    part_a = _biseparable_entries(n, cuts[i], [seed, trial, 0], None)
-    part_b = _biseparable_entries(n, cuts[j], [seed, trial, 1], None)
-    return convex_sum([part_a, part_b], [w, 1.0 - w])
+    out = np.empty((1, 2**n, 2**n), dtype=np.complex128)
+    biseparable_block(n, trial, seed, out)
+    return out[0]
 
 
 def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
@@ -208,14 +272,25 @@ def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
     return DensityMatrix((2,) * n, biseparable_entries(n, trial, seed))
 
 
+def separable_block(d: int, start: int, seed: int, out: np.ndarray) -> None:
+    """Fill ``out[t]`` with the unvalidated entries of
+    ``separable_sample(d, start + t, seed)`` for every row t."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    cut = _Cut(d, d, None)
+    _fill(out, [(None, [_draw(np.random.default_rng([seed, start + t]), cut, 1)]) for t in range(len(out))])
+
+
 def separable_entries(d: int, trial: int, seed: int) -> np.ndarray:
     """Unvalidated entries of ``separable_sample(d, trial, seed)``."""
-    return _separable_entries(d, [seed, trial], None)
+    out = np.empty((1, d * d, d * d), dtype=np.complex128)
+    separable_block(d, trial, seed, out)
+    return out[0]
 
 
 def separable_sample(d: int, trial: int, seed: int) -> DensityMatrix:
     """Trial state for the bipartite separable bound campaign."""
-    return random_separable(d, [seed, trial])
+    return DensityMatrix((d, d), separable_entries(d, trial, seed))
 
 
 # Largest prod(dims) a state file may declare: an outcome distribution costs

@@ -11,9 +11,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mubcert.correlations as correlations
 import mubcert.linalg as linalg
+import mubcert.states as states
 from mubcert import (
     StateVector,
     bipartitions,
@@ -33,7 +36,7 @@ from mubcert import (
 )
 from mubcert import cli
 from mubcert.cli import CAMPAIGN_BLOCK, DEFAULT_SEED, main, run_bound_campaign
-from mubcert.states import biseparable_sample, separable_sample
+from mubcert.states import biseparable_block, biseparable_sample, separable_block, separable_sample
 
 # ------------------------------------------------------ reference sampler
 
@@ -121,6 +124,58 @@ def test_random_separable_matches_reference(d, terms):
         got = separable_sample(d, trial, DEFAULT_SEED)
         want = _ref_random_separable(d, [DEFAULT_SEED, trial])
         assert np.array_equal(got.entries, want.entries), trial
+
+
+# (n or d, block sampler, reference of one trial, matrix dimension)
+BLOCK_SAMPLERS = [
+    (3, biseparable_block, lambda trial, seed: _ref_biseparable_sample(3, trial, seed), 8),
+    (4, biseparable_block, lambda trial, seed: _ref_biseparable_sample(4, trial, seed), 16),
+    (2, separable_block, lambda trial, seed: _ref_random_separable(2, [seed, trial]), 4),
+    (3, separable_block, lambda trial, seed: _ref_random_separable(3, [seed, trial]), 9),
+    (5, separable_block, lambda trial, seed: _ref_random_separable(5, [seed, trial]), 25),
+]
+
+
+def _check_block(sampler, start, rows, seed):
+    size, fill, reference, dim = sampler
+    out = np.empty((rows, dim, dim), dtype=np.complex128)
+    fill(size, start, seed, out)
+    for row in range(rows):
+        assert np.array_equal(out[row], reference(start + row, seed).entries), (size, start + row, seed)
+
+
+@pytest.mark.parametrize("sampler", BLOCK_SAMPLERS, ids=lambda s: f"{s[1].__name__}-{s[0]}")
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_block_sampler_matches_reference_on_every_trial(sampler, seed):
+    # A full block holds every cut and every mixed-cut slot of both qubit
+    # classes (cycles of 4 and 8 trials); then partial blocks of 1 and 63.
+    for start, rows in [(0, CAMPAIGN_BLOCK), (CAMPAIGN_BLOCK, 1), (CAMPAIGN_BLOCK + 1, CAMPAIGN_BLOCK - 1)]:
+        _check_block(sampler, start, rows, seed)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10**9))
+def test_block_sampler_matches_reference_at_any_seed_and_start(seed, start):
+    for sampler in BLOCK_SAMPLERS:
+        _check_block(sampler, start, 9, seed)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("terms", [1, 3])
+def test_one_stack_of_every_cut_matches_reference(n, terms):
+    # Components of every cut and of several seeds, with a fixed count,
+    # built as one stack per cut.
+    cuts = bipartitions(n)
+    cases = [(cut, seed) for cut in cuts for seed in (DEFAULT_SEED, 5, 6)]
+    mixtures = [
+        (None, [states._draw(np.random.default_rng(seed), states._qubit_cut(n, cut), 2, terms)])
+        for cut, seed in cases
+    ]
+    out = np.empty((len(cases), 2**n, 2**n), dtype=np.complex128)
+    states._fill(out, mixtures)
+    for row, (cut, seed) in enumerate(cases):
+        want = _ref_random_biseparable(n, cut, seed, terms=terms)
+        assert np.array_equal(out[row], want.entries), (cut, seed)
 
 
 def test_sampler_rejects_bad_arguments():
@@ -291,8 +346,13 @@ def test_block_campaign_matches_the_per_trial_loop(klass, options, seed):
 def test_block_campaign_keeps_the_first_of_tied_trials(monkeypatch):
     # Trials t and t + 50 share a state, so the maximum ties within a block
     # and across blocks; the first trial attaining it must win.
-    original = cli.biseparable_entries
-    monkeypatch.setattr(cli, "biseparable_entries", lambda n, trial, seed: original(n, trial % 50, seed))
+    original = cli.biseparable_block
+
+    def tied(n, start, seed, out):
+        for row in range(len(out)):
+            original(n, (start + row) % 50, seed, out[row : row + 1])
+
+    monkeypatch.setattr(cli, "biseparable_block", tied)
     trials = 2 * CAMPAIGN_BLOCK + 2
     summary = run_bound_campaign("biseparable3", trials, DEFAULT_SEED)
     sample = lambda trial: biseparable_sample(3, trial % 50, DEFAULT_SEED)  # noqa: E731
@@ -330,14 +390,21 @@ BREACH_SEED = 5
 
 def _breach(monkeypatch, capsys, entries, validate=True):
     """Run a 3-qubit campaign whose trial BREACH_TRIAL has ``entries``."""
-    original = cli.biseparable_entries
+    original = cli.biseparable_block
 
-    def sample(n, trial, seed):
-        return entries(original(n, trial, seed)) if trial == BREACH_TRIAL else original(n, trial, seed)
+    def sample(n, start, seed, out):
+        original(n, start, seed, out)
+        row = BREACH_TRIAL - start
+        if 0 <= row < len(out):
+            out[row] = entries(out[row].copy())
 
-    monkeypatch.setattr(cli, "biseparable_entries", sample)
+    monkeypatch.setattr(cli, "biseparable_block", sample)
     if not validate:
         monkeypatch.setattr(cli, "density_defect", lambda m: None)
+    return _breach_stderr(capsys)
+
+
+def _breach_stderr(capsys):
     code = main(["check-bounds", "--class", "biseparable3", "--trials", "100", "--seed", str(BREACH_SEED)])
     captured = capsys.readouterr()
     assert code == 3
@@ -370,3 +437,32 @@ def test_pattern_sum_breach_exits_3_naming_the_trial(monkeypatch, capsys):
     prefix = f"invariant breach: biseparable3 seed {BREACH_SEED} trial {BREACH_TRIAL}: "
     assert err.startswith(prefix + "pattern sum 1.87")
     assert err.endswith(" exceeds 1\n")
+
+
+def _poison(monkeypatch, change):
+    """Let ``change`` rewrite the first part that trial BREACH_TRIAL draws."""
+    original = states._biseparable_mixture
+
+    def mixture(n, trial, seed):
+        weights, parts = original(n, trial, seed)
+        if trial == BREACH_TRIAL:
+            parts[0] = change(*parts[0])
+        return weights, parts
+
+    monkeypatch.setattr(states, "_biseparable_mixture", mixture)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda cut, w, draws: (cut, w, np.full_like(draws, np.nan)), "amplitudes must be finite"),
+        (lambda cut, w, draws: (cut, w, np.zeros_like(draws)), "cannot normalise a zero vector"),
+        (lambda cut, w, draws: (cut, -w, draws), "weights must be finite and non-negative"),
+    ],
+)
+def test_sampler_guard_breach_exits_3_naming_the_trial(monkeypatch, capsys, change, message):
+    # A guard inside the block sampler, on a stack of components or on one
+    # trial's weights, fails for one trial: a breach, not bad input.
+    _poison(monkeypatch, change)
+    err = _breach_stderr(capsys)
+    assert err == f"invariant breach: biseparable3 seed {BREACH_SEED} trial {BREACH_TRIAL}: {message}\n"

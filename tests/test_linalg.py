@@ -22,7 +22,7 @@ from mubcert import (
     reduced_rank,
     schmidt_coefficients,
 )
-from mubcert.linalg import density_defect, normalise
+from mubcert.linalg import StackError, density_defect, normalise
 
 
 def test_state_vector_normalizes_and_reports_original_norm():
@@ -40,6 +40,35 @@ def test_normalise_takes_the_norm_of_np_linalg_norm_bit_for_bit():
             unit, norm = normalise(amps)
             assert norm == float(np.linalg.norm(amps))
             assert np.array_equal(unit, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 25])
+def test_normalise_on_a_stack_equals_the_one_row_call_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    stack = rng.standard_normal((3, 40, size)) + 1j * rng.standard_normal((3, 40, size))
+    units, norms = normalise(stack)
+    assert units.shape == stack.shape and norms.shape == (3, 40)
+    for i in range(3):
+        for j in range(40):
+            unit, norm = normalise(stack[i, j])
+            assert norms[i, j] == norm
+            assert np.array_equal(units[i, j].view(float), unit.view(float)), (i, j)
+
+
+def test_normalise_on_a_stack_names_the_first_bad_row():
+    stack = np.ones((4, 5), dtype=complex)
+    stack[2] = 0.0
+    stack[3, 1] = np.nan
+    with pytest.raises(StackError, match="cannot normalise a zero vector") as zero:
+        normalise(stack)
+    assert zero.value.row == 2
+    stack[1, 4] = np.inf
+    with pytest.raises(StackError, match="amplitudes must be finite") as finite:
+        normalise(stack)
+    assert finite.value.row == 1
+    for row, message in [(np.zeros(3), "cannot normalise a zero vector"), (np.array([1.0, np.nan]), "amplitudes must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            normalise(row)
 
 
 def test_density_defect_names_the_first_failing_matrix_of_a_stack():
