@@ -23,6 +23,7 @@ import numpy as np
 from .correlations import (
     VIOLATION_MARGIN,
     CertificationReport,
+    Witness,
     diagonal_set,
     i3,
     i3_oracle,
@@ -41,7 +42,7 @@ from .correlations import (
 )
 from .linalg import DensityMatrix, InvariantError, StateVector, density_defect
 from .locc import PovmParams, PovmSweepResult, omega, sweep
-from .measures import global_q, triangle_tau
+from .measures import global_q_stack, triangle_tau_stack
 from .mub import fourier_pair, prime_mub_family
 from .states import (
     MAX_STATE_DIM,
@@ -60,6 +61,9 @@ from .states import (
 DEFAULT_SEED = 20260816
 VERIFY_STRIDE = 100
 VERIFY_TOL = 1e-10
+# Campaign trials or sweep rows validated and evaluated as one stack.  Blocks
+# are fixed-size, so memory stays flat in the trial or step count.
+BLOCK_ROWS = 64
 # Formatted values _write_slabs keeps before it starts afresh, about 2.5 MB.
 # A LOCC grid of a pure state repeats most values (its 61^3 points hold 5k
 # to 20k distinct ones); the cap holds memory flat on a grid that does not.
@@ -113,14 +117,19 @@ def _load_state(path: str) -> StateVector:
 class _Quantity(NamedTuple):
     name: str  # sweep column; "paper_" + name is the reference column
     certify: Callable[..., CertificationReport]  # (rho, basis_search=False)
+    witness: Callable[[tuple[int, ...]], Witness]  # the same quantity for states of these dims
     oracle: Callable[[DensityMatrix], float]  # independent route for --verify
-    measure: tuple[str, Callable[[StateVector], float]] | None  # extra sweep column
+    measure: tuple[str, Callable[[np.ndarray], list[float]]] | None  # extra sweep column, of a stack
 
 
 def _i2(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
     if basis_search:
         raise ValueError("--basis-search applies only to three- and four-party states")
     return i_m_bipartite(rho, fourier_pair(rho.dims[0]))
+
+
+def _i2_witness(dims: tuple[int, ...]) -> Witness:
+    return i_m_witness(fourier_pair(dims[0]))
 
 
 def _i2_oracle(rho: DensityMatrix) -> float:
@@ -131,9 +140,9 @@ def _i2_oracle(rho: DensityMatrix) -> float:
 
 def _quantity(n_parties: int) -> _Quantity:
     quantities = {
-        2: _Quantity("i2", _i2, _i2_oracle, None),
-        3: _Quantity("i3", i3, i3_oracle, ("tau", triangle_tau)),
-        4: _Quantity("i4", i4, i4_oracle, ("q", global_q)),
+        2: _Quantity("i2", _i2, _i2_witness, _i2_oracle, None),
+        3: _Quantity("i3", i3, lambda dims: i3_witness(), i3_oracle, ("tau", triangle_tau_stack)),
+        4: _Quantity("i4", i4, lambda dims: i4_witness(), i4_oracle, ("q", global_q_stack)),
     }
     if n_parties not in quantities:
         raise ValueError(f"certification supports 2-4 parties, got {n_parties}")
@@ -279,22 +288,44 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
     if args is not None:
         lo = lo if args.start is None else args.start
         hi = hi if args.stop is None else args.stop
+    xs = np.linspace(lo, hi, steps).tolist()
     rows = []
-    for index, x in enumerate(np.linspace(lo, hi, steps)):
-        values[swept] = x = float(x)
-        psi = family.build(*values.values())
-        rho = psi.density()
-        quantity = _quantity(psi.n_parties)
-        report = quantity.certify(rho)
-        row = {swept: x, quantity.name: report.i_value}
-        if quantity.measure is not None:
-            row[quantity.measure[0]] = quantity.measure[1](psi)
-        row["bound"] = report.bound
-        if family.reference is not None:
-            row["paper_" + quantity.name] = family.reference(*values.values())
-        if check and index % VERIFY_STRIDE == 0:
-            check.check(quantity.oracle(rho), report.i_value, f"{name} row {index}")
-        rows.append(row)
+    for start in range(0, steps, BLOCK_ROWS):
+        block = xs[start : start + BLOCK_ROWS]
+        states = []
+        for x in block:
+            values[swept] = x
+            try:
+                states.append(family.build(*values.values()))
+            except ValueError as exc:
+                raise ValueError(f"{name} {swept}={_fmt(x)}: {exc}") from None
+        dims = states[0].dims
+        quantity = _quantity(len(dims))
+        witness = quantity.witness(dims)
+        # Each row's density matrix is np.outer's own product of its amplitudes.
+        amps = np.array([psi.amplitudes for psi in states])
+        stack = amps[:, :, None] * amps.conj()[:, None, :]
+        try:
+            defect = density_defect(stack)
+            if defect is not None:
+                raise InvariantError(defect[1], defect[0])
+            _, term_values, sets = witness.read(stack)
+            measured = quantity.measure[1](stack) if quantity.measure else None
+        except InvariantError as exc:
+            raise InvariantError(f"{name} {swept}={_fmt(block[exc.row])}: {exc}") from None
+        for t, x in enumerate(block):
+            values[swept] = x
+            report = witness.report(term_values[t], sets[t])
+            row = {swept: x, quantity.name: report.i_value}
+            if measured is not None:
+                row[quantity.measure[0]] = measured[t]
+            row["bound"] = report.bound
+            if family.reference is not None:
+                row["paper_" + quantity.name] = family.reference(*values.values())
+            if check and (start + t) % VERIFY_STRIDE == 0:
+                rho = DensityMatrix(dims, stack[t])
+                check.check(quantity.oracle(rho), report.i_value, f"{name} row {start + t}")
+            rows.append(row)
     return list(rows[0]), [list(row.values()) for row in rows]
 
 
@@ -408,9 +439,6 @@ def cmd_locc(args) -> int:
 
 # Each campaign class and the party count of its trial states.
 _BOUND_CLASSES = {"biseparable3": 3, "biseparable4": 4, "separable-bipartite": 2}
-# Trials a campaign samples, validates and evaluates as one stack.  Blocks
-# are fixed-size, so memory stays flat in the trial count.
-CAMPAIGN_BLOCK = 64
 
 
 def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_family: bool = False) -> dict:
@@ -437,9 +465,9 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
     dim = math.prod(witness.dims)
     # The worst trial is the first maximum; only its report is built.
     worst = None
-    for start in range(0, trials, CAMPAIGN_BLOCK):
+    for start in range(0, trials, BLOCK_ROWS):
         # Filled in place: a list of the trials' matrices would double the block's memory.
-        block = np.empty((min(CAMPAIGN_BLOCK, trials - start), dim, dim), dtype=np.complex128)
+        block = np.empty((min(BLOCK_ROWS, trials - start), dim, dim), dtype=np.complex128)
         try:
             sample(start, seed, block)
             defect = density_defect(block)

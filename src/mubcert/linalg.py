@@ -203,21 +203,15 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128).conj().T
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every party not listed in ``keep``.
+def partial_trace_stack(entries: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Each matrix of the (..., D, D) stack ``entries`` over ``dims`` with every
+    party not listed in ``keep`` traced out, unvalidated.
 
-    Parameters
-    ----------
-    rho : DensityMatrix
-    keep : iterable of party indices to retain, any order; duplicates
-        are rejected.
-
-    Returns
-    -------
-    DensityMatrix on the retained parties, in ascending party order.
+    ``keep`` lists the party indices to retain, in any order; duplicates are
+    rejected.  The retained parties come out in ascending order.
     """
     keep_list = [int(k) for k in keep]
-    n = rho.n_parties
+    n = len(dims)
     if not keep_list:
         raise ValueError("keep must name at least one party")
     if len(set(keep_list)) != len(keep_list):
@@ -226,12 +220,23 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"party index out of range in keep={keep_list} for {n} parties")
     kept = sorted(keep_list)
     # Axis p is party p's row, axis n + p its column; a traced party's
-    # column shares its row label, so einsum sums that diagonal.
+    # column shares its row label, so einsum sums that diagonal.  The
+    # leading axes ride along, and each matrix sums as it would alone.
     columns = [n + p if p in kept else p for p in range(n)]
-    tensor = rho.entries.reshape(rho.dims + rho.dims)
-    sub = np.einsum(tensor, list(range(n)) + columns, kept + [n + p for p in kept])
-    d_keep = prod(rho.dims[k] for k in kept)
-    return DensityMatrix(tuple(rho.dims[k] for k in kept), sub.reshape(d_keep, d_keep))
+    tensor = entries.reshape(entries.shape[:-2] + tuple(dims) * 2)
+    sub = np.einsum(tensor, [..., *range(n), *columns], [..., *kept, *(n + p for p in kept)])
+    d_keep = prod(dims[k] for k in kept)
+    return sub.reshape(entries.shape[:-2] + (d_keep, d_keep))
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every party not listed in ``keep`` (as in ``partial_trace_stack``).
+
+    Returns a DensityMatrix on the retained parties, in ascending party order.
+    """
+    keep = [int(k) for k in keep]
+    sub = partial_trace_stack(rho.entries, rho.dims, keep)
+    return DensityMatrix(tuple(rho.dims[k] for k in sorted(keep)), sub)
 
 
 def purity(rho: DensityMatrix) -> float:

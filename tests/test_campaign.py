@@ -35,7 +35,7 @@ from mubcert import (
     random_separable,
 )
 from mubcert import cli
-from mubcert.cli import CAMPAIGN_BLOCK, DEFAULT_SEED, main, run_bound_campaign
+from mubcert.cli import BLOCK_ROWS, DEFAULT_SEED, main, run_bound_campaign
 from mubcert.states import biseparable_block, biseparable_sample, separable_block, separable_sample
 
 # ------------------------------------------------------ reference sampler
@@ -149,7 +149,7 @@ def _check_block(sampler, start, rows, seed):
 def test_block_sampler_matches_reference_on_every_trial(sampler, seed):
     # A full block holds every cut and every mixed-cut slot of both qubit
     # classes (cycles of 4 and 8 trials); then partial blocks of 1 and 63.
-    for start, rows in [(0, CAMPAIGN_BLOCK), (CAMPAIGN_BLOCK, 1), (CAMPAIGN_BLOCK + 1, CAMPAIGN_BLOCK - 1)]:
+    for start, rows in [(0, BLOCK_ROWS), (BLOCK_ROWS, 1), (BLOCK_ROWS + 1, BLOCK_ROWS - 1)]:
         _check_block(sampler, start, rows, seed)
 
 
@@ -303,7 +303,7 @@ def test_campaign_validates_each_trial_once(monkeypatch, klass, options):
     for module in (linalg, cli):
         monkeypatch.setattr(module, "density_defect", counted)
     vectors = _count_calls(monkeypatch, StateVector, "__post_init__")
-    trials = 2 * CAMPAIGN_BLOCK + 2
+    trials = 2 * BLOCK_ROWS + 2
     run_bound_campaign(klass, trials, DEFAULT_SEED, **options)
     assert sum(rows) == trials
     assert len(vectors) == 0
@@ -335,7 +335,7 @@ def _reference_campaign(klass, options, trials, seed, sample=None):
 @pytest.mark.parametrize("klass, options", CAMPAIGNS)
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
 def test_block_campaign_matches_the_per_trial_loop(klass, options, seed):
-    for trials in (1, CAMPAIGN_BLOCK - 1, CAMPAIGN_BLOCK, CAMPAIGN_BLOCK + 1, 2 * CAMPAIGN_BLOCK + 2):
+    for trials in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2):
         summary = run_bound_campaign(klass, trials, seed, **options)
         max_i, worst_trial, violated = _reference_campaign(klass, options, trials, seed)
         assert summary["max_i"] == max_i, (trials, summary["max_i"], max_i)
@@ -353,7 +353,7 @@ def test_block_campaign_keeps_the_first_of_tied_trials(monkeypatch):
             original(n, (start + row) % 50, seed, out[row : row + 1])
 
     monkeypatch.setattr(cli, "biseparable_block", tied)
-    trials = 2 * CAMPAIGN_BLOCK + 2
+    trials = 2 * BLOCK_ROWS + 2
     summary = run_bound_campaign("biseparable3", trials, DEFAULT_SEED)
     sample = lambda trial: biseparable_sample(3, trial % 50, DEFAULT_SEED)  # noqa: E731
     max_i, worst_trial, _ = _reference_campaign("biseparable3", {}, trials, DEFAULT_SEED, sample)
@@ -384,7 +384,7 @@ def test_campaign_memory_is_flat_in_the_trial_count(klass, options):
 
 # ------------------------------------------------------ internal breaches
 
-BREACH_TRIAL = CAMPAIGN_BLOCK + 6
+BREACH_TRIAL = BLOCK_ROWS + 6
 BREACH_SEED = 5
 
 

@@ -393,6 +393,24 @@ def test_sweep_rejects_single_step(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "wg4", "--theta", "1.5707963267948966", "--nu", "0", "--steps", "3"],
+         "error: wg4 mu=0: cannot normalise a zero vector\n"),
+        (["--family", "psi_lambda", "--from", "0", "--to", "1.5", "--steps", "5"],
+         "error: psi_lambda lambda=1.125: lambda must lie in [0, 1], got 1.125\n"),
+        # The guard fails in the second block; nothing is written.
+        (["--family", "psi_lambda", "--from", "0", "--to", "2", "--steps", str(2 * cli.BLOCK_ROWS)],
+         "error: psi_lambda lambda=1.0078740157480315: lambda must lie in [0, 1], got 1.0078740157480315\n"),
+    ],
+)
+def test_sweep_row_that_fails_a_builder_guard_is_named(capsys, argv, message):
+    assert main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 # ------------------------------------------------------------------- locc
 
 

@@ -1,11 +1,20 @@
-"""Entanglement measures: one-tangle, triangle area measure, global measure."""
+"""Entanglement measures: one-tangle, triangle area measure, global measure.
 
+``triangle_tau`` and ``global_q`` are one-row calls of stacked cores over
+stacked one-party reductions.  The reference below is the per-matrix route
+they replace: one ``partial_trace`` per party and matrix, each validated,
+then ``one_tangle`` or ``purity``; the cores must match it bit for bit.
+"""
+
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mubcert import (
+    DensityMatrix,
+    InvariantError,
     StateVector,
     ghz3,
     ghz4,
@@ -14,11 +23,14 @@ from mubcert import (
     one_tangle,
     partial_trace,
     psi_lambda,
+    purity,
     random_pure,
     triangle_tau,
     w3,
 )
-from mubcert.states import W3_STANDARD_ALPHA, W3_STANDARD_THETA
+from mubcert.linalg import partial_trace_stack
+from mubcert.measures import global_q_stack, triangle_tau_stack
+from mubcert.states import W3_STANDARD_ALPHA, W3_STANDARD_THETA, biseparable_sample
 
 
 def _random_su2(rng) -> np.ndarray:
@@ -107,3 +119,91 @@ def test_local_unitary_invariance():
         u4 = kron(kron(kron(_random_su2(rng), _random_su2(rng)), _random_su2(rng)), _random_su2(rng))
         dressed4 = StateVector((2, 2, 2, 2), u4 @ base4.amplitudes)
         assert abs(global_q(dressed4) - q0) <= 1e-9
+
+
+# ---------------------------------------------------------- stacked cores
+
+
+def _ref_partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    # The one-matrix einsum, with no stack axis.
+    n, kept = rho.n_parties, sorted(keep)
+    columns = [n + p if p in kept else p for p in range(n)]
+    tensor = rho.entries.reshape(rho.dims + rho.dims)
+    sub = np.einsum(tensor, list(range(n)) + columns, kept + [n + p for p in kept])
+    d_keep = math.prod(rho.dims[k] for k in kept)
+    return DensityMatrix(tuple(rho.dims[k] for k in kept), sub.reshape(d_keep, d_keep))
+
+
+def _ref_triangle_tau(rho: DensityMatrix) -> float:
+    a1, a2, a3 = (one_tangle(_ref_partial_trace(rho, [k])) for k in range(3))
+    s = 0.5 * (a1 + a2 + a3)
+    radicand = (16.0 / 3.0) * s * (s - a1) * (s - a2) * (s - a3)
+    return math.sqrt(max(radicand, 0.0))
+
+
+def _ref_global_q(rho: DensityMatrix) -> float:
+    n = rho.n_parties
+    return 2.0 * (1.0 - math.fsum(purity(_ref_partial_trace(rho, [k])) for k in range(n)) / n)
+
+
+def _stack(n):
+    """Seeded Haar states and biseparable samples on n qubits: their states
+    (None for a mixed sample) and their density matrices as one stack."""
+    pure = [random_pure((2,) * n, seed) for seed in range(60)]
+    mixed = [biseparable_sample(n, trial, 11) for trial in range(40)]
+    entries = np.array([psi.density().entries for psi in pure] + [rho.entries for rho in mixed])
+    return pure + [None] * len(mixed), entries
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_partial_trace_matches_the_one_matrix_route(n):
+    _, entries = _stack(n)
+    dims = (2,) * n
+    for size in range(1, n + 1):
+        for keep in itertools.combinations(range(n), size):
+            stacked = partial_trace_stack(entries, dims, keep[::-1])
+            for row, m in zip(stacked, entries):
+                rho = DensityMatrix(dims, m)
+                assert _same_bits(row, partial_trace(rho, keep).entries)
+                assert _same_bits(row, _ref_partial_trace(rho, keep).entries)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_measures_match_the_one_state_calls(n):
+    states, entries = _stack(n)
+    rhos = [DensityMatrix((2,) * n, m) for m in entries]
+    taus = triangle_tau_stack(entries) if n == 3 else [None] * len(rhos)
+    qs = global_q_stack(entries)
+    assert len(qs) == len(taus) == len(entries)
+    for psi, rho, tau, q in zip(states, rhos, taus, qs):
+        assert repr(q) == repr(_ref_global_q(rho))
+        if psi is not None:
+            assert repr(q) == repr(global_q(psi))
+        if n == 3:
+            assert repr(tau) == repr(_ref_triangle_tau(rho))
+            if psi is not None:
+                assert repr(tau) == repr(triangle_tau(psi))
+
+
+@pytest.mark.parametrize("core", [triangle_tau_stack, global_q_stack])
+@pytest.mark.parametrize("breach, message", [(2.0, "trace must be 1"), (np.nan, "entries must be finite")])
+def test_stacked_measures_name_the_row_with_a_bad_reduction(core, breach, message):
+    _, entries = _stack(3)
+    entries = entries[:10].copy()
+    entries[7] *= breach
+    with pytest.raises(InvariantError, match=f"party 0 reduction: {message}") as info:
+        core(entries)
+    assert info.value.row == 7
+
+
+def test_stacked_measures_reject_other_shapes():
+    with pytest.raises(ValueError):
+        triangle_tau_stack(np.eye(16, dtype=complex)[None] / 16)
+    with pytest.raises(ValueError):
+        global_q_stack(np.eye(9, dtype=complex)[None] / 9)
+    with pytest.raises(ValueError):
+        partial_trace_stack(np.eye(8, dtype=complex)[None] / 8, (2, 2, 2), [0, 0])
