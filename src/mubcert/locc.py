@@ -4,6 +4,8 @@ local two-outcome POVMs.
 The POVM family is E_i = D_i V with D_1 = diag(sin chi, sin zeta),
 D_2 = diag(cos chi, cos zeta) and V a rotation through xi with relative
 phase theta_cap, so completeness E1'E1 + E2'E2 = I holds identically.
+build_povm checks it for one POVM; the sweep checks it at every grid point
+once, from per-axis tables, before it evaluates omega anywhere.
 The monitored residual is
 
     omega = I2(rho) - sum_k p_k I2(rho_k),
@@ -47,6 +49,18 @@ def _check_angle(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [-pi, pi], got {value}")
 
 
+def _check_steps(grid) -> None:
+    """The one grid-shape rule: three (lo, hi, steps) axes, steps an integer >= 1."""
+    if len(grid) != 3:
+        raise ValueError(f"grid must give (lo, hi, steps>=1) for three axes, got {grid}")
+    for name, (_, _, s) in zip(("chi", "zeta", "xi"), grid):
+        # int() would truncate 5.9 to 5 steps and read True as 1
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"{name} axis steps must be an integer, got {s!r}")
+        if s < 1:
+            raise ValueError(f"grid must give (lo, hi, steps>=1) for three axes, got {grid}")
+
+
 @dataclass(frozen=True)
 class PovmParams:
     """POVM family parameters; all angles in radians within [-pi, pi]."""
@@ -75,9 +89,8 @@ class PovmSweepResult:
     omega: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_steps(self.grid)
         steps = [int(s) for _, _, s in self.grid]
-        if len(self.grid) != 3 or any(s < 1 for s in steps):
-            raise ValueError(f"grid must give (lo, hi, steps>=1) for three axes, got {self.grid}")
         if self.omega.size != steps[0] * steps[1] * steps[2]:
             raise InvariantError(
                 f"omega length {self.omega.size} does not match grid {self.grid}"
@@ -158,6 +171,29 @@ def omega(rho: DensityMatrix, params: PovmParams, party: int = 0) -> float:
     return value
 
 
+def _completeness_residual(chi_trig, zeta_trig, xi_trig, phase) -> float:
+    """Largest |E1'E1 + E2'E2 - I| over every (chi, zeta, xi) grid point.
+
+    Each *_trig is the (sin, cos) pair of one axis.  With E_k = D_k V, row 0
+    of E_k depends on (chi, xi) only and row 1 on (zeta, xi) only, so each
+    entry of the sum at a grid point is a (chi, xi) table entry plus a
+    (zeta, xi) one.  The tables are added one chi value at a time, so the
+    largest temporary is one (zeta, xi) slab of 2x2 matrices.
+    """
+    s_xi, c_xi = xi_trig
+
+    def gram(first, second) -> np.ndarray:
+        # conj(r_i) r_k for the row r = (first, second), over the table axes
+        r = np.stack((first, second), axis=-1)
+        return r.conj()[..., :, None] * r[..., None, :]
+
+    # the products elements() forms in sweep: row 0 from chi, row 1 from zeta
+    chi_part = sum(gram(t[:, None] * c_xi, -t[:, None] * phase * s_xi) for t in chi_trig)
+    zeta_part = sum(gram(t[:, None] * s_xi, t[:, None] * phase * c_xi) for t in zeta_trig)
+    zeta_part = zeta_part - np.eye(2)
+    return max(float(np.max(np.abs(zeta_part + part))) for part in chi_part)
+
+
 def sweep(
     rho: DensityMatrix,
     grid=DEFAULT_GRID,
@@ -166,23 +202,33 @@ def sweep(
 ) -> PovmSweepResult:
     """Omega on the full (chi, zeta, xi) grid at fixed theta_cap.
 
-    Vectorized over blocks of SWEEP_BLOCK grid points in C order, so peak
-    memory does not grow with the grid beyond the omega array itself;
-    deterministic.
+    Completeness of the POVM at every grid point is checked once, from
+    per-axis tables, before any grid work.  Omega is then evaluated over
+    blocks of SWEEP_BLOCK grid points in C order, so peak memory does not
+    grow with the grid beyond the omega array itself; deterministic.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"sweep needs a two-qubit state, got dims {rho.dims}")
     if party not in (0, 1):
         raise ValueError(f"party must be 0 or 1, got {party}")
     _check_angle("theta_cap", theta_cap)
-    grid = tuple((float(lo), float(hi), int(s)) for lo, hi, s in grid)
-    if len(grid) != 3 or any(s < 1 for _, _, s in grid):
-        raise ValueError(f"grid must give (lo, hi, steps>=1) for three axes, got {grid}")
+    grid = tuple(grid)
+    _check_steps(grid)
     for name, (lo, hi, _) in zip(("chi", "zeta", "xi"), grid):
         _check_angle(f"{name} axis start", lo)
         _check_angle(f"{name} axis end", hi)
         if lo > hi:
             raise ValueError(f"{name} axis must run from low to high, got {grid}")
+    grid = tuple((float(lo), float(hi), int(s)) for lo, hi, s in grid)
+
+    shape = tuple(s for _, _, s in grid)
+    # sin and cos once per axis value; blocks gather them per grid point
+    trig = [(np.sin(a), np.cos(a)) for a in (np.linspace(lo, hi, s) for lo, hi, s in grid)]
+    (s_chi, c_chi), (s_zeta, c_zeta), (s_xi, c_xi) = trig
+    phase = np.exp(1j * theta_cap)
+    residual = _completeness_residual(*trig, phase)
+    if residual > COMPLETENESS_TOL:
+        raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
 
     projector = i_m_witness(fourier_pair(2)).operator()
     base = float(np.real(np.trace(rho.entries @ projector)))
@@ -195,10 +241,6 @@ def sweep(
         t = np.einsum("abAB,ACac->cbCB", rho4, m4)
         subscripts = "ncb,nCB,cbCB->n"
 
-    shape = tuple(s for _, _, s in grid)
-    chi_ax, zeta_ax, xi_ax = (np.linspace(lo, hi, s) for lo, hi, s in grid)
-    phase = np.exp(1j * theta_cap)
-
     def elements(top, bottom, cxi, sxi) -> np.ndarray:
         e = np.empty((top.size, 2, 2), dtype=np.complex128)
         e[:, 0, 0] = top * cxi
@@ -207,24 +249,16 @@ def sweep(
         e[:, 1, 1] = bottom * phase * cxi
         return e
 
-    values = np.empty(chi_ax.size * zeta_ax.size * xi_ax.size)
-    residual = 0.0
+    values = np.empty(s_chi.size * s_zeta.size * s_xi.size)
     for start in range(0, values.size, SWEEP_BLOCK):
         stop = min(start + SWEEP_BLOCK, values.size)
         i, j, k = np.unravel_index(np.arange(start, stop), shape)
-        ch, ze, xi = chi_ax[i], zeta_ax[j], xi_ax[k]
-        cxi, sxi = np.cos(xi), np.sin(xi)
-        e1 = elements(np.sin(ch), np.sin(ze), cxi, sxi)
-        e2 = elements(np.cos(ch), np.cos(ze), cxi, sxi)
-        completeness = np.einsum("nji,njk->nik", e1.conj(), e1) + np.einsum(
-            "nji,njk->nik", e2.conj(), e2
-        )
-        residual = max(residual, float(np.max(np.abs(completeness - np.eye(2)))))
+        cxi, sxi = c_xi[k], s_xi[k]
+        e1 = elements(s_chi[i], s_zeta[j], cxi, sxi)
+        e2 = elements(c_chi[i], c_zeta[j], cxi, sxi)
         branch1 = np.real(np.einsum(subscripts, e1, e1.conj(), t, optimize=True))
         branch2 = np.real(np.einsum(subscripts, e2, e2.conj(), t, optimize=True))
         values[start:stop] = base - branch1 - branch2
-    if residual > COMPLETENESS_TOL:
-        raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
     return PovmSweepResult(grid=grid, theta_cap=theta_cap, omega=values)
 
 

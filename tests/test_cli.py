@@ -451,6 +451,24 @@ def test_locc_mirror_and_family(tmp_path, capsys):
     assert data["min_omega"] >= -1e-9
 
 
+@pytest.mark.parametrize("mirror", [False, True], ids=["party0", "party1"])
+def test_locc_reports_a_negative_residual_for_a_random_pure_state(tmp_path, capsys, mirror):
+    # I2 is not LOCC-monotone in general: where chi - zeta is 0 or -pi both POVM
+    # elements are multiples of one unitary, which rotates this state's
+    # correlations into the MUB pair.  locc reports it and still exits 0.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(random_pure((2, 2), [7, 1]))))
+    out_dir = tmp_path / "locc"
+    argv = ["locc", "--state", str(path), "--theta-cap=-1.1", "--grid", "21", "--out-dir", str(out_dir)]
+    data = _run_json(capsys, *argv, *(["--mirror-povm"] if mirror else []))
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary == data
+    assert summary["party"] == int(mirror)
+    assert summary["non_negative"] is False
+    assert summary["min_omega"] < -1.0
+    assert summary["min_omega"] == pytest.approx(-1.181 if mirror else -1.166, abs=1e-3)
+
+
 def test_locc_rejects_tiny_grid(tmp_path, capsys):
     code, _ = _run(capsys, "locc", "--grid", "1", "--out-dir", str(tmp_path))
     assert code == 2
@@ -719,7 +737,7 @@ def _write_peak(tmp_path, result) -> int:
 
 
 def test_grid_write_peak_memory_stays_below_the_sweep(tmp_path, grid_61_results):
-    # A 61^3 sweep peaks at 6.4 MB under tracemalloc.  The former writer
+    # A 61^3 sweep peaks at 5.7 MB under tracemalloc.  The former writer
     # peaked at 1.2 MB; the formatted values add 0.7 MB for the Bell state and
     # 2.3 MB for this random state (15.8k distinct values).  Values that all
     # differ fill cli.TEXT_CACHE_LIMIT entries at most.

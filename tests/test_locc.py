@@ -13,6 +13,7 @@ from mubcert import (
     InvariantError,
     MubFamily,
     PovmParams,
+    PovmSweepResult,
     Witness,
     apply_branch,
     build_povm,
@@ -151,6 +152,25 @@ def test_sweep_validation():
         sweep(random_pure((2, 2, 2), 1).density())
 
 
+@pytest.mark.parametrize("steps", [5.9, 5.0, True, np.bool_(True), "5", None])
+def test_sweep_rejects_non_integer_steps_naming_the_axis(steps):
+    grid = ((-math.pi, math.pi, 5), (-math.pi, math.pi, steps), (-math.pi, math.pi, 5))
+    with pytest.raises(ValueError, match="zeta axis steps must be an integer"):
+        sweep(psi_lambda(0.5).density(), grid=grid)
+    with pytest.raises(ValueError, match="zeta axis steps must be an integer"):
+        PovmSweepResult(grid, 0.0, np.zeros(125))
+
+
+def test_sweep_accepts_numpy_integer_steps():
+    rho = psi_lambda(0.5).density()
+    plain = sweep(rho, grid=((-math.pi, math.pi, 5),) * 3)
+    for kind in (np.int64, np.int32, np.uint8):
+        result = sweep(rho, grid=((-math.pi, math.pi, kind(5)),) * 3)
+        assert result.grid == plain.grid
+        assert all(type(s) is int for _, _, s in result.grid)
+        assert np.array_equal(result.omega, plain.omega)
+
+
 def _kron_projector(family):
     """Reference: M = sum over bases, outcomes of |ii><ii|, from kron products."""
     d = family.d
@@ -217,6 +237,8 @@ def _whole_grid_sweep(rho, grid, theta_cap, party):
 
 
 GRID_61 = ((-math.pi, math.pi, 61),) * 3
+GRID_33 = ((-math.pi, math.pi, 33),) * 3
+GRID_2 = ((-math.pi, math.pi, 2),) * 3
 # Unequal bounds and steps per axis catch an axis-order mistake.
 GRID_UNEVEN = ((-3.0, 2.0, 5), (-1.0, 1.0, 9), (0.0, 3.0, 13))
 
@@ -230,10 +252,18 @@ GRID_UNEVEN = ((-3.0, 2.0, 5), (-1.0, 1.0, 9), (0.0, 3.0, 13))
         (0.77, GRID_61, 0, 0.5),
         (0.3137, GRID_UNEVEN, 0, 0.5),
         (0.77, GRID_UNEVEN, 1, -2.0),
+        pytest.param((7, 1), GRID_61, 0, -1.1, id="random_pure71-61-0--1.1"),
+        pytest.param((7, 1), GRID_61, 1, -1.1, id="random_pure71-61-1--1.1"),
+        pytest.param(0.5, GRID_2, 0, 0.0, id="0.5-2-0-0.0"),
+        pytest.param((7, 1), GRID_2, 1, -1.1, id="random_pure71-2-1--1.1"),
+        pytest.param(0.3137, GRID_33, 1, 0.5, id="0.3137-33-1-0.5"),
+        pytest.param((7, 1), GRID_33, 0, -1.1, id="random_pure71-33-0--1.1"),
     ],
 )
 def test_sweep_matches_whole_grid_reference(lam, grid, party, theta_cap):
-    rho = psi_lambda(lam).density()
+    # lam is psi_lambda's parameter, or the seed of a random pure state
+    state = psi_lambda(lam) if isinstance(lam, float) else random_pure((2, 2), list(lam))
+    rho = state.density()
     expected, argmin = _whole_grid_sweep(rho, grid, theta_cap, party)
     result = sweep(rho, grid=grid, theta_cap=theta_cap, party=party)
     assert np.array_equal(result.omega, expected)
@@ -263,6 +293,70 @@ def test_sweep_rejects_angles_before_any_grid_work(monkeypatch, grid, theta_cap)
 def test_sweep_accepts_the_closed_angle_range():
     result = sweep(psi_lambda(0.5).density(), grid=((-math.pi, math.pi, 3),) * 3, theta_cap=math.pi)
     assert result.argmin.theta_cap == math.pi
+
+
+def _per_point_completeness_residual(chi_trig, zeta_trig, xi_trig, phase) -> float:
+    """Reference: E1'E1 + E2'E2 - I by batched 2x2 products at every grid point."""
+    (s_chi, c_chi), (s_zeta, c_zeta), (s_xi, c_xi) = chi_trig, zeta_trig, xi_trig
+    i, j, k = (a.reshape(-1) for a in np.meshgrid(
+        np.arange(s_chi.size), np.arange(s_zeta.size), np.arange(s_xi.size), indexing="ij"
+    ))
+    cxi, sxi = c_xi[k], s_xi[k]
+
+    def elements(top, bottom):
+        e = np.empty((top.size, 2, 2), dtype=np.complex128)
+        e[:, 0, 0] = top * cxi
+        e[:, 0, 1] = -top * phase * sxi
+        e[:, 1, 0] = bottom * sxi
+        e[:, 1, 1] = bottom * phase * cxi
+        return e
+
+    e1 = elements(s_chi[i], s_zeta[j])
+    e2 = elements(c_chi[i], c_zeta[j])
+    completeness = np.einsum("nji,njk->nik", e1.conj(), e1) + np.einsum(
+        "nji,njk->nik", e2.conj(), e2
+    )
+    return float(np.max(np.abs(completeness - np.eye(2))))
+
+
+@pytest.mark.parametrize(
+    "theta_cap, broken",
+    [
+        (0.0, None),
+        (0.5, None),
+        (-math.pi, None),
+        (math.pi, None),
+        (0.5, "phase"),
+        (-math.pi, "phase"),
+        (0.5, "chi sin"),
+        (0.0, "zeta sin"),
+        (math.pi, "xi sin"),
+    ],
+)
+@pytest.mark.parametrize("grid", [GRID_61, GRID_UNEVEN], ids=["61", "uneven"])
+def test_completeness_tables_match_per_point_products(grid, theta_cap, broken):
+    trig = [[np.sin(a), np.cos(a)] for a in (np.linspace(lo, hi, s) for lo, hi, s in grid)]
+    phase = np.exp(1j * theta_cap)
+    if broken == "phase":
+        phase *= 1.001
+    elif broken is not None:
+        axis = ("chi sin", "zeta sin", "xi sin").index(broken)
+        noise = np.random.default_rng(axis).normal(0.0, 1e-3, trig[axis][0].size)
+        trig[axis][0] = trig[axis][0] + noise
+    residual = mubcert.locc._completeness_residual(*trig, phase)
+    expected = _per_point_completeness_residual(*trig, phase)
+    assert abs(residual - expected) <= 1e-15
+    assert (residual > mubcert.locc.COMPLETENESS_TOL) == (broken is not None)
+
+
+def test_sweep_checks_completeness_before_any_grid_work(monkeypatch):
+    def no_grid_work(witness):
+        raise AssertionError("sweep started grid work before checking completeness")
+
+    monkeypatch.setattr(Witness, "operator", no_grid_work)
+    monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", -1.0)
+    with pytest.raises(InvariantError, match="POVM completeness residual .* on the grid"):
+        sweep(psi_lambda(0.5).density(), grid=GRID_61)
 
 
 def test_sweep_peak_memory_does_not_scale_with_grid():
