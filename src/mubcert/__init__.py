@@ -43,6 +43,7 @@ from .locc import (
     apply_branch,
     build_povm,
     convexity_probe,
+    min_omega_family,
     omega,
     sweep,
 )

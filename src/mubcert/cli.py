@@ -41,7 +41,7 @@ from .correlations import (
     uniform_setting,
 )
 from .linalg import DensityMatrix, InvariantError, StateVector, density_defect
-from .locc import PovmParams, PovmSweepResult, omega, sweep
+from .locc import PovmParams, PovmSweepResult, min_omega_family, omega, sweep
 from .measures import global_q_stack, triangle_tau_stack
 from .mub import fourier_pair, prime_mub_family
 from .states import (
@@ -415,6 +415,7 @@ def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int,
 
     summary = {
         "min_omega": result.min_omega,
+        "min_omega_family": min_omega_family(rho, theta_cap, party),
         "argmin": dataclasses.asdict(result.argmin),
         "grid_steps": grid_steps,
         "theta_cap": theta_cap,

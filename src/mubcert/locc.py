@@ -16,15 +16,17 @@ evaluates omega on a (chi, zeta, xi) grid at fixed theta_cap using a
 vectorized trace identity: p_k I2(rho_k) = Tr[(E_k x I) rho (E_k x I)' M]
 with M the sum of the matched-outcome projectors of the MUB pair, which
 needs no per-branch normalization and is exact for zero-probability
-branches.  The scalar omega() walks the definition literally, giving an
-independent point check for sweep output.
+branches.  Both elements share V, so omega = A(xi) + B(xi) cos(chi - zeta)
+exactly; the sweep evaluates that form, and min_omega_family minimises it
+over the whole continuous family.  The scalar omega() walks the definition
+literally, giving an independent point check for sweep output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, sin
+from math import cos, hypot, sin, sqrt
 
 import numpy as np
 
@@ -35,12 +37,6 @@ from .mub import fourier_pair
 ZERO_BRANCH_TOL = 1e-12
 
 DEFAULT_GRID = ((-np.pi, np.pi, 61), (-np.pi, np.pi, 61), (-np.pi, np.pi, 61))
-
-# Grid points per sweep block.  A multiple of every gemm unroll width, so
-# that only the last rows of the grid reach BLAS's edge kernel, exactly as
-# in one whole-grid contraction; blocks cut at chi slabs (61^2 points) would
-# put an edge row in every block, and that kernel rounds differently.
-SWEEP_BLOCK = 8192
 
 
 def _check_angle(name: str, value: float) -> None:
@@ -187,11 +183,43 @@ def _completeness_residual(chi_trig, zeta_trig, xi_trig, phase) -> float:
         r = np.stack((first, second), axis=-1)
         return r.conj()[..., :, None] * r[..., None, :]
 
-    # the products elements() forms in sweep: row 0 from chi, row 1 from zeta
+    # the products E_k = D_k V: row 0 from chi, row 1 from zeta
     chi_part = sum(gram(t[:, None] * c_xi, -t[:, None] * phase * s_xi) for t in chi_trig)
     zeta_part = sum(gram(t[:, None] * s_xi, t[:, None] * phase * c_xi) for t in zeta_trig)
     zeta_part = zeta_part - np.eye(2)
     return max(float(np.max(np.abs(zeta_part + part))) for part in chi_part)
+
+
+def _coefficients(rho: DensityMatrix, phase: complex, party: int, s_xi, c_xi):
+    """A(xi) and B(xi) of omega = A(xi) + B(xi) cos(chi - zeta), per xi value.
+
+    Both elements share V(xi), E_k = D_k V, so with
+    X[c, C] = sum over a, A of V[c, a] conj(V[C, A]) t[c, a, C, A] the two
+    branches add to X00 + X11 + (sin chi sin zeta + cos chi cos zeta)(X01 + X10).
+    """
+    projector = i_m_witness(fourier_pair(2)).operator()
+    base = float(np.real(np.trace(rho.entries @ projector)))
+    m4 = projector.reshape(2, 2, 2, 2)
+    rho4 = rho.entries.reshape(2, 2, 2, 2)
+    if party == 0:
+        t = np.einsum("abAB,CBcb->caCA", rho4, m4)
+    else:
+        t = np.einsum("abAB,ACac->cbCB", rho4, m4)
+    v = np.empty((s_xi.size, 2, 2), dtype=np.complex128)
+    v[:, 0, 0] = c_xi
+    v[:, 0, 1] = -phase * s_xi
+    v[:, 1, 0] = s_xi
+    v[:, 1, 1] = phase * c_xi
+    x = np.real(np.einsum("nca,nCA,caCA->ncC", v, v.conj(), t))
+    return base - x[:, 0, 0] - x[:, 1, 1], -(x[:, 0, 1] + x[:, 1, 0])
+
+
+def _check_sweep_args(rho: DensityMatrix, theta_cap: float, party: int) -> None:
+    if rho.dims != (2, 2):
+        raise ValueError(f"sweep needs a two-qubit state, got dims {rho.dims}")
+    if party not in (0, 1):
+        raise ValueError(f"party must be 0 or 1, got {party}")
+    _check_angle("theta_cap", theta_cap)
 
 
 def sweep(
@@ -203,15 +231,11 @@ def sweep(
     """Omega on the full (chi, zeta, xi) grid at fixed theta_cap.
 
     Completeness of the POVM at every grid point is checked once, from
-    per-axis tables, before any grid work.  Omega is then evaluated over
-    blocks of SWEEP_BLOCK grid points in C order, so peak memory does not
-    grow with the grid beyond the omega array itself; deterministic.
+    per-axis tables, before any grid work.  Omega is then the closed form
+    A(xi) + B(xi) C(chi, zeta), C = sin chi sin zeta + cos chi cos zeta,
+    filled by one broadcast into the omega array; deterministic.
     """
-    if rho.dims != (2, 2):
-        raise ValueError(f"sweep needs a two-qubit state, got dims {rho.dims}")
-    if party not in (0, 1):
-        raise ValueError(f"party must be 0 or 1, got {party}")
-    _check_angle("theta_cap", theta_cap)
+    _check_sweep_args(rho, theta_cap, party)
     grid = tuple(grid)
     _check_steps(grid)
     for name, (lo, hi, _) in zip(("chi", "zeta", "xi"), grid):
@@ -221,8 +245,6 @@ def sweep(
             raise ValueError(f"{name} axis must run from low to high, got {grid}")
     grid = tuple((float(lo), float(hi), int(s)) for lo, hi, s in grid)
 
-    shape = tuple(s for _, _, s in grid)
-    # sin and cos once per axis value; blocks gather them per grid point
     trig = [(np.sin(a), np.cos(a)) for a in (np.linspace(lo, hi, s) for lo, hi, s in grid)]
     (s_chi, c_chi), (s_zeta, c_zeta), (s_xi, c_xi) = trig
     phase = np.exp(1j * theta_cap)
@@ -230,36 +252,31 @@ def sweep(
     if residual > COMPLETENESS_TOL:
         raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
 
-    projector = i_m_witness(fourier_pair(2)).operator()
-    base = float(np.real(np.trace(rho.entries @ projector)))
-    m4 = projector.reshape(2, 2, 2, 2)
-    rho4 = rho.entries.reshape(2, 2, 2, 2)
-    if party == 0:
-        t = np.einsum("abAB,CBcb->caCA", rho4, m4)
-        subscripts = "nca,nCA,caCA->n"
-    else:
-        t = np.einsum("abAB,ACac->cbCB", rho4, m4)
-        subscripts = "ncb,nCB,cbCB->n"
+    a, b = _coefficients(rho, phase, party, s_xi, c_xi)
+    c = np.outer(s_chi, s_zeta) + np.outer(c_chi, c_zeta)
+    values = c[:, :, None] * b
+    values += a
+    return PovmSweepResult(grid=grid, theta_cap=theta_cap, omega=values.reshape(-1))
 
-    def elements(top, bottom, cxi, sxi) -> np.ndarray:
-        e = np.empty((top.size, 2, 2), dtype=np.complex128)
-        e[:, 0, 0] = top * cxi
-        e[:, 0, 1] = -top * phase * sxi
-        e[:, 1, 0] = bottom * sxi
-        e[:, 1, 1] = bottom * phase * cxi
-        return e
 
-    values = np.empty(s_chi.size * s_zeta.size * s_xi.size)
-    for start in range(0, values.size, SWEEP_BLOCK):
-        stop = min(start + SWEEP_BLOCK, values.size)
-        i, j, k = np.unravel_index(np.arange(start, stop), shape)
-        cxi, sxi = c_xi[k], s_xi[k]
-        e1 = elements(s_chi[i], s_zeta[j], cxi, sxi)
-        e2 = elements(c_chi[i], c_zeta[j], cxi, sxi)
-        branch1 = np.real(np.einsum(subscripts, e1, e1.conj(), t, optimize=True))
-        branch2 = np.real(np.einsum(subscripts, e2, e2.conj(), t, optimize=True))
-        values[start:stop] = base - branch1 - branch2
-    return PovmSweepResult(grid=grid, theta_cap=theta_cap, omega=values)
+def min_omega_family(rho: DensityMatrix, theta_cap: float = 0.0, party: int = 0) -> float:
+    """Exact minimum of omega over every POVM of the family at fixed theta_cap.
+
+    cos(chi - zeta) takes every value in [-1, 1], so the minimum is that of
+    A(xi) - s B(xi) over xi and s = +-1.  Each is a0 + a1 cos 2xi + a2 sin 2xi,
+    read off at xi = 0, pi/4, pi/2, with minimum a0 - hypot(a1, a2).
+    """
+    _check_sweep_args(rho, theta_cap, party)
+    half = sqrt(0.5)
+    a, b = _coefficients(
+        rho, np.exp(1j * theta_cap), party, np.array([0.0, half, 1.0]), np.array([1.0, half, 0.0])
+    )
+
+    def lowest(f) -> float:
+        a0 = (f[0] + f[2]) / 2
+        return a0 - hypot(f[0] - a0, f[1] - a0)
+
+    return float(min(lowest(a - b), lowest(a + b)))
 
 
 def convexity_probe(rho1: DensityMatrix, rho2: DensityMatrix, weights) -> float:

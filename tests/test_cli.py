@@ -469,6 +469,18 @@ def test_locc_reports_a_negative_residual_for_a_random_pure_state(tmp_path, caps
     assert summary["min_omega"] == pytest.approx(-1.181 if mirror else -1.166, abs=1e-3)
 
 
+@pytest.mark.parametrize("mirror, expected", [(False, -1.1661943), (True, -1.1807932)])
+def test_locc_reports_the_family_minimum(tmp_path, capsys, mirror, expected):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(random_pure((2, 2), [7, 1]))))
+    out_dir = tmp_path / "locc"
+    argv = ["locc", "--state", str(path), "--theta-cap=-1.1", "--grid", "5", "--out-dir", str(out_dir)]
+    data = _run_json(capsys, *argv, *(["--mirror-povm"] if mirror else []))
+    assert json.loads((out_dir / "summary.json").read_text()) == data
+    assert data["min_omega_family"] == pytest.approx(expected, abs=1e-7)
+    assert data["min_omega_family"] <= data["min_omega"]
+
+
 def test_locc_rejects_tiny_grid(tmp_path, capsys):
     code, _ = _run(capsys, "locc", "--grid", "1", "--out-dir", str(tmp_path))
     assert code == 2
@@ -501,29 +513,31 @@ def test_locc_rejects_conflicting_state_arguments(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-# SHA-256 of the files written at grid 7, pinned before the grid sweep and
-# grid.csv writer were streamed; the streamed code must reproduce each byte.
-# Pinned on x86-64 (AVX-512) with numpy 2.4 and OpenBLAS 0.3.31: the last
-# bits of omega follow numpy's SIMD sin/cos and the BLAS gemm kernel, so
-# another build may need its own pins.  The "stdout" pins and the fig2-fig5
-# pins were recorded before the family table replaced the CLI's per-family
-# code: every family under certify and sweep, with and without parameters.
+# SHA-256 of the files written at grid 7.  The locc and fig1 pins were
+# re-pinned when sweep moved to the closed form A(xi) + B(xi) cos(chi - zeta)
+# (max |omega change| 4.4e-16); the grid.csv writer must reproduce each byte.
+# Pinned on x86-64 (AVX-512) with numpy 2.4: no grid point goes through a
+# BLAS gemm, so the last bits of omega follow numpy's SIMD sin/cos and one
+# einsum over the xi axis only; another build may need its own pins.  The
+# "stdout" pins and the fig2-fig5 pins were recorded before the family table
+# replaced the CLI's per-family code: every family under certify and sweep,
+# with and without parameters.
 LOCC_GOLDEN = {
     ("locc", "--grid", "7"): {
-        "grid.csv": "2256a3213a3dcb5b561b85a10fb92824fa3391fa687e801efe7f52b1c6d013d5",
-        "density.csv": "70bd1ab20887f3359d30726179773ed3811f81c465b128d276e26702cd02971b",
-        "summary.json": "af670d26ac0c768d374fd44260346cb7e5d3af0940da266969a331f3daefa930",
+        "grid.csv": "466e3e4f183e454c8ba0730ba8ff1e7833d67cbbab716f7ff8cd9b94a9023bc3",
+        "density.csv": "a4b269169203d26a49ffb6e3b2d3208c0f013ad544deb3d7723abeec00edcb9c",
+        "summary.json": "c05eb71624fa3210ed68eb7f7697fae2b9abbc6daa8f6072cb1a8a984295d9d1",
     },
     (
         "locc", "--grid", "7", "--family", "psi_lambda", "--lambda", "0.3",
         "--mirror-povm", "--theta-cap", "0.5",
     ): {
-        "grid.csv": "f092e526f6b33a5c2e1d7e9129b887ec685e9d4ab909e15345914973b8955f2e",
-        "density.csv": "f0b845ccfa70241b79fe940510bce80fd7217859fc8a64f1e9d8d02fbdd84dcd",
-        "summary.json": "30ea69f2bad670823f9d22776360192df1f5fc9413d049151a94158bd3e1dffc",
+        "grid.csv": "525646a8daaa85c4508c01f236e49d728dff063c0481cbdb85f980a5122cdb8d",
+        "density.csv": "7c24fd87c5f22fca696b4e8c94c96d9cb62ed90b833956e4aee8ab40683999e5",
+        "summary.json": "0f7132458d0f84309bb01b10bf23b1d9edeb1ef207b20a3a2b6d4ce9e015650f",
     },
     ("figures", "--steps", "5", "--grid", "7", "--verify"): {
-        "fig1.csv": "70bd1ab20887f3359d30726179773ed3811f81c465b128d276e26702cd02971b",
+        "fig1.csv": "a4b269169203d26a49ffb6e3b2d3208c0f013ad544deb3d7723abeec00edcb9c",
     },
     ("certify", "--family", "psi_lambda", "--format", "json"): {
         "stdout": "aef1da1df7a0bc42370a7a2d27c045fc42f41bbd1c581afa9de85dddd51162f0",
@@ -737,10 +751,11 @@ def _write_peak(tmp_path, result) -> int:
 
 
 def test_grid_write_peak_memory_stays_below_the_sweep(tmp_path, grid_61_results):
-    # A 61^3 sweep peaks at 5.7 MB under tracemalloc.  The former writer
-    # peaked at 1.2 MB; the formatted values add 0.7 MB for the Bell state and
-    # 2.3 MB for this random state (15.8k distinct values).  Values that all
-    # differ fill cli.TEXT_CACHE_LIMIT entries at most.
+    # The bound is the 5.7 MB tracemalloc peak of the former blocked 61^3
+    # sweep (the closed form peaks at 2.0 MB).  The former writer peaked at
+    # 1.2 MB; the formatted values add 0.4 MB for the Bell state and 1.2 MB
+    # for this random state (8.7k distinct values).  Values that all differ
+    # fill cli.TEXT_CACHE_LIMIT entries at most.
     values = np.random.default_rng(9101).random(61**3)
     distinct = PovmSweepResult(GRID_61, 0.0, values)
     for result in (grid_61_results["random-state"], distinct):

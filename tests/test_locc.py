@@ -6,6 +6,8 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mubcert.locc
 from mubcert import (
@@ -21,6 +23,7 @@ from mubcert import (
     dagger,
     fourier_pair,
     i_m_witness,
+    min_omega_family,
     mix,
     omega,
     prime_mub_family,
@@ -192,9 +195,9 @@ def test_witness_operator_is_the_kron_projector(family):
 
 
 def _whole_grid_sweep(rho, grid, theta_cap, party):
-    """Reference: the sweep as one vectorized pass over every grid point.
+    """Reference: the former sweep, both elements contracted at every grid point.
 
-    Returns (omega, argmin params).  Peak memory grows with grid^3.
+    Returns omega.  Peak memory grows with grid^3.
     """
     family = mubcert.locc.fourier_pair(2)
     chi_ax, zeta_ax, xi_ax = (np.linspace(lo, hi, s) for lo, hi, s in grid)
@@ -229,11 +232,7 @@ def _whole_grid_sweep(rho, grid, theta_cap, party):
         subscripts = "ncb,nCB,cbCB->n"
     branch1 = np.real(np.einsum(subscripts, e1, e1.conj(), t, optimize=True))
     branch2 = np.real(np.einsum(subscripts, e2, e2.conj(), t, optimize=True))
-    values = base - branch1 - branch2
-
-    i, j, k = np.unravel_index(int(np.argmin(values)), (chi_ax.size, zeta_ax.size, xi_ax.size))
-    argmin = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), theta_cap)
-    return values, argmin
+    return base - branch1 - branch2
 
 
 GRID_61 = ((-math.pi, math.pi, 61),) * 3
@@ -264,11 +263,13 @@ def test_sweep_matches_whole_grid_reference(lam, grid, party, theta_cap):
     # lam is psi_lambda's parameter, or the seed of a random pure state
     state = psi_lambda(lam) if isinstance(lam, float) else random_pure((2, 2), list(lam))
     rho = state.density()
-    expected, argmin = _whole_grid_sweep(rho, grid, theta_cap, party)
+    expected = _whole_grid_sweep(rho, grid, theta_cap, party)
     result = sweep(rho, grid=grid, theta_cap=theta_cap, party=party)
-    assert np.array_equal(result.omega, expected)
-    assert result.min_omega == float(expected.min())
-    assert result.argmin == argmin
+    # The closed form rounds differently from the per-point contraction, so
+    # argmin ties at omega ~ 0 may resolve to another grid point.
+    assert np.max(np.abs(result.omega - expected)) <= 1e-14
+    assert abs(result.min_omega - float(expected.min())) <= 1e-14
+    assert abs(omega(rho, result.argmin, party=party) - float(expected.min())) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -359,17 +360,81 @@ def test_sweep_checks_completeness_before_any_grid_work(monkeypatch):
         sweep(psi_lambda(0.5).density(), grid=GRID_61)
 
 
-def test_sweep_peak_memory_does_not_scale_with_grid():
-    rho = psi_lambda(0.5).density()
+def _sweep_peak(rho, **kwargs) -> int:
     sweep(rho, grid=((-math.pi, math.pi, 5),) * 3)  # lazy imports and caches
     tracemalloc.start()
     try:
-        sweep(rho, grid=GRID_61)
-        peak = tracemalloc.get_traced_memory()[1]
+        sweep(rho, grid=GRID_61, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sweep_peak_memory_does_not_scale_with_grid():
     # The whole-grid pass peaks at about 113 MB here; omega alone is 1.8 MB.
-    assert peak < 16e6
+    assert _sweep_peak(psi_lambda(0.5).density()) < 16e6
+
+
+def test_sweep_peak_memory_on_a_mixed_state_mirrored():
+    assert _sweep_peak(_random_mixed(4), theta_cap=0.5, party=1) < 16e6
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([0, 1]),
+)
+def test_sweep_matches_scalar_omega_on_mixed_states(seed, theta_cap, party):
+    rho = _random_mixed(seed)
+    result = sweep(rho, grid=GRID_UNEVEN, theta_cap=theta_cap, party=party)
+    axes = result.axes()
+    cube = result.omega.reshape(tuple(ax.size for ax in axes))
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        index = tuple(int(rng.integers(0, ax.size)) for ax in axes)
+        chi, zeta, xi = (float(ax[i]) for ax, i in zip(axes, index))
+        params = PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=theta_cap)
+        assert abs(cube[index] - omega(rho, params, party=party)) <= 1e-12
+
+
+RANDOM_71 = random_pure((2, 2), [7, 1]).density()
+
+
+@pytest.mark.parametrize(
+    "rho, theta_cap, party",
+    [
+        (psi_lambda(0.5).density(), 0.0, 0),
+        (psi_lambda(0.3137).density(), 0.5, 1),
+        (RANDOM_71, -1.1, 0),
+        (RANDOM_71, -1.1, 1),
+        (_random_mixed(11), 2.3, 0),
+        (_random_mixed(12), -0.4, 1),
+    ],
+)
+def test_min_omega_family_bounds_the_grid_and_random_povms(rho, theta_cap, party):
+    lowest = min_omega_family(rho, theta_cap, party)
+    assert lowest <= sweep(rho, grid=GRID_61, theta_cap=theta_cap, party=party).min_omega + 1e-12
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        chi, zeta, xi = (float(v) for v in rng.uniform(-math.pi, math.pi, 3))
+        params = PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=theta_cap)
+        assert omega(rho, params, party=party) >= lowest - 1e-12
+
+
+@pytest.mark.parametrize("party, expected", [(0, -1.1661943), (1, -1.1807932)])
+def test_min_omega_family_pinned_for_a_random_pure_state(party, expected):
+    # below the 61^3 grid minima, -1.16578 and -1.18053
+    assert min_omega_family(RANDOM_71, -1.1, party) == pytest.approx(expected, abs=1e-7)
+
+
+def test_min_omega_family_validation():
+    with pytest.raises(ValueError):
+        min_omega_family(psi_lambda(0.5).density(), theta_cap=4.0)
+    with pytest.raises(ValueError):
+        min_omega_family(psi_lambda(0.5).density(), party=2)
+    with pytest.raises(ValueError):
+        min_omega_family(random_pure((2, 2, 2), 1).density())
 
 
 def test_convexity_probe():
