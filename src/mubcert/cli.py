@@ -22,28 +22,20 @@ import numpy as np
 
 from .correlations import (
     VIOLATION_MARGIN,
-    CertificationReport,
     Witness,
-    diagonal_set,
-    i3,
-    i3_oracle,
     i3_witness,
-    i4,
-    i4_oracle,
     i4_witness,
-    i_m_bipartite,
     i_m_witness,
     i_value_oracle,
     paper_i2_psi_lambda,
     paper_i3_ghz3,
     paper_i3_w3,
     paper_i4_ghz4,
-    uniform_setting,
 )
-from .linalg import DensityMatrix, InvariantError, StateVector, density_defect
+from .linalg import DensityMatrix, InvariantError, StateVector
 from .locc import PovmParams, PovmSweepResult, min_omega_family, omega, sweep
 from .measures import global_q_stack, triangle_tau_stack
-from .mub import fourier_pair, prime_mub_family
+from .mub import fourier_pair, is_odd_prime, prime_mub_family
 from .states import (
     MAX_STATE_DIM,
     W3_STANDARD_ALPHA,
@@ -108,45 +100,28 @@ def _load_state(path: str) -> StateVector:
 
 # --------------------------------------------------------------- families
 #
-# What the commands know about quantities and state families lives in the
-# two tables below.  Each is built when read, not at import, so that every
-# function in it is looked up by name at call time: the benchmark's tracer
-# times calls by swapping module-level functions for wrappers.
+# What the commands know about state families lives in the table below.  It
+# is built when read, not at import, so that every builder in it is looked
+# up by name at call time: the benchmark's tracer times calls by swapping
+# module-level functions for wrappers.
 
 
 class _Quantity(NamedTuple):
     name: str  # sweep column; "paper_" + name is the reference column
-    certify: Callable[..., CertificationReport]  # (rho, basis_search=False)
-    witness: Callable[[tuple[int, ...]], Witness]  # the same quantity for states of these dims
-    oracle: Callable[[DensityMatrix], float]  # independent route for --verify
+    witness: Witness
     measure: tuple[str, Callable[[np.ndarray], list[float]]] | None  # extra sweep column, of a stack
 
 
-def _i2(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
-    if basis_search:
-        raise ValueError("--basis-search applies only to three- and four-party states")
-    return i_m_bipartite(rho, fourier_pair(rho.dims[0]))
-
-
-def _i2_witness(dims: tuple[int, ...]) -> Witness:
-    return i_m_witness(fourier_pair(dims[0]))
-
-
-def _i2_oracle(rho: DensityMatrix) -> float:
-    d = rho.dims[0]
-    settings = [uniform_setting(b, 2) for b in fourier_pair(d).bases]
-    return i_value_oracle(rho, settings, [diagonal_set(2, d)])
-
-
-def _quantity(n_parties: int) -> _Quantity:
-    quantities = {
-        2: _Quantity("i2", _i2, _i2_witness, _i2_oracle, None),
-        3: _Quantity("i3", i3, lambda dims: i3_witness(), i3_oracle, ("tau", triangle_tau_stack)),
-        4: _Quantity("i4", i4, lambda dims: i4_witness(), i4_oracle, ("q", global_q_stack)),
-    }
-    if n_parties not in quantities:
-        raise ValueError(f"certification supports 2-4 parties, got {n_parties}")
-    return quantities[n_parties]
+def _quantity(dims: tuple[int, ...]) -> _Quantity:
+    """The certification quantity for states of these dims."""
+    n_parties = len(dims)
+    if n_parties == 2:
+        return _Quantity("i2", i_m_witness(fourier_pair(dims[0])), None)
+    if n_parties == 3:
+        return _Quantity("i3", i3_witness(), ("tau", triangle_tau_stack))
+    if n_parties == 4:
+        return _Quantity("i4", i4_witness(), ("q", global_q_stack))
+    raise ValueError(f"certification supports 2-4 parties, got {n_parties}")
 
 
 class _Family(NamedTuple):
@@ -247,8 +222,10 @@ def cmd_certify(args) -> int:
         family = None
         psi = _load_state(args.state)
         out = {"state": args.state, "dims": list(psi.dims)}
-    quantity = _quantity(psi.n_parties)
-    out["report"] = quantity.certify(psi.density(), basis_search=args.basis_search).to_dict()
+    if args.basis_search and psi.n_parties == 2:
+        raise ValueError("--basis-search applies only to three- and four-party states")
+    quantity = _quantity(psi.dims)
+    out["report"] = quantity.witness.evaluate(psi.density(), args.basis_search).to_dict()
     if family is not None and family.reference is not None:
         out["paper_" + quantity.name] = family.reference(*values.values())
     if abs(psi.original_norm - 1.0) > 1e-12:
@@ -300,15 +277,12 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
             except ValueError as exc:
                 raise ValueError(f"{name} {swept}={_fmt(x)}: {exc}") from None
         dims = states[0].dims
-        quantity = _quantity(len(dims))
-        witness = quantity.witness(dims)
+        quantity = _quantity(dims)
+        witness = quantity.witness
         # Each row's density matrix is np.outer's own product of its amplitudes.
         amps = np.array([psi.amplitudes for psi in states])
         stack = amps[:, :, None] * amps.conj()[:, None, :]
         try:
-            defect = density_defect(stack)
-            if defect is not None:
-                raise InvariantError(defect[1], defect[0])
             _, term_values, sets = witness.read(stack)
             measured = quantity.measure[1](stack) if quantity.measure else None
         except InvariantError as exc:
@@ -324,7 +298,8 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
                 row["paper_" + quantity.name] = family.reference(*values.values())
             if check and (start + t) % VERIFY_STRIDE == 0:
                 rho = DensityMatrix(dims, stack[t])
-                check.check(quantity.oracle(rho), report.i_value, f"{name} row {start + t}")
+                reference = i_value_oracle(rho, [s for s, _ in witness.terms], witness.terms[-1][1])
+                check.check(reference, report.i_value, f"{name} row {start + t}")
             rows.append(row)
     return list(rows[0]), [list(row.values()) for row in rows]
 
@@ -461,7 +436,7 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
         witness = i_m_witness(family)
         sample = functools.partial(separable_block, d)
     else:
-        witness = {3: i3_witness, 4: i4_witness}[n]()
+        witness = _quantity((2,) * n).witness
         sample = functools.partial(biseparable_block, n)
     dim = math.prod(witness.dims)
     # The worst trial is the first maximum; only its report is built.
@@ -471,9 +446,6 @@ def run_bound_campaign(klass: str, trials: int, seed: int, d: int = 2, complete_
         block = np.empty((min(BLOCK_ROWS, trials - start), dim, dim), dtype=np.complex128)
         try:
             sample(start, seed, block)
-            defect = density_defect(block)
-            if defect is not None:
-                raise InvariantError(defect[1], defect[0])
             i_values, values, sets = witness.read(block)
         except InvariantError as exc:
             raise InvariantError(f"{klass} seed {seed} trial {start + exc.row}: {exc}") from None
@@ -503,6 +475,8 @@ def cmd_check_bounds(args) -> int:
     d = 2 if args.d is None else args.d
     if d * d > MAX_STATE_DIM:
         raise ValueError(f"--d {d} gives total dimension {d * d}, above {MAX_STATE_DIM}")
+    if args.complete_family and not is_odd_prime(d):
+        raise ValueError(f"--complete-family needs an odd prime --d, got {d}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     summary = run_bound_campaign(

@@ -33,7 +33,7 @@ from math import cos, fsum, prod, sin, sqrt
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvariantError, probability_slack
+from .linalg import DensityMatrix, InvariantError, density_defect, probability_slack
 from .mub import Basis, MubFamily, computational_basis, fourier_basis, qubit_mub_triple
 
 # A state violates its bound only beyond this margin; values at the bound
@@ -301,9 +301,13 @@ class Witness:
         """The value, term values and attaining set indices for each matrix of
         the (T, D, D) stack ``entries``: shapes (T,), (T, K) and (T, K).
 
-        The matrices must be density matrices of the witness's dims;
-        ``report`` turns row t of the last two into that matrix's report.
+        The matrices must be density matrices of the witness's dims; the
+        first that is not raises InvariantError naming its row.  ``report``
+        turns row t of the last two into that matrix's report.
         """
+        defect = density_defect(entries)
+        if defect is not None:
+            raise InvariantError(defect[1], defect[0])
         reads = [self._read(_distributions(entries, s), k) for k, (s, _) in enumerate(self.terms)]
         values = np.array([value for value, _ in reads]).T
         sets = np.array([index for _, index in reads]).T
@@ -344,18 +348,18 @@ class Witness:
                 raise ValueError("basis search needs a two-term witness on qubits")
             # One distribution per choice of one basis per party (3^n), read for both terms.
             triple = qubit_mub_triple().bases
-            table = {}
-            for choice in itertools.product(range(3), repeat=n):
-                probs = outcome_distribution(rho, BasisAssignment(tuple(triple[k] for k in choice)))
-                table[choice] = (self._read(probs, 0), self._read(probs, 1))
-            # Distinct members of the triple are unbiased; of the 6^n pair
-            # assignments the first maximum wins ties.
+            choices = itertools.product(triple, repeat=n)
+            probs = np.array([outcome_distribution(rho, BasisAssignment(bases)) for bases in choices])
+            (v1, s1), (v2, s2) = self._read(probs, 0), self._read(probs, 1)
+            # Distinct members of the triple are unbiased.  Each of the 6^n
+            # assignments gives every party an ordered pair; i and j index the
+            # choices of the first and second members, and argmax takes the
+            # first maximum.
             pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-            reads = None
-            for assignment in itertools.product(pairs, repeat=n):
-                first, second = (table[tuple(pair[t] for pair in assignment)][t] for t in (0, 1))
-                if reads is None or first[0] + second[0] > reads[0][0] + reads[1][0]:
-                    reads = (first, second)
+            assignments = np.array(list(itertools.product(pairs, repeat=n)))
+            i, j = np.ravel_multi_index(assignments.transpose(1, 2, 0), (3,) * n)
+            a = (v1[i] + v2[j]).argmax()
+            reads = [(v1[i[a]], s1[i[a]]), (v2[j[a]], s2[j[a]])]
         return self.report(*zip(*reads))
 
     def operator(self) -> np.ndarray:

@@ -96,7 +96,7 @@ def qubit_mub_triple() -> MubFamily:
     return MubFamily(2, (z, x, y))
 
 
-def _is_odd_prime(d: int) -> bool:
+def is_odd_prime(d: int) -> bool:
     if d < 3 or d % 2 == 0:
         return False
     return all(d % q for q in range(3, int(d**0.5) + 1, 2))
@@ -111,7 +111,7 @@ def prime_mub_family(d: int) -> MubFamily:
     computational basis.  The quadratic exponent trick needs odd prime d.
     """
     d = int(d)
-    if not _is_odd_prime(d):
+    if not is_odd_prime(d):
         raise ValueError(f"d must be an odd prime, got {d}")
     j = np.arange(d)
     w = np.exp(2j * np.pi / d)

@@ -255,13 +255,6 @@ def biseparable_block(n: int, start: int, seed: int, out: np.ndarray) -> None:
     _fill(out, [_biseparable_mixture(n, start + t, seed) for t in range(len(out))])
 
 
-def biseparable_entries(n: int, trial: int, seed: int) -> np.ndarray:
-    """Unvalidated entries of ``biseparable_sample(n, trial, seed)``."""
-    out = np.empty((1, 2**n, 2**n), dtype=np.complex128)
-    biseparable_block(n, trial, seed, out)
-    return out[0]
-
-
 def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
     """Trial state for the biseparability bound campaigns.
 
@@ -269,7 +262,9 @@ def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
     bipartition; one slot in each cycle mixes two components taken across
     two different cuts, which is still biseparable by definition.
     """
-    return DensityMatrix((2,) * n, biseparable_entries(n, trial, seed))
+    out = np.empty((1, 2**n, 2**n), dtype=np.complex128)
+    biseparable_block(n, trial, seed, out)
+    return DensityMatrix((2,) * n, out[0])
 
 
 def separable_block(d: int, start: int, seed: int, out: np.ndarray) -> None:
@@ -281,16 +276,11 @@ def separable_block(d: int, start: int, seed: int, out: np.ndarray) -> None:
     _fill(out, [(None, [_draw(np.random.default_rng([seed, start + t]), cut, 1)]) for t in range(len(out))])
 
 
-def separable_entries(d: int, trial: int, seed: int) -> np.ndarray:
-    """Unvalidated entries of ``separable_sample(d, trial, seed)``."""
-    out = np.empty((1, d * d, d * d), dtype=np.complex128)
-    separable_block(d, trial, seed, out)
-    return out[0]
-
-
 def separable_sample(d: int, trial: int, seed: int) -> DensityMatrix:
     """Trial state for the bipartite separable bound campaign."""
-    return DensityMatrix((d, d), separable_entries(d, trial, seed))
+    out = np.empty((1, d * d, d * d), dtype=np.complex128)
+    separable_block(d, trial, seed, out)
+    return DensityMatrix((d, d), out[0])
 
 
 # Largest prod(dims) a state file may declare: an outcome distribution costs

@@ -300,7 +300,7 @@ def test_campaign_validates_each_trial_once(monkeypatch, klass, options):
         rows.append(m.reshape(-1, *m.shape[-2:]).shape[0])
         return original(m)
 
-    for module in (linalg, cli):
+    for module in (linalg, correlations):
         monkeypatch.setattr(module, "density_defect", counted)
     vectors = _count_calls(monkeypatch, StateVector, "__post_init__")
     trials = 2 * BLOCK_ROWS + 2
@@ -400,7 +400,7 @@ def _breach(monkeypatch, capsys, entries, validate=True):
 
     monkeypatch.setattr(cli, "biseparable_block", sample)
     if not validate:
-        monkeypatch.setattr(cli, "density_defect", lambda m: None)
+        monkeypatch.setattr(correlations, "density_defect", lambda m: None)
     return _breach_stderr(capsys)
 
 

@@ -229,6 +229,36 @@ def test_certify_rejects_dims_that_are_not_a_list_of_integers(tmp_path, capsys, 
     assert '"dims" must be a list of integers' in captured.err
 
 
+_PARTIES = "certification supports 2-4 parties, got {}"
+_DIMS = "state dims {} do not match witness dims {}"
+_SEARCH = "--basis-search applies only to three- and four-party states"
+
+
+@pytest.mark.parametrize(
+    "dims, flags, message",
+    [
+        ((2,), [], _PARTIES.format(1)),
+        ((2,) * 5, [], _PARTIES.format(5)),
+        ((2,) * 5, ["--basis-search"], _PARTIES.format(5)),
+        ((2, 3), [], _DIMS.format((2, 3), (2, 2))),
+        ((3, 3, 3), [], _DIMS.format((3, 3, 3), (2, 2, 2))),
+        ((3, 3, 3), ["--basis-search"], _DIMS.format((3, 3, 3), (2, 2, 2))),
+        ((2, 2), ["--basis-search"], _SEARCH),
+        ((2, 3), ["--basis-search"], _SEARCH),
+    ],
+    ids=["1-qubit", "5-qubit", "5-qubit-search", "2x3", "3x3x3", "3x3x3-search", "2x2-search", "2x3-search"],
+)
+def test_certify_state_errors_keep_their_order(tmp_path, capsys, dims, flags, message):
+    # The party count is checked first, then --basis-search on two parties,
+    # then the witness's dims.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(random_pure(dims, 3))))
+    code = main(["certify", "--state", str(path), *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -848,9 +878,12 @@ def test_check_bounds_deterministic(capsys):
     [
         (["--d", "1000"], "--d"),
         (["--d", "17", "--complete-family"], "--d"),
+        # The complete family needs an odd prime d; d = 2 is the default.
+        (["--complete-family"], "--d"),
+        (["--d", "4", "--complete-family"], "--d"),
         (["--seed", "-1"], "--seed"),
     ],
-    ids=["d-1000", "d-17-complete-family", "negative-seed"],
+    ids=["d-1000", "d-17-complete-family", "default-d-complete-family", "d-4-complete-family", "negative-seed"],
 )
 def test_check_bounds_rejects_oversized_d_and_negative_seed(capsys, options, flag):
     code = main(["check-bounds", "--class", "separable-bipartite", "--trials", "1", *options])

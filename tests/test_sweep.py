@@ -2,8 +2,9 @@
 
 ``cli._sweep_rows`` builds each row's state one at a time but validates and
 evaluates each block of rows as one stack.  The reference below is the
-per-row loop it replaces: one ``density()``, one certify call and one
-``triangle_tau``/``global_q`` call per row.  Both must give the same
+per-row loop it replaces: one ``density()``, one ``i_m_bipartite``/``i3``/``i4``
+call and one ``triangle_tau``/``global_q`` call per row, and the oracle
+functions called directly for ``--verify``.  Both must give the same
 header, the same float bits and the same ``--verify`` report.
 """
 
@@ -12,11 +13,39 @@ import pytest
 
 import mubcert.linalg as linalg
 import mubcert.measures as measures
-from mubcert import cli, global_q, triangle_tau
+import mubcert.correlations as correlations
+from mubcert import (
+    cli,
+    diagonal_set,
+    fourier_pair,
+    global_q,
+    i3,
+    i3_oracle,
+    i4,
+    i4_oracle,
+    i_m_bipartite,
+    i_value_oracle,
+    triangle_tau,
+    uniform_setting,
+)
 from mubcert.cli import BLOCK_ROWS, VERIFY_STRIDE, main
 
 SWEEPABLE = ("psi_lambda", "ghz3", "w3", "ghz4", "wg4")
 _PER_ROW_MEASURES = {3: ("tau", triangle_tau), 4: ("q", global_q)}
+
+
+def _i2(rho):
+    return i_m_bipartite(rho, fourier_pair(2))
+
+
+def _i2_oracle(rho):
+    settings = [uniform_setting(b, 2) for b in fourier_pair(2).bases]
+    return i_value_oracle(rho, settings, [diagonal_set(2)])
+
+
+# Per party count: the column, the quantity and its oracle, each called
+# directly rather than through the command's quantity lookup.
+_PER_ROW_QUANTITIES = {2: ("i2", _i2, _i2_oracle), 3: ("i3", i3, i3_oracle), 4: ("i4", i4, i4_oracle)}
 
 
 def _reference_sweep_rows(name, steps, check, args=None):
@@ -30,17 +59,17 @@ def _reference_sweep_rows(name, steps, check, args=None):
         values[swept] = x = float(x)
         psi = family.build(*values.values())
         rho = psi.density()
-        quantity = cli._quantity(psi.n_parties)
-        report = quantity.certify(rho)
-        row = {swept: x, quantity.name: report.i_value}
+        label, certify, oracle = _PER_ROW_QUANTITIES[psi.n_parties]
+        report = certify(rho)
+        row = {swept: x, label: report.i_value}
         if psi.n_parties in _PER_ROW_MEASURES:
             column, measure = _PER_ROW_MEASURES[psi.n_parties]
             row[column] = measure(psi)
         row["bound"] = report.bound
         if family.reference is not None:
-            row["paper_" + quantity.name] = family.reference(*values.values())
+            row["paper_" + label] = family.reference(*values.values())
         if check and index % VERIFY_STRIDE == 0:
-            check.check(quantity.oracle(rho), report.i_value, f"{name} row {index}")
+            check.check(oracle(rho), report.i_value, f"{name} row {index}")
         rows.append(row)
     return list(rows[0]), [list(row.values()) for row in rows]
 
@@ -110,7 +139,7 @@ def test_figures_validates_each_sweep_matrix_once(tmp_path, monkeypatch):
         seen.append(m.reshape(-1, *m.shape[-2:]).shape[0])
         return original(m)
 
-    for module in (linalg, measures, cli):
+    for module in (linalg, measures, correlations):
         monkeypatch.setattr(module, "density_defect", counted)
     per_figure = []
     sweep_rows = cli._sweep_rows
