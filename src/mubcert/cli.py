@@ -89,12 +89,14 @@ def _dump_json(obj, path: str | Path | None) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load_state(path: str) -> StateVector:
-    with open(path) as fh:
+def _load_state(args) -> StateVector:
+    """The state in the file ``args.state``; any parameter flag is an input error, checked first."""
+    _param_flags(args, (), f"{args.command} --state")
+    with open(args.state) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+            raise ValueError(f"{args.state}: not valid JSON ({exc})") from None
     return state_from_json_dict(data)
 
 
@@ -218,9 +220,8 @@ def cmd_certify(args) -> int:
         psi = family.build(*values.values())
         out = {"family": args.family, "params": values}
     else:
-        _param_flags(args, (), f"{args.command} --state")
         family = None
-        psi = _load_state(args.state)
+        psi = _load_state(args)
         out = {"state": args.state, "dims": list(psi.dims)}
     if args.basis_search and psi.n_parties == 2:
         raise ValueError("--basis-search applies only to three- and four-party states")
@@ -283,23 +284,22 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
         amps = np.array([psi.amplitudes for psi in states])
         stack = amps[:, :, None] * amps.conj()[:, None, :]
         try:
-            _, term_values, sets = witness.read(stack)
+            i_values = witness.read(stack)[0].tolist()
             measured = quantity.measure[1](stack) if quantity.measure else None
         except InvariantError as exc:
             raise InvariantError(f"{name} {swept}={_fmt(block[exc.row])}: {exc}") from None
         for t, x in enumerate(block):
             values[swept] = x
-            report = witness.report(term_values[t], sets[t])
-            row = {swept: x, quantity.name: report.i_value}
+            row = {swept: x, quantity.name: i_values[t]}
             if measured is not None:
                 row[quantity.measure[0]] = measured[t]
-            row["bound"] = report.bound
+            row["bound"] = witness.bound
             if family.reference is not None:
                 row["paper_" + quantity.name] = family.reference(*values.values())
             if check and (start + t) % VERIFY_STRIDE == 0:
                 rho = DensityMatrix(dims, stack[t])
                 reference = i_value_oracle(rho, [s for s, _ in witness.terms], witness.terms[-1][1])
-                check.check(reference, report.i_value, f"{name} row {start + t}")
+                check.check(reference, i_values[t], f"{name} row {start + t}")
             rows.append(row)
     return list(rows[0]), [list(row.values()) for row in rows]
 
@@ -327,8 +327,7 @@ def _locc_state(args) -> DensityMatrix:
         return family.build(*values.values()).density()
     if args.family is not None:
         raise ValueError("give at most one of --family or --state")
-    _param_flags(args, (), f"{args.command} --state")
-    psi = _load_state(args.state)
+    psi = _load_state(args)
     if psi.dims != (2, 2):
         raise ValueError(f"locc needs a two-qubit state, got dims {psi.dims}")
     return psi.density()
@@ -371,16 +370,21 @@ def _write_density_csv(path: Path, result: PovmSweepResult) -> None:
     _write_slabs(path, "chi,zeta,min_omega_over_xi", chi_ax, tails, result.density_min_over_xi())
 
 
-def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int, verify: bool, out_dir: Path):
-    axis = (-PI, PI, grid_steps)
-    result = sweep(rho, grid=(axis, axis, axis), theta_cap=theta_cap, party=party)
+def cmd_locc(args) -> int:
+    if args.grid < 2:
+        raise ValueError(f"--grid must be at least 2, got {args.grid}")
+    rho = _locc_state(args)
+    party = 1 if args.mirror_povm else 0
+    axis = (-PI, PI, args.grid)
+    result = sweep(rho, grid=(axis, axis, axis), theta_cap=args.theta_cap, party=party)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    check = _Verification("grid.csv") if verify else None
+    check = _Verification("grid.csv") if args.verify else None
     if check:
         chi_ax, zeta_ax, xi_ax = result.axes()
         for index in range(0, result.omega.size, VERIFY_STRIDE):
-            i, j, k = np.unravel_index(index, (grid_steps,) * 3)
-            params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), theta_cap)
+            i, j, k = np.unravel_index(index, (args.grid,) * 3)
+            params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), args.theta_cap)
             value = float(result.omega[index])
             check.check(omega(rho, params, party=party), value, f"grid index {index}")
     _write_grid_csv(out_dir / "grid.csv", result)
@@ -388,25 +392,18 @@ def _run_locc(rho: DensityMatrix, grid_steps: int, theta_cap: float, party: int,
         check.report()
     _write_density_csv(out_dir / "density.csv", result)
 
+    # The verdict reads the exact family minimum; the grid can miss a negative one.
+    family_min = min_omega_family(rho, args.theta_cap, party)
     summary = {
         "min_omega": result.min_omega,
-        "min_omega_family": min_omega_family(rho, theta_cap, party),
+        "min_omega_family": family_min,
         "argmin": dataclasses.asdict(result.argmin),
-        "grid_steps": grid_steps,
-        "theta_cap": theta_cap,
+        "grid_steps": args.grid,
+        "theta_cap": args.theta_cap,
         "party": party,
-        "non_negative": bool(result.min_omega >= -VIOLATION_MARGIN),
+        "non_negative": bool(family_min >= -VIOLATION_MARGIN),
     }
     _dump_json(summary, out_dir / "summary.json")
-    return summary
-
-
-def cmd_locc(args) -> int:
-    if args.grid < 2:
-        raise ValueError(f"--grid must be at least 2, got {args.grid}")
-    rho = _locc_state(args)
-    party = 1 if args.mirror_povm else 0
-    summary = _run_locc(rho, args.grid, args.theta_cap, party, args.verify, Path(args.out_dir))
     _dump_json(summary, None)
     return 0
 
@@ -473,6 +470,8 @@ def cmd_check_bounds(args) -> int:
         flag = "--d" if args.d is not None else "--complete-family"
         raise ValueError(f"{flag} applies only to --class separable-bipartite")
     d = 2 if args.d is None else args.d
+    if d < 2:
+        raise ValueError(f"--d must be at least 2, got {d}")
     if d * d > MAX_STATE_DIM:
         raise ValueError(f"--d {d} gives total dimension {d * d}, above {MAX_STATE_DIM}")
     if args.complete_family and not is_odd_prime(d):

@@ -79,22 +79,15 @@ class BasisAssignment:
         u.flags.writeable = False
         return u
 
-    def product_vector(self, outcome: IndexPattern) -> np.ndarray:
-        if len(outcome) != self.n_parties:
-            raise ValueError(f"outcome {outcome} does not match {self.n_parties} parties")
-        if any(not 0 <= o < b.d for o, b in zip(outcome, self.bases)):
-            raise ValueError(f"outcome {outcome} out of range for dims {self.dims}")
-        flat = int(np.ravel_multi_index(tuple(outcome), self.dims))
-        return self.product_unitary[:, flat]
-
 
 def uniform_setting(basis: Basis, n: int) -> BasisAssignment:
     return BasisAssignment((basis,) * n)
 
 
 @lru_cache(maxsize=None)
-def computational_setting(n: int, d: int = 2) -> BasisAssignment:
-    return uniform_setting(computational_basis(d), n)
+def computational_setting(n: int) -> BasisAssignment:
+    """All parties in the qubit computational basis."""
+    return uniform_setting(computational_basis(2), n)
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +205,12 @@ def _check_state_setting(rho: DensityMatrix, setting: BasisAssignment) -> None:
 def joint_probability(rho: DensityMatrix, setting: BasisAssignment, outcome: IndexPattern) -> float:
     """Probability of one product-basis outcome string: <v| rho |v>."""
     _check_state_setting(rho, setting)
-    v = setting.product_vector(tuple(outcome))
+    outcome = tuple(outcome)
+    if len(outcome) != setting.n_parties:
+        raise ValueError(f"outcome {outcome} does not match {setting.n_parties} parties")
+    if any(not 0 <= o < b.d for o, b in zip(outcome, setting.bases)):
+        raise ValueError(f"outcome {outcome} out of range for dims {setting.dims}")
+    v = setting.product_unitary[:, np.ravel_multi_index(outcome, setting.dims)]
     p = float(np.real(v.conj() @ (rho.entries @ v)))
     slack = probability_slack(rho.dim)
     if p < -slack or p > 1.0 + slack:

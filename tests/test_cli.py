@@ -511,6 +511,17 @@ def test_locc_reports_the_family_minimum(tmp_path, capsys, mirror, expected):
     assert data["min_omega_family"] <= data["min_omega"]
 
 
+def test_locc_verdict_reads_the_family_minimum_not_the_grid(tmp_path, capsys):
+    # The 3-point grid misses this state's negative residual (its grid
+    # minimum is a rounding -1e-16); the exact family minimum does not.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json_dict(random_pure((2, 2), [7, 1]))))
+    data = _run_json(capsys, "locc", "--state", str(path), "--grid", "3", "--out-dir", str(tmp_path / "locc"))
+    assert data["min_omega"] >= -1e-9
+    assert data["min_omega_family"] == pytest.approx(-0.8236, abs=1e-4)
+    assert data["non_negative"] is False
+
+
 def test_locc_rejects_tiny_grid(tmp_path, capsys):
     code, _ = _run(capsys, "locc", "--grid", "1", "--out-dir", str(tmp_path))
     assert code == 2
@@ -881,9 +892,15 @@ def test_check_bounds_deterministic(capsys):
         # The complete family needs an odd prime d; d = 2 is the default.
         (["--complete-family"], "--d"),
         (["--d", "4", "--complete-family"], "--d"),
+        (["--d", "1"], "--d must be at least 2, got 1"),
+        (["--d=0"], "--d must be at least 2, got 0"),
+        (["--d=-3"], "--d must be at least 2, got -3"),
         (["--seed", "-1"], "--seed"),
     ],
-    ids=["d-1000", "d-17-complete-family", "default-d-complete-family", "d-4-complete-family", "negative-seed"],
+    ids=[
+        "d-1000", "d-17-complete-family", "default-d-complete-family", "d-4-complete-family",
+        "d-1", "d-0", "d-negative", "negative-seed",
+    ],
 )
 def test_check_bounds_rejects_oversized_d_and_negative_seed(capsys, options, flag):
     code = main(["check-bounds", "--class", "separable-bipartite", "--trials", "1", *options])

@@ -3,6 +3,7 @@ and the independent oracle route."""
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +60,7 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 
 def test_hadamard_setting_product_vector():
-    setting = hadamard_setting(2)
-    vec = setting.product_vector((0, 0))
+    vec = hadamard_setting(2).product_unitary[:, 0]
     assert np.allclose(vec, np.full(4, 0.5), atol=1e-12)
 
 
@@ -314,6 +314,21 @@ def test_pattern_sum_admits_every_density_matrix():
         i3_witness()._read(np.full(8, 0.3), 1)
 
 
+@pytest.mark.parametrize(
+    "outcome, message",
+    [
+        ((0, 1, 0), r"outcome \(0, 1, 0\) does not match 2 parties"),
+        ((0, 2), r"outcome \(0, 2\) out of range for dims \(2, 2\)"),
+        ((-1, 0), r"outcome \(-1, 0\) out of range for dims \(2, 2\)"),
+    ],
+    ids=["wrong-length", "too-large", "negative"],
+)
+def test_joint_probability_rejects_a_bad_outcome(outcome, message):
+    rho = random_pure((2, 2), 3).density()
+    with pytest.raises(ValueError, match=message):
+        joint_probability(rho, hadamard_setting(2), outcome)
+
+
 def test_joint_probability_admits_every_density_matrix():
     rho = DensityMatrix((2, 2), np.diag([1 + 5e-10, -5e-10, 0, 0]))
     assert joint_probability(rho, computational_setting(2), (0, 1)) == 0.0
@@ -338,6 +353,17 @@ def test_i3_ghz_peak_report():
     assert report.attaining_set_first == "diagonal"
     assert report.attaining_set_second == "tri4"
     assert abs(report.i_value - (report.c_first + report.c_second)) <= 1e-12
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    printed = capsys.readouterr().out.split()
+    # Each print line's comment starts with what it prints.
+    said = [line.split("# ", 1)[1].split(":")[0] for line in block.splitlines() if line.startswith("print(")]
+    assert printed == said
+    assert (float(printed[0]), printed[1:]) == (pytest.approx(1.75, abs=1e-12), ["1.625", "True"])
 
 
 def test_i3_product_state_sits_at_bound():
