@@ -56,10 +56,12 @@ VERIFY_TOL = 1e-10
 # Campaign trials or sweep rows validated and evaluated as one stack.  Blocks
 # are fixed-size, so memory stays flat in the trial or step count.
 BLOCK_ROWS = 64
-# Formatted values _write_slabs keeps before it starts afresh, about 2.5 MB.
-# A LOCC grid of a pure state repeats most values (its 61^3 points hold 5k
-# to 20k distinct ones); the cap holds memory flat on a grid that does not.
-TEXT_CACHE_LIMIT = 1 << 14
+# Formatted values and row texts _write_rows keeps before it starts afresh.
+# A LOCC grid of a pure state repeats most of both: its 61^3 points hold
+# 2.4k to 10k distinct values in 341 to 358 distinct xi-rows.  The caps keep
+# the write of a grid that repeats neither under 3.6 MB (tracemalloc peak).
+TEXT_CACHE_LIMIT = 1 << 13
+ROW_CACHE_LIMIT = 1 << 9
 
 PI = math.pi
 
@@ -333,41 +335,57 @@ def _locc_state(args) -> DensityMatrix:
     return psi.density()
 
 
-def _write_slabs(path: Path, header: str, chi_ax: list[str], tails: list[str], slabs: np.ndarray) -> None:
-    # One row "chi,tail,value" per chi and tail, one chi slab of values at a
-    # time.  Each distinct value is formatted once, looked up by its bit
-    # pattern, not by equality: -0.0 == 0.0, but they print as -0 and 0.
-    # The bytes match _write_csv's.
+def _write_rows(path: Path, header: str, leads: list[str], inner: list[str], values: np.ndarray) -> None:
+    # Line (p, q) is leads[p] + inner[q] + values[p, q], written len(inner)
+    # leads at a time.  omega = A(xi) + B(xi) C(chi, zeta), so a row of values
+    # repeats wherever C does: each distinct row's text is built once, keyed
+    # by its bytes, from values each formatted once, keyed by bit pattern.
+    # Neither key is equality: -0.0 == 0.0, but they print as -0 and 0.  The
+    # bytes match _write_csv's.
     text: dict[int, str] = {}
-    parts = [""] * (3 * len(tails))
-    parts[1::3] = tails
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for chi, slab in zip(chi_ax, slabs):
-            bits = slab.view(np.int64).tolist()
-            if len(text) > TEXT_CACHE_LIMIT:
-                text.clear()
-            new = list(set(bits).difference(text))
-            if new:
-                values = np.array(new, dtype=np.int64).view(np.float64).tolist()
-                text.update(zip(new, map("{:.17g}\n".format, values)))
-            parts[0::3] = [chi + ","] * len(tails)
-            parts[2::3] = map(text.__getitem__, bits)
-            fh.write("".join(parts))
+    bodies: dict[bytes, bytes] = {}
+    parts = [""] * (2 * len(inner))  # inner[q] + text of value q, for each q
+    parts[0::2] = inner
+    slab, width, breaks = len(inner), 8 * len(inner), len(inner) - 1
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(leads), slab):
+            raw = values[start : start + slab].tobytes()
+            blocks = []
+            for lead, offset in zip(leads[start : start + slab], range(0, len(raw), width)):
+                key = raw[offset : offset + width]
+                body = bodies.get(key)
+                if body is None:
+                    if len(bodies) >= ROW_CACHE_LIMIT:
+                        bodies.clear()
+                    if len(text) > TEXT_CACHE_LIMIT:
+                        text.clear()
+                    bits = np.frombuffer(key, dtype=np.int64).tolist()
+                    new = list(set(bits).difference(text))
+                    if new:
+                        floats = np.array(new, dtype=np.int64).view(np.float64).tolist()
+                        text.update(zip(new, map("{:.17g}\n".format, floats)))
+                    parts[1::2] = map(text.__getitem__, bits)
+                    body = bodies[key] = "".join(parts).encode()
+                lead = lead.encode()
+                blocks += (lead, body.replace(b"\n", b"\n" + lead, breaks))
+            fh.write(b"".join(blocks))
 
 
 def _write_grid_csv(path: Path, result: PovmSweepResult) -> None:
     chi_ax, zeta_ax, xi_ax = ([_fmt(float(v)) for v in ax] for ax in result.axes())
     cap = _fmt(result.theta_cap)
-    tails = [f"{z},{x},{cap}," for z in zeta_ax for x in xi_ax]
-    slabs = result.omega.reshape(len(chi_ax), len(tails))
-    _write_slabs(path, "chi,zeta,xi,theta_cap,omega", chi_ax, tails, slabs)
+    leads = [f"{c},{z}," for c in chi_ax for z in zeta_ax]
+    inner = [f"{x},{cap}," for x in xi_ax]
+    values = result.omega.reshape(len(leads), len(inner))
+    _write_rows(path, "chi,zeta,xi,theta_cap,omega", leads, inner, values)
 
 
 def _write_density_csv(path: Path, result: PovmSweepResult) -> None:
     chi_ax, zeta_ax, _ = ([_fmt(float(v)) for v in ax] for ax in result.axes())
-    tails = [f"{z}," for z in zeta_ax]
-    _write_slabs(path, "chi,zeta,min_omega_over_xi", chi_ax, tails, result.density_min_over_xi())
+    leads = [f"{c}," for c in chi_ax]
+    inner = [f"{z}," for z in zeta_ax]
+    _write_rows(path, "chi,zeta,min_omega_over_xi", leads, inner, result.density_min_over_xi())
 
 
 def cmd_locc(args) -> int:

@@ -75,9 +75,9 @@ class PovmParams:
 class PovmSweepResult:
     """Omega over a full (chi, zeta, xi) grid at fixed theta_cap.
 
-    omega is flat in C order over (chi, zeta, xi); min_omega and argmin are
-    read from it, argmin ties resolving to the lexicographically smallest
-    grid index.
+    omega is float64, flat in C order over (chi, zeta, xi); min_omega and
+    argmin are read from it, argmin ties resolving to the lexicographically
+    smallest grid index.
     """
 
     grid: tuple[tuple[float, float, int], ...]
@@ -86,6 +86,9 @@ class PovmSweepResult:
 
     def __post_init__(self) -> None:
         _check_steps(self.grid)
+        # The grid writers read omega's bit patterns as float64.
+        if self.omega.dtype != np.float64:
+            raise ValueError(f"omega must be float64, got {self.omega.dtype}")
         steps = [int(s) for _, _, s in self.grid]
         if self.omega.size != steps[0] * steps[1] * steps[2]:
             raise InvariantError(

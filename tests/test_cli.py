@@ -781,6 +781,48 @@ def test_grid_writers_tell_negative_zero_from_zero(tmp_path):
                       "2.2250738585072014e-308", "4.9406564584124654e-324", "-0"]
 
 
+def _grid_of_rows(rows, layout, chi, zeta) -> PovmSweepResult:
+    # The xi-row of lead p, (chi, zeta) in C order, is rows[layout[p]].
+    omega = np.asarray(rows, dtype=np.float64)[layout].reshape(-1)
+    grid = ((-1.0, 1.0, chi), (-1.0, 1.0, zeta), (-1.0, 1.0, len(rows[0])))
+    return PovmSweepResult(grid, 0.25, omega)
+
+
+def test_grid_writers_match_when_a_row_recurs_under_other_leads(tmp_path):
+    # Row 0 recurs within the first chi slab and again in the last one, which
+    # repeats the first slab, so density.csv repeats a row too.
+    rows = np.random.default_rng(17).normal(size=(3, 4))
+    result = _grid_of_rows(rows, [0, 1, 0, 2, 0, 1, 0, 1, 0], 3, 3)
+    _assert_writers_match(tmp_path, result)
+    cli._write_grid_csv(tmp_path / "grid.csv", result)
+    lines = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+    first, last = lines[:4], lines[32:]  # the leads (chi 0, zeta 0) and (chi 2, zeta 2)
+    assert [line.split(",", 2)[2] for line in first] == [line.split(",", 2)[2] for line in last]
+
+
+def test_grid_writers_tell_rows_apart_by_their_zero_signs(tmp_path):
+    # The two rows are equal under ==; each must print its own signs.
+    rows = [[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0]]
+    assert rows[0] == rows[1]
+    result = _grid_of_rows(rows, [0, 1, 1, 0], 2, 2)
+    _assert_writers_match(tmp_path, result)
+    cli._write_grid_csv(tmp_path / "grid.csv", result)
+    column = [line.rsplit(",", 1)[1] for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+    assert column == ["0", "0.5", "-0"] + ["-0", "0.5", "0"] * 2 + ["0", "0.5", "-0"]
+
+
+def test_grid_writers_match_past_the_row_cache_limit(tmp_path):
+    # Twice the cap of distinct rows and more, each followed by a repeat of an
+    # earlier row: some still cached, some dropped when the cache started afresh.
+    distinct = 2 * cli.ROW_CACHE_LIMIT + 25
+    layout = []
+    for p in range(distinct):
+        layout += [p, (p * 7919) % (p + 1)]
+    rows = np.random.default_rng(23).normal(size=(distinct, 3))
+    result = _grid_of_rows(rows, layout, distinct, 2)
+    _assert_writers_match(tmp_path, result)
+
+
 def _write_peak(tmp_path, result) -> int:
     cli._write_grid_csv(tmp_path / "warm-up.csv", result)
     tracemalloc.start()

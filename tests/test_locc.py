@@ -164,6 +164,14 @@ def test_sweep_rejects_non_integer_steps_naming_the_axis(steps):
         PovmSweepResult(grid, 0.0, np.zeros(125))
 
 
+@pytest.mark.parametrize("omega", [np.arange(8), np.arange(8, dtype=np.float32), np.arange(8).astype(">f8")])
+def test_sweep_result_rejects_omega_other_than_float64_naming_the_dtype(omega):
+    # An int64 omega printed 1 as 4.9406564584124654e-324 in grid.csv; a
+    # float32 one failed inside the writer.
+    with pytest.raises(ValueError, match=f"omega must be float64, got {omega.dtype}"):
+        PovmSweepResult(((-1.0, 1.0, 2),) * 3, 0.0, omega)
+
+
 def test_sweep_accepts_numpy_integer_steps():
     rho = psi_lambda(0.5).density()
     plain = sweep(rho, grid=((-math.pi, math.pi, 5),) * 3)
