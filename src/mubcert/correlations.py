@@ -33,7 +33,7 @@ from math import cos, fsum, prod, sin, sqrt
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvariantError, density_defect, probability_slack
+from .linalg import DensityMatrix, InvariantError, density_defect, probability_slack, split_rows
 from .mub import Basis, MubFamily, computational_basis, fourier_basis, qubit_mub_triple
 
 # A state violates its bound only beyond this margin; values at the bound
@@ -222,7 +222,8 @@ def _distributions(entries: np.ndarray, setting: BasisAssignment) -> np.ndarray:
     """Outcome probabilities in ``setting`` of each matrix of the (..., D, D)
     stack ``entries``, shape (..., D); each row checked to sum to 1."""
     u = setting.product_unitary
-    probs = np.einsum("ji,...jk,ki->...i", u.conj(), entries, u).real
+    u_conj = u.conj()
+    probs = split_rows(lambda stack: np.einsum("ji,...jk,ki->...i", u_conj, stack, u), entries).real
     total = probs.sum(axis=-1)
     if abs(total - 1.0).max() > 1e-9:
         total = total.reshape(-1)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvariantError, StackError, StateVector, convex_sum, normalise
+from .linalg import DensityMatrix, InvariantError, StackError, StateVector, mixture_weights, normalise
 
 
 def psi_lambda(lam: float) -> StateVector:
@@ -114,11 +114,12 @@ def bipartitions(n: int) -> list[tuple[int, ...]]:
 # generator: the component count, the Dirichlet weights, then all its
 # Gaussian amplitudes in one standard_normal call (the numbers of one call
 # per factor, in the same order).  _fill builds the product vectors of all
-# components that share a cut as one stack and accumulates each trial's
-# projectors through convex_sum.  Its float operations are those of building
-# StateVector and DensityMatrix objects and mixing them, so seeded samples
-# are the same bit for bit.  Trial states are internal, so a guard that
-# fails raises InvariantError naming the trial's row.
+# components that share a cut as one stack, and sums the weighted projectors
+# of every trial of the block at once, term by term.  Its float operations
+# are those of building StateVector and DensityMatrix objects and mixing them
+# with convex_sum, so seeded samples are the same bit for bit.  Trial states
+# are internal, so a guard that fails raises InvariantError naming the
+# trial's row.
 
 
 class _Cut(NamedTuple):
@@ -174,33 +175,82 @@ def _unit_products(cut: _Cut, draws: np.ndarray) -> np.ndarray:
 
 
 def _fill(out: np.ndarray, mixtures: list[_Mixture]) -> None:
-    """Write the entries of ``mixtures[t]`` into ``out[t]``, unvalidated."""
+    """Write the entries of ``mixtures[t]`` into ``out[t]``, unvalidated.
+
+    A trial is one part, or two parts mixed by its weights.
+    """
     parts = [part for _, row_parts in mixtures for part in row_parts]
-    owners = [row for row, (_, row_parts) in enumerate(mixtures) for _ in row_parts]
-    by_cut: dict[_Cut, list[int]] = {}
-    for i, (cut, _, _) in enumerate(parts):
-        by_cut.setdefault(cut, []).append(i)
-    vectors = [None] * len(parts)
-    for cut, members in by_cut.items():
-        draws = [parts[i][2] for i in members]
-        sizes = [len(d) for d in draws]
+    counts = np.array([len(row_parts) for _, row_parts in mixtures])
+    owners = np.repeat(np.arange(len(mixtures)), counts)
+    terms = np.array([len(draws) for _, _, draws in parts])
+    # Component c is term term_of[c] of part part_of[c].
+    part_of = np.repeat(np.arange(len(parts)), terms)
+    term_of = np.arange(len(part_of)) - np.repeat(np.cumsum(terms) - terms, terms)
+    vectors = np.empty((len(parts), terms.max(), out.shape[-1]), dtype=np.complex128)
+    cut_ids: dict[_Cut, int] = {}
+    cut_of = np.array([cut_ids.setdefault(cut, len(cut_ids)) for cut, _, _ in parts])
+    for cut, cut_id in cut_ids.items():
+        members = np.flatnonzero(cut_of == cut_id)
+        components = np.flatnonzero(cut_of[part_of] == cut_id)
         try:
-            stack = _unit_products(cut, np.concatenate(draws))
+            vectors[part_of[components], term_of[components]] = _unit_products(
+                cut, np.concatenate([parts[i][2] for i in members])
+            )
         except StackError as exc:
-            owner = np.repeat([owners[i] for i in members], sizes)[exc.row]
-            raise InvariantError(str(exc), int(owner)) from None
-        for i, psi in zip(members, np.split(stack, np.cumsum(sizes)[:-1])):
-            vectors[i] = psi
-    unit = iter(vectors)
-    for row, (weights, row_parts) in enumerate(mixtures):
-        # row_parts leads the zip, so it ends without taking a vector of the next row.
-        projectors = [(psi[:, :, None] * psi.conj()[:, None, :], w) for (_, w, _), psi in zip(row_parts, unit)]
-        try:
-            mats = [convex_sum(p, w) for p, w in projectors]
-            entries = mats[0] if weights is None else convex_sum(mats, weights)
-        except ValueError as exc:
-            raise InvariantError(str(exc), row) from None
-        out[row] = entries
+            raise InvariantError(str(exc), int(owners[part_of[components[exc.row]]])) from None
+    # Row i of weights holds part i's weights and row len(parts) + m the two
+    # that mix the parts of trial mixed[m], padded with zeros.
+    mixed = np.flatnonzero(counts > 1)
+    widths = np.concatenate([terms, np.full(len(mixed), 2)])
+    weights = np.zeros((len(widths), max(widths.max(), 2)))
+    weights[part_of, term_of] = np.concatenate([w for _, w, _ in parts])
+    weights[len(parts) :, :2] = np.reshape([mixtures[row][0] for row in mixed], (-1, 2))
+    # Each row is summed over its own width, as convex_sum sums it: numpy
+    # adds fewer than 8 numbers in order but more pairwise.
+    total = np.empty(len(widths))
+    for width in set(widths.tolist()):
+        total[widths == width] = weights[widths == width, :width].sum(axis=1)
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and (total > 0).all()):
+        # Name the first trial that fails convex_sum's guard, with its message.
+        for row, (row_weights, row_parts) in enumerate(mixtures):
+            try:
+                for _, w, _ in row_parts:
+                    mixture_weights(w)
+                if row_weights is not None:
+                    mixture_weights(row_weights)
+            except ValueError as exc:
+                raise InvariantError(str(exc), row) from None
+    # Renormalised as floats, then made complex, as numpy does when it
+    # multiplies a complex array by one of them, so that no multiply casts.
+    weights = (weights / total[:, None]).astype(np.complex128)
+    buffer = np.empty_like(out)
+
+    def weighted_sums(acc: np.ndarray, rows: np.ndarray) -> None:
+        # acc[r] = sum over j of weights[p, j] |v><v| for p = rows[r] and v =
+        # vectors[p, j], added term by term from zero as convex_sum adds them.
+        # The parts are summed in order of falling term count, so that those
+        # with a term j lead the stack, and put back in order at the end.
+        order = np.argsort(-terms[rows], kind="stable")
+        rows = rows[order]
+        acc[...] = 0
+        for j in range(terms[rows[0]]):
+            live = rows[: np.count_nonzero(terms[rows] > j)]
+            psi = vectors[live, j]
+            term = np.multiply(psi[:, :, None], psi.conj()[:, None, :], out=buffer[: len(live)])
+            acc[: len(live)] += np.multiply(weights[live, j, None, None], term, out=term)
+        buffer[: len(acc)] = acc
+        acc[order] = buffer[: len(acc)]
+
+    first = np.cumsum(counts) - counts
+    weighted_sums(out, first)
+    if len(mixed):
+        second = np.empty((len(mixed),) + out.shape[1:], dtype=np.complex128)
+        weighted_sums(second, first[mixed] + 1)
+        mix = weights[len(parts) :, :2, None, None]
+        acc = np.zeros_like(second)
+        acc += mix[:, 0] * out[mixed]
+        acc += mix[:, 1] * second
+        out[mixed] = acc
 
 
 def _entries(dim: int, mixture: _Mixture) -> np.ndarray:

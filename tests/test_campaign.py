@@ -7,7 +7,15 @@ The campaign evaluates blocks of trials as one stack; its per-trial
 reference is a loop of ``Witness.evaluate`` over the validated samples.
 """
 
+import multiprocessing
+import os
+import queue
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +256,48 @@ def test_check_bounds_stdout_is_pinned(args, capsys):
     assert capsys.readouterr().out == GOLDEN_CHECK_BOUNDS[args]
 
 
+def _force_split(monkeypatch, workers):
+    """Split every stack linalg.split_rows sees over ``workers`` row ranges,
+    whatever the host's core count."""
+    monkeypatch.setattr(linalg, "SPLIT_WORK", 0)
+    monkeypatch.setattr(linalg, "WORKERS", workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("args", list(GOLDEN_CHECK_BOUNDS))
+def test_check_bounds_stdout_does_not_depend_on_the_worker_count(monkeypatch, capsys, args, workers):
+    _force_split(monkeypatch, workers)
+    assert main(["check-bounds", *args, "--trials", "200"]) == 0
+    assert capsys.readouterr().out == GOLDEN_CHECK_BOUNDS[args]
+
+
+@pytest.mark.parametrize("dim, witness", [(8, i3_witness), (16, i4_witness), (25, lambda: i_m_witness(prime_mub_family(5)))])
+def test_split_distributions_equal_the_unsplit_ones_bit_for_bit(monkeypatch, dim, witness):
+    # Sampled density matrices and unit-trace hermitian noise, at stack
+    # sizes that split into one row, unequal halves and equal halves.
+    rng = np.random.default_rng(dim)
+    sampled = np.empty((64, dim, dim), dtype=np.complex128)
+    if dim == 25:
+        separable_block(5, 0, DEFAULT_SEED, sampled)
+    else:
+        biseparable_block(dim.bit_length() - 1, 0, DEFAULT_SEED, sampled)
+    noise = rng.standard_normal((64, dim, dim)) + 1j * rng.standard_normal((64, dim, dim))
+    noise = (noise + noise.conj().transpose(0, 2, 1)) / 2
+    noise += np.eye(dim) * (1 - noise.trace(axis1=1, axis2=2))[:, None, None] / dim
+    settings = [setting for setting, _ in witness().terms]
+    for stack in (sampled, noise):
+        for rows in (1, 2, 63, 64):
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "SPLIT_WORK", 2**62)
+                whole = [correlations._distributions(stack[:rows], s) for s in settings]
+            with monkeypatch.context() as m:
+                _force_split(m, 2)
+                split = [correlations._distributions(stack[:rows], s) for s in settings]
+            for a, b in zip(whole, split):
+                assert a.shape == b.shape == (rows, dim)
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), rows
+
+
 # ----------------------------------------------------------- trial costs
 
 
@@ -370,7 +420,7 @@ def _campaign_peak(klass, trials, options) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("klass, options", [CAMPAIGNS[1], CAMPAIGNS[3]])
+@pytest.mark.parametrize("klass, options", [CAMPAIGNS[1], CAMPAIGNS[3], CAMPAIGNS[0]])
 def test_campaign_memory_is_flat_in_the_trial_count(klass, options):
     # Blocks are fixed-size: ten times the trials may not raise the peak by
     # more than a small margin.  Keeping each trial's matrix would add 3.7 MB
@@ -388,13 +438,13 @@ BREACH_TRIAL = BLOCK_ROWS + 6
 BREACH_SEED = 5
 
 
-def _breach(monkeypatch, capsys, entries, validate=True):
-    """Run a 3-qubit campaign whose trial BREACH_TRIAL has ``entries``."""
+def _breach(monkeypatch, capsys, entries, validate=True, trial=BREACH_TRIAL):
+    """Run a 3-qubit campaign whose trial ``trial`` has ``entries``."""
     original = cli.biseparable_block
 
     def sample(n, start, seed, out):
         original(n, start, seed, out)
-        row = BREACH_TRIAL - start
+        row = trial - start
         if 0 <= row < len(out):
             out[row] = entries(out[row].copy())
 
@@ -439,14 +489,14 @@ def test_pattern_sum_breach_exits_3_naming_the_trial(monkeypatch, capsys):
     assert err.endswith(" exceeds 1\n")
 
 
-def _poison(monkeypatch, change):
-    """Let ``change`` rewrite the first part that trial BREACH_TRIAL draws."""
+def _poison(monkeypatch, change, trial=BREACH_TRIAL, part=0):
+    """Let ``change`` rewrite part ``part`` of the parts that ``trial`` draws."""
     original = states._biseparable_mixture
 
-    def mixture(n, trial, seed):
-        weights, parts = original(n, trial, seed)
-        if trial == BREACH_TRIAL:
-            parts[0] = change(*parts[0])
+    def mixture(n, t, seed):
+        weights, parts = original(n, t, seed)
+        if t == trial:
+            parts[part] = change(*parts[part])
         return weights, parts
 
     monkeypatch.setattr(states, "_biseparable_mixture", mixture)
@@ -466,3 +516,99 @@ def test_sampler_guard_breach_exits_3_naming_the_trial(monkeypatch, capsys, chan
     _poison(monkeypatch, change)
     err = _breach_stderr(capsys)
     assert err == f"invariant breach: biseparable3 seed {BREACH_SEED} trial {BREACH_TRIAL}: {message}\n"
+
+
+def test_weight_breach_names_the_first_trial_not_the_first_part(monkeypatch, capsys):
+    # The mixed-cut trial 67 has a bad second part, the later trial 70 a bad
+    # first part: the trial order decides, as mixing one trial at a time does.
+    assert 67 % (len(bipartitions(3)) + 1) == len(bipartitions(3))
+    _poison(monkeypatch, lambda cut, w, draws: (cut, -w, draws), trial=67, part=1)
+    _poison(monkeypatch, lambda cut, w, draws: (cut, np.zeros_like(w), draws), trial=70)
+    err = _breach_stderr(capsys)
+    assert err == f"invariant breach: biseparable3 seed {BREACH_SEED} trial 67: weights must be finite and non-negative\n"
+
+
+def _indefinite(m):
+    # Unit trace but not positive (see test_pattern_sum_breach_exits_3_naming_the_trial).
+    out = np.eye(8, dtype=complex) / 8
+    out[0, 7] = out[7, 0] = 2.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "entries, validate",
+    [(lambda m: 1.5 * m, True), (_indefinite, True), (lambda m: 1.5 * m, False), (_indefinite, False)],
+    ids=["trace", "eigenvalue", "outcome-sum", "pattern-sum"],
+)
+def test_breach_under_a_forced_split_names_the_same_trial(monkeypatch, capsys, entries, validate):
+    # Trial 94 is row 30 of the second block of 36 rows, past its split
+    # point at row 18.
+    trial = BLOCK_ROWS + 30
+    with monkeypatch.context() as m:
+        whole = _breach(m, capsys, entries, validate, trial)
+    with monkeypatch.context() as m:
+        _force_split(m, 2)
+        split = _breach(m, capsys, entries, validate, trial)
+    assert split == whole
+    assert split.startswith(f"invariant breach: biseparable3 seed {BREACH_SEED} trial {trial}: ")
+
+
+# ------------------------------------------------------------ thread pool
+
+
+def test_check_bounds_starts_at_most_one_thread_per_worker(monkeypatch, capsys):
+    _force_split(monkeypatch, 2)
+    before = threading.active_count()
+    for _ in range(2):
+        assert main(["check-bounds", "--class", "separable-bipartite", "--d", "5", "--complete-family", "--trials", "70"]) == 0
+    assert threading.active_count() - before <= linalg.WORKERS
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["certify", "--family", "ghz4", "--basis-search"], ["locc", "--grid", "7"]], ids=lambda a: a[0]
+)
+def test_single_matrix_commands_start_no_pool(monkeypatch, capsys, tmp_path, argv):
+    # Only a stack of SPLIT_WORK or more is split; these commands read one
+    # matrix at a time.
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    started = []
+    monkeypatch.setattr(linalg, "_split_pool", lambda: started.append(1))
+    extra = ["--out-dir", str(tmp_path)] if argv[0] == "locc" else []
+    assert main([*argv, *extra]) == 0
+    assert started == []
+    capsys.readouterr()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_child_forked_after_a_split_can_split(monkeypatch):
+    # The child has none of the parent's pool threads; it must start its own.
+    _force_split(monkeypatch, 2)
+    stack = np.tile(np.eye(16, dtype=complex) / 16, (8, 1, 1))
+    setting = i4_witness().terms[1][0]
+    want = correlations._distributions(stack, setting)
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+    child = context.Process(target=lambda: results.put(correlations._distributions(stack, setting)))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    except queue.Empty:
+        got = None
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert got is not None and np.array_equal(got, want)
+    assert child.exitcode == 0
+
+
+def test_split_campaign_process_exits_promptly():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    command = [sys.executable, "-m", "mubcert", "check-bounds", "--class", "separable-bipartite", "--d", "5",
+               "--complete-family", "--trials", "200"]
+    start = time.monotonic()
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == GOLDEN_CHECK_BOUNDS[("--class", "separable-bipartite", "--d", "5", "--complete-family")]
+    assert time.monotonic() - start < 60
