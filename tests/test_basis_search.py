@@ -8,6 +8,7 @@ go to the same first assignment.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -31,8 +32,10 @@ from mubcert import (
     random_pure,
     w3,
 )
+import mubcert.correlations as correlations
+from mubcert.cli import main
 from mubcert.correlations import QUADRIPARTITE_BOUND, TRIPARTITE_BOUND, VIOLATION_MARGIN
-from mubcert.states import W3_STANDARD_ALPHA, biseparable_sample
+from mubcert.states import W3_STANDARD_ALPHA, biseparable_sample, state_to_json_dict
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
@@ -112,3 +115,31 @@ def test_search_matches_the_reference(name):
     rho = CASES[name]()
     certify = i3 if rho.n_parties == 3 else i4
     assert certify(rho, basis_search=True) == _reference_search(rho)
+
+
+def _fresh_settings(n: int) -> tuple[BasisAssignment, ...]:
+    return tuple(BasisAssignment(bases) for bases in itertools.product(qubit_mub_triple().bases, repeat=n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_settings_are_built_once_in_product_order(n):
+    settings = correlations._search_settings(n)
+    assert settings is correlations._search_settings(n)
+    assert [s.bases for s in settings] == [s.bases for s in _fresh_settings(n)]
+
+
+def test_cached_search_settings_give_the_reports_of_fresh_ones(monkeypatch, capsys, tmp_path):
+    paths = []
+    for k in range(100):
+        path = tmp_path / f"state{k}.json"
+        path.write_text(json.dumps(state_to_json_dict(random_pure((2,) * (3 + k % 2), [SEED, k]))))
+        paths.append(str(path))
+
+    def reports():
+        for path in paths:
+            assert main(["certify", "--state", path, "--basis-search"]) == 0
+        return capsys.readouterr().out
+
+    cached = reports()
+    monkeypatch.setattr(correlations, "_search_settings", _fresh_settings)
+    assert reports() == cached

@@ -26,9 +26,12 @@ import mubcert.correlations as correlations
 import mubcert.linalg as linalg
 import mubcert.states as states
 from mubcert import (
+    BasisAssignment,
     StateVector,
     bipartitions,
+    computational_setting,
     fourier_pair,
+    ghz3,
     ghz4,
     i3,
     i3_witness,
@@ -38,9 +41,11 @@ from mubcert import (
     mix,
     permute_parties,
     prime_mub_family,
+    qubit_mub_triple,
     random_biseparable,
     random_pure,
     random_separable,
+    w3,
 )
 from mubcert import cli
 from mubcert.cli import BLOCK_ROWS, DEFAULT_SEED, main, run_bound_campaign
@@ -298,6 +303,58 @@ def test_split_distributions_equal_the_unsplit_ones_bit_for_bit(monkeypatch, dim
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), rows
 
 
+def _einsum_distributions(monkeypatch, stack, setting):
+    """``_distributions`` with the computational shortcut switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(BasisAssignment, "computational", property(lambda self: False))
+        return correlations._distributions(stack, setting)
+
+
+def _diagonal_cases():
+    for n in (3, 4):
+        block = np.empty((64, 2**n, 2**n), dtype=np.complex128)
+        biseparable_block(n, 0, DEFAULT_SEED, block)
+        yield pytest.param(block, i3_witness() if n == 3 else i4_witness(), id=f"biseparable{n}")
+    block = np.empty((64, 25, 25), dtype=np.complex128)
+    separable_block(5, 0, DEFAULT_SEED, block)
+    yield pytest.param(block, i_m_witness(prime_mub_family(5)), id="d5")
+    # Pure sweep rows with zero diagonal entries, stacked as sweep stacks them.
+    for name, build in (("ghz3", ghz3), ("w3", lambda t: w3(t, 0.5))):
+        amps = np.array([build(t).amplitudes for t in (0.0, np.pi / 2)])
+        yield pytest.param(amps[:, :, None] * amps.conj()[:, None, :], i3_witness(), id=name)
+    # A -0.0 diagonal entry, where the einsum gives +0.0.
+    signed = np.diag([0.5, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]).astype(np.complex128)
+    yield pytest.param(signed[None], i3_witness(), id="signed-zero")
+
+
+@pytest.mark.parametrize("stack, witness", list(_diagonal_cases()))
+def test_computational_distributions_equal_the_einsum_bit_for_bit(monkeypatch, stack, witness):
+    computational = [s for s, _ in witness.terms if s.computational]
+    assert computational
+    for setting in computational:
+        want = _einsum_distributions(monkeypatch, stack, setting)
+        got = correlations._distributions(stack, setting)
+        assert got.shape == want.shape == stack.shape[:2]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # The single-matrix route reads the same diagonal.
+        got_one = correlations._distributions(stack[0], setting)
+        assert np.array_equal(got_one.view(np.int64), want[0].view(np.int64))
+
+
+def test_a_setting_with_one_unbiased_party_takes_the_einsum(monkeypatch):
+    z, x, _ = qubit_mub_triple().bases
+    zzx = BasisAssignment((z, z, x))
+    assert not zzx.computational and BasisAssignment((z, z, z)).computational
+    rho = random_pure((2, 2, 2), 5).density()
+    calls = _count_calls(monkeypatch, correlations, "split_rows")
+    got = correlations.outcome_distribution(rho, zzx)
+    assert len(calls) == 1
+    want = np.einsum("ji,jk,ki->i", zzx.product_unitary.conj(), rho.entries, zzx.product_unitary).real
+    assert np.array_equal(got, want.clip(0.0, 1.0))
+    correlations.outcome_distribution(rho, computational_setting(3))
+    assert len(calls) == 1
+
+
 # ----------------------------------------------------------- trial costs
 
 
@@ -337,6 +394,15 @@ CAMPAIGNS = [
     ("separable-bipartite", {"d": 3}),
     ("separable-bipartite", {"d": 5, "complete_family": True}),
 ]
+
+
+@pytest.mark.parametrize("klass, options", CAMPAIGNS + [("separable-bipartite", {"d": 2})])
+def test_campaign_accepts_its_trials_without_eigvalsh(monkeypatch, klass, options):
+    # The Cholesky test accepts every sampled block; eigvalsh runs only on
+    # a stack it cannot factor.
+    calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    run_bound_campaign(klass, 200, DEFAULT_SEED, **options)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("klass, options", CAMPAIGNS)

@@ -22,7 +22,10 @@ from mubcert import (
     reduced_rank,
     schmidt_coefficients,
 )
-from mubcert.linalg import StackError, density_defect, normalise
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mubcert.linalg import PSD_TOL, StackError, density_defect, normalise
 
 
 def test_state_vector_normalizes_and_reports_original_norm():
@@ -92,6 +95,53 @@ def test_density_defect_names_the_first_failing_matrix_of_a_stack():
         assert str(exc.value) == want[1]
     assert density_defect(np.array([good] * 3)) is None
     assert density_defect(np.array([[good] * 2] * 3)) is None
+
+
+def _eigvalsh_defect(m):
+    """density_defect's verdict on one hermitian unit-trace matrix, from eigvalsh alone."""
+    lo = np.linalg.eigvalsh(m)[0]
+    return None if lo >= -PSD_TOL else (0, f"matrix has a negative eigenvalue ({lo:.3e})")
+
+
+def _with_lowest_eigenvalue(lo, d, seed, zeros=0):
+    # Random eigenvectors; the rest of the spectrum is positive, with
+    # ``zeros`` exact zeros, and sums to 1 - lo.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rest = rng.dirichlet(np.ones(d - 1 - zeros)) * (1.0 - lo)
+    spectrum = np.concatenate([[lo], np.zeros(zeros), rest])
+    m = (q * spectrum) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_psd_check_accepts_and_rejects_at_psd_tol():
+    at = np.diag([0.5 + 5e-10, -1e-9, 0, 0, 0, 0, 0, 0.5 + 5e-10]).astype(complex)
+    assert density_defect(at) is None
+    beyond = np.diag([0.5 + 5.0005e-10, -1.0001e-9, 0, 0, 0, 0, 0, 0.5 + 5.0005e-10]).astype(complex)
+    assert density_defect(beyond) == (0, "matrix has a negative eigenvalue (-1.000e-09)")
+
+
+def test_psd_check_names_the_one_bad_row_of_a_stack():
+    stack = np.array([random_biseparable(3, (0,), [7, t]).entries for t in range(64)])
+    stack[37] = _with_lowest_eigenvalue(-2e-9, 8, 37)
+    assert density_defect(stack) == (37, "matrix has a negative eigenvalue (-2.000e-09)")
+    stack[37] = _with_lowest_eigenvalue(-0.9e-9, 8, 37)
+    assert density_defect(stack) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([2, 4, 8, 16, 25]),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.floats(1e-12, 3e-9),
+    below=st.booleans(),
+    zeros=st.integers(0, 3),
+)
+def test_psd_check_agrees_with_eigvalsh(d, seed, gap, below, zeros):
+    # The lowest eigenvalue lies at least 1e-12 from -PSD_TOL, on either side.
+    lo = -PSD_TOL + (-gap if below else gap)
+    m = _with_lowest_eigenvalue(lo, d, seed, min(zeros, d - 2))
+    assert density_defect(m) == _eigvalsh_defect(m)
 
 
 def test_state_vector_rejects_zero_vector():
