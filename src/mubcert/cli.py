@@ -32,7 +32,7 @@ from .correlations import (
     paper_i3_w3,
     paper_i4_ghz4,
 )
-from .linalg import DensityMatrix, InvariantError, StateVector
+from .linalg import UNIT_NORM_TOL, DensityMatrix, InvariantError, StateVector
 from .locc import PovmParams, PovmSweepResult, min_omega_family, omega, sweep
 from .measures import global_q_stack, triangle_tau_stack
 from .mub import fourier_pair, is_odd_prime, prime_mub_family
@@ -231,7 +231,7 @@ def cmd_certify(args) -> int:
     out["report"] = quantity.witness.evaluate(psi.density(), args.basis_search).to_dict()
     if family is not None and family.reference is not None:
         out["paper_" + quantity.name] = family.reference(*values.values())
-    if abs(psi.original_norm - 1.0) > 1e-12:
+    if abs(psi.original_norm - 1.0) > UNIT_NORM_TOL:
         out["original_norm"] = psi.original_norm
     if args.format == "csv":
         _write_csv(args.out, *_flatten_certify(out))

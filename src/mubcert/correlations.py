@@ -21,7 +21,8 @@ t = (0.14, -0.6, 0.14) gives I3 = 1.756751, above GHZ3's 1.75, and
 t = (-0.37, -0.16, 0.16, 0.16) gives I4 = 1.825992 (ROADMAP item 1).
 
 Every quantity is linear in the density matrix, so mixed states are
-accepted throughout.
+accepted throughout: each set sum is read as Tr(rho W_s), for the
+projector W_s onto the set's product vectors (``Witness``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from math import cos, fsum, prod, sin, sqrt
 
 import numpy as np
 
-from .linalg import EQUALITY_TOL, DensityMatrix, InvariantError, density_defect, probability_slack, split_rows
+from .linalg import (
+    COMPLETENESS_TOL, EQUALITY_TOL, REPORT_SUM_TOL, DensityMatrix, InvariantError, density_defect, probability_slack,
+)
 from .mub import Basis, MubFamily, computational_basis, fourier_basis, qubit_mub_triple
 
 # A state violates its bound only beyond this margin; values at the bound
@@ -43,6 +46,10 @@ TRIPARTITE_BOUND = 13.0 / 8.0
 QUADRIPARTITE_BOUND = 7.0 / 4.0
 
 IndexPattern = tuple[int, ...]
+
+# OpenBLAS runs a ddot of more than this many elements on several threads,
+# and its bits then depend on their count.
+DOT_LIMIT = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +196,7 @@ class CertificationReport:
     c_per_basis: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if abs(self.i_value - (self.c_first + self.c_second)) > 1e-12:
+        if abs(self.i_value - (self.c_first + self.c_second)) > REPORT_SUM_TOL:
             raise InvariantError(
                 f"i_value {self.i_value!r} != c_first + c_second "
                 f"{self.c_first + self.c_second!r}"
@@ -235,8 +242,7 @@ def _distributions(entries: np.ndarray, setting: BasisAssignment) -> np.ndarray:
         probs = entries.diagonal(axis1=-2, axis2=-1).real + 0.0
     else:
         u = setting.product_unitary
-        u_conj = u.conj()
-        probs = split_rows(lambda stack: np.einsum("ji,...jk,ki->...i", u_conj, stack, u), entries).real
+        probs = np.einsum("ji,...jk,ki->...i", u.conj(), entries, u).real
     total = probs.sum(axis=-1)
     if abs(total - 1.0).max() > EQUALITY_TOL:
         total = total.reshape(-1)
@@ -257,21 +263,41 @@ def _search_settings(n: int) -> tuple[BasisAssignment, ...]:
     return tuple(map(BasisAssignment, itertools.product(qubit_mub_triple().bases, repeat=n)))
 
 
+def _projectors(pairs, count: int, dim: int) -> np.ndarray:
+    """The projectors W_s = U_S U_S^dagger of the ``count`` pairs of a product
+    unitary U and flat outcome indices S, then the identity, each a (dim, dim)
+    complex matrix stored as a float64 row of 2 dim^2: Tr(rho W) of a hermitian
+    W is then a real dot product.  Each W_s is rescaled to trace |S|, which
+    takes off the norm rounding of the basis vectors, and checked to be
+    hermitian with ||W^2 - W|| at most COMPLETENESS_TOL: every eigenvalue
+    lies within about that of 0 or 1."""
+    ops = np.zeros((count + 1, 2 * dim * dim))
+    matrices = ops.view(np.complex128).reshape(-1, dim, dim)
+    for w, (u, flat) in zip(matrices, pairs):
+        columns = u[:, flat]
+        np.matmul(columns, columns.conj().T, out=w)
+        w *= flat.size / w.trace().real
+        if max(abs(w - w.conj().T).max(), np.linalg.norm(w @ w - w)) > COMPLETENESS_TOL:
+            raise InvariantError(f"a set of {flat.size} outcomes gives no projector")
+    np.fill_diagonal(matrices[-1], 1.0)
+    return ops
+
+
 @dataclass(frozen=True, eq=False)
 class Witness:
     """A certification quantity: terms, each a (setting, pattern sets) pair, and a bound.
 
-    A term's value is the largest outcome-probability sum over its sets in
-    its setting, the first attaining set winning ties; c_first is the first
-    term's value, c_second the sum of the rest.  ``exact`` is the set-sum
-    rule, kept as data because pinned outputs depend on it: True (I_m) sums
-    with math.fsum, unclamped, and reports every term in c_per_basis; False
-    (I3, I4) sums with np.sum, checked against and clamped at 1.
+    Each pattern set s of a term is read as Tr(rho W_s), for the projector
+    W_s onto the set's product vectors in the term's setting, built once at
+    construction and rescaled to trace |s|.  A term's value is the largest
+    set value, clipped to [0, 1], the first attaining set winning ties;
+    c_first is the first term's value and c_second the math.fsum of the
+    rest.  A witness whose terms share their pattern sets, as I_m's do,
+    reports every term in c_per_basis.
     """
 
     terms: tuple[tuple[BasisAssignment, tuple[LbpsPatternSet, ...]], ...]
     bound: float
-    exact: bool = False
 
     def __post_init__(self) -> None:
         terms = tuple((setting, tuple(sets)) for setting, sets in self.terms)
@@ -284,36 +310,57 @@ class Witness:
         # that does not fit its setting's dims raises ValueError.
         flat = [[np.ravel_multi_index(np.array(s.patterns).T, t.dims) for s in sets] for t, sets in terms]
         object.__setattr__(self, "_flat", flat)
+        # Term k's sets are the columns _slices[k] of every set-value row.
+        ends = np.cumsum([len(flats) for flats in flat]).tolist()
+        object.__setattr__(self, "_slices", [slice(a, b) for a, b in zip([0] + ends, ends)])
+        pairs = [(setting.product_unitary, f) for (setting, _), flats in zip(terms, flat) for f in flats]
+        object.__setattr__(self, "_ops", _projectors(pairs, len(pairs), prod(self.dims)))
 
     @property
     def dims(self) -> tuple[int, ...]:
         """The local dimensions of the states it applies to, shared by every term."""
         return self.terms[0][0].dims
 
-    def _read(self, probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Term k's value and the index of its attaining set, the first winning
-        ties, for the distribution ``probs`` of shape (D,) or for each row of
-        a (T, D) stack."""
-        sums = []
-        for flat in self._flat[k]:
-            # take() returns C-ordered rows, so each row sums in the order
-            # np.sum takes for one 1-D array; probs[:, flat] is F-ordered and
-            # would sum a 12-pattern set in another order.
-            picked = probs.take(flat, axis=-1)
-            if self.exact:
-                sums.append([fsum(row) for row in picked.reshape(-1, flat.size).tolist()])
-            else:
-                sums.append(picked.sum(axis=-1))
-        sums = np.array(sums).reshape((len(sums),) + probs.shape[:-1])
-        if not self.exact:
-            # Keyed on D: a stack of distributions has the slack of one.
-            limit = 1.0 + probability_slack(probs.shape[-1])
-            if sums.max() > limit:
-                largest = sums.max(axis=0).reshape(-1)
-                row = int((largest > limit).argmax())
-                raise InvariantError(f"pattern sum {float(largest[row])!r} exceeds 1", row)
-            sums = np.minimum(sums, 1.0)
-        return sums.max(axis=0), sums.argmax(axis=0)
+    @cached_property
+    def _search_ops(self) -> np.ndarray:
+        # Every set of every term in each of the 3^n search settings in turn;
+        # each product unitary is built on a copy of its setting, and dropped.
+        settings = _search_settings(len(self.dims))
+        flats = [f for term in self._flat for f in term]
+        unitaries = (BasisAssignment(s.bases).product_unitary for s in settings)
+        return _projectors(((u, f) for u in unitaries for f in flats), len(settings) * len(flats), prod(self.dims))
+
+    def _set_values(self, entries: np.ndarray, ops: np.ndarray) -> np.ndarray:
+        """Tr(m W) of each matrix m of the (T, D, D) stack ``entries`` for each
+        row W of ``ops`` but the last, the identity, whose value must be 1;
+        checked, clipped to [0, 1] and shaped (-1, number of sets).
+
+        Each value is one BLAS ddot, as a stacked (1, n) @ (n, 1) matmul takes
+        it, so it does not depend on the stack.  A matrix of more than
+        DOT_LIMIT floats is read one row at a time, the rows' ddots summed."""
+        dim = entries.shape[-1]
+        parts = 1 if 2 * dim * dim <= DOT_LIMIT else dim
+        rows = np.ascontiguousarray(entries, dtype=complex).view(np.float64).reshape(len(entries), 1, parts, 1, -1)
+        values = np.matmul(rows, ops.reshape(len(ops), parts, -1, 1)).reshape(len(entries), len(ops), parts).sum(-1)
+        off = abs(values[:, -1] - 1.0) > EQUALITY_TOL
+        if off.any():
+            row = int(off.argmax())
+            raise InvariantError(f"outcome probabilities sum to {float(values[row, -1])!r}, not 1", row)
+        values = values[:, :-1]
+        # A set value is a sum of probabilities of orthogonal outcomes.
+        slack = probability_slack(dim)
+        bad = (values > 1.0 + slack) | (values < -slack)
+        if bad.any():
+            row = int(bad.any(axis=1).argmax())
+            high, low = float(values[row].max()), float(values[row].min())
+            problem = f"{high!r} exceeds 1" if high > 1.0 + slack else f"{low!r} is below 0"
+            raise InvariantError(f"pattern sum {problem}", row)
+        return values.clip(0.0, 1.0).reshape(-1, self._slices[-1].stop)
+
+    def _term_values(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each term's value and first attaining set, for each row of set values."""
+        sets = [values[:, columns] for columns in self._slices]
+        return np.array([s.max(axis=1) for s in sets]).T, np.array([s.argmax(axis=1) for s in sets]).T
 
     def read(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The value, term values and attaining set indices for each matrix of
@@ -326,9 +373,7 @@ class Witness:
         defect = density_defect(entries)
         if defect is not None:
             raise InvariantError(defect[1], defect[0])
-        reads = [self._read(_distributions(entries, s), k) for k, (s, _) in enumerate(self.terms)]
-        values = np.array([value for value, _ in reads]).T
-        sets = np.array([index for _, index in reads]).T
+        values, sets = self._term_values(self._set_values(entries, self._ops))
         c_second = np.array([fsum(rest) for rest in values[:, 1:].tolist()])
         return values[:, 0] + c_second, values, sets
 
@@ -338,6 +383,7 @@ class Witness:
         c_first, c_second = values[0], fsum(values[1:])
         i_value = c_first + c_second
         names = [self.terms[k][1][int(index)].name for k, index in enumerate(sets)]
+        per_basis = all(term_sets == self.terms[0][1] for _, term_sets in self.terms)
         return CertificationReport(
             c_first=c_first,
             c_second=c_second,
@@ -346,11 +392,11 @@ class Witness:
             violated=bool(i_value > self.bound + VIOLATION_MARGIN),
             attaining_set_first=names[0],
             attaining_set_second=names[-1],
-            c_per_basis=tuple(values) if self.exact else None,
+            c_per_basis=tuple(values) if per_basis else None,
         )
 
     def evaluate(self, rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
-        """The report for ``rho``, from one outcome distribution per term.
+        """The report for ``rho``, read as a stack of one matrix.
 
         ``rho`` must have the witness's dims.  With basis_search, a two-term
         qubit witness instead maximizes over each party's ordered pair of
@@ -358,25 +404,34 @@ class Witness:
         """
         if rho.dims != self.dims:
             raise ValueError(f"state dims {rho.dims} do not match witness dims {self.dims}")
+        if basis_search and (len(self.terms) != 2 or set(self.dims) != {2}):
+            raise ValueError("basis search needs a two-term witness on qubits")
+        # Searched, row r of the values is the r-th of the 3^n settings.
+        ops = self._search_ops if basis_search else self._ops
+        values, sets = self._term_values(self._set_values(rho.entries[None], ops))
         if not basis_search:
-            reads = [self._read(outcome_distribution(rho, s), k) for k, (s, _) in enumerate(self.terms)]
-        else:
-            n = rho.n_parties
-            if len(self.terms) != 2 or set(self.dims) != {2}:
-                raise ValueError("basis search needs a two-term witness on qubits")
-            # One distribution per choice of one basis per party (3^n), read for both terms.
-            probs = np.array([outcome_distribution(rho, s) for s in _search_settings(n)])
-            (v1, s1), (v2, s2) = self._read(probs, 0), self._read(probs, 1)
-            # Distinct members of the triple are unbiased.  Each of the 6^n
-            # assignments gives every party an ordered pair; i and j index the
-            # choices of the first and second members, and argmax takes the
-            # first maximum.
-            pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-            assignments = np.array(list(itertools.product(pairs, repeat=n)))
-            i, j = np.ravel_multi_index(assignments.transpose(1, 2, 0), (3,) * n)
-            a = (v1[i] + v2[j]).argmax()
-            reads = [(v1[i[a]], s1[i[a]]), (v2[j[a]], s2[j[a]])]
-        return self.report(*zip(*reads))
+            return self.report(values[0], sets[0])
+        (v1, v2), (s1, s2), n = values.T, sets.T, rho.n_parties
+        # Distinct members of the triple are unbiased.  Each of the 6^n
+        # assignments gives every party an ordered pair; i and j index the
+        # choices of the first and second members, and argmax takes the
+        # first maximum.
+        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+        assignments = np.array(list(itertools.product(pairs, repeat=n)))
+        i, j = np.ravel_multi_index(assignments.transpose(1, 2, 0), (3,) * n)
+        a = (v1[i] + v2[j]).argmax()
+        return self.report((v1[i[a]], v2[j[a]]), (s1[i[a]], s2[j[a]]))
+
+    def operators(self):
+        """One (W, set names) pair for each choice of one pattern set per term,
+        in itertools.product order: W is the sum of the chosen set projectors,
+        so the witness value is the largest Tr(rho W), up to the clip of each
+        set value to [0, 1]."""
+        dim = prod(self.dims)
+        projectors = self._ops.view(np.complex128).reshape(-1, dim, dim)
+        for choice in itertools.product(*(range(len(sets)) for _, sets in self.terms)):
+            w = sum(projectors[columns.start + k] for columns, k in zip(self._slices, choice))
+            yield w, tuple(sets[k].name for (_, sets), k in zip(self.terms, choice))
 
     def operator(self) -> np.ndarray:
         """W = sum of |v><v| over the product vectors v of every term's patterns.
@@ -398,12 +453,12 @@ class Witness:
 def i_m_witness(family: MubFamily) -> Witness:
     """I_m: the diagonal with both parties in each basis of the family; bound 1 + (m-1)/d.
 
-    Built once per family, as the family itself is, so each setting's
-    product unitary is computed once.
+    Built once per family, as the family itself is, so its set projectors
+    are built once.
     """
     diagonal = (diagonal_set(2, family.d),)
     terms = tuple((uniform_setting(b, 2), diagonal) for b in family.bases)
-    return Witness(terms, 1.0 + (family.m - 1) / family.d, exact=True)
+    return Witness(terms, 1.0 + (family.m - 1) / family.d)
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,6 @@ invariants.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 from math import isfinite, prod, sqrt
 
@@ -28,6 +26,12 @@ COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-9
 # A vector whose 2-norm is at or below this is a zero vector.
 ZERO_NORM = 1e-12
+# certify reports a state's original norm when it is further than this from 1.
+UNIT_NORM_TOL = 1e-12
+# A report's i_value may differ from c_first + c_second by this much.
+REPORT_SUM_TOL = 1e-12
+# A POVM's branch probabilities must sum to 1 within this.
+BRANCH_SUM_TOL = 1e-10
 
 
 def probability_slack(dim: int) -> float:
@@ -101,64 +105,6 @@ def normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     return amps / norms[..., None], norms
 
 
-# split_rows runs a kernel in one piece below this much work, T * D^3 for a
-# stack of T D x D matrices.  On two cores the outcome-distribution einsum
-# ran 0.6-1.1x as fast split below 2^17 and 1.1-1.9x from 2^17 to 2^20
-# (D = 8 to 25, 16 to 64 rows).
-SPLIT_WORK = 1 << 17
-
-# The row ranges of one split: one per usable core.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# The process's split_rows threads, WORKERS - 1 of them (the caller takes the
-# first range), started by the first split.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _split_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="mubcert-split")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of its parent's threads, so the parent's pool
-    # would never run its work; the child starts its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def split_rows(fn, stack: np.ndarray) -> np.ndarray:
-    """``fn(stack)`` for a (T, D, D) stack, taken over near-equal row ranges on
-    WORKERS cores and joined in row order.
-
-    ``fn`` must treat each matrix on its own, as a stacked numpy kernel does,
-    so that the result is the same bit for bit however the rows are split.
-    A stack below SPLIT_WORK, and a single (D, D) matrix, run in the caller.
-    """
-    rows = len(stack)
-    parts = min(WORKERS, rows)
-    if stack.ndim < 3 or parts < 2 or rows * stack.shape[-1] ** 3 < SPLIT_WORK:
-        return fn(stack)
-    bounds = [rows * i // parts for i in range(parts + 1)]
-    pool = _split_pool()
-    futures = [pool.submit(fn, stack[a:b]) for a, b in zip(bounds[1:-1], bounds[2:])]
-    try:
-        first = fn(stack[: bounds[1]])
-    finally:
-        rest = [future.result() for future in futures]
-    return np.concatenate([first, *rest])
-
-
 def density_defect(m: np.ndarray) -> tuple[int, str] | None:
     """The first check that the (..., D, D) stack ``m`` fails, or None.
 
@@ -189,9 +135,7 @@ def density_defect(m: np.ndarray) -> tuple[int, str] | None:
     # One Cholesky factorisation of the stack shifted by PSD_TOL / 2 accepts
     # it: a matrix it factors has no eigenvalue below -PSD_TOL / 2, up to
     # rounding far below that.  Only a stack it cannot factor runs eigvalsh,
-    # which decides and words every rejection.  Neither is split: two
-    # threads' LAPACK calls ran no faster than one (0.7-1.0x for eigvalsh at
-    # D = 16 and 25 on two cores).
+    # which decides and words every rejection.
     try:
         np.linalg.cholesky(stack + 0.5 * PSD_TOL * np.eye(stack.shape[-1]))
         return None

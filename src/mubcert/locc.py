@@ -31,7 +31,7 @@ from math import cos, hypot, sin, sqrt
 import numpy as np
 
 from .correlations import i_m_bipartite, i_m_witness
-from .linalg import COMPLETENESS_TOL, DensityMatrix, InvariantError, dagger, kron, mix
+from .linalg import BRANCH_SUM_TOL, COMPLETENESS_TOL, DensityMatrix, InvariantError, dagger, kron, mix
 from .mub import fourier_pair
 
 ZERO_BRANCH_TOL = 1e-12
@@ -165,7 +165,7 @@ def omega(rho: DensityMatrix, params: PovmParams, party: int = 0) -> float:
         total_p += p
         if branch is not None:
             value -= p * i_m_bipartite(branch, pair).i_value
-    if abs(total_p - 1.0) > 1e-10:
+    if abs(total_p - 1.0) > BRANCH_SUM_TOL:
         raise InvariantError(f"branch probabilities sum to {total_p!r}, not 1")
     return value
 

@@ -1,8 +1,8 @@
-"""Basis search: the 3^n-distribution search against the 6^n reference.
+"""Basis search: the search over 3^n settings against the 6^n reference.
 
 The reference below is the search it replaces: every assignment of an
-ordered pair of distinct qubit MUBs to each party, with one distribution
-for each setting of the pair, read by an unsearched two-term ``Witness``.
+ordered pair of distinct qubit MUBs to each party, read by an unsearched
+two-term ``Witness`` of the pair's two settings.
 Both must give equal reports, floats and set names included, so ties must
 go to the same first assignment.
 """
@@ -24,7 +24,9 @@ from mubcert import (
     ghz3,
     ghz4,
     i3,
+    i3_witness,
     i4,
+    i4_witness,
     kron,
     lbps_quadripartite,
     lbps_tripartite,
@@ -142,4 +144,8 @@ def test_cached_search_settings_give_the_reports_of_fresh_ones(monkeypatch, caps
 
     cached = reports()
     monkeypatch.setattr(correlations, "_search_settings", _fresh_settings)
+    # Each witness keeps its search projectors: drop them, so that they are
+    # built again from the fresh settings.
+    for witness in (i3_witness(), i4_witness()):
+        monkeypatch.delitem(witness.__dict__, "_search_ops", raising=False)
     assert reports() == cached

@@ -7,9 +7,8 @@ The campaign evaluates blocks of trials as one stack; its per-trial
 reference is a loop of ``Witness.evaluate`` over the validated samples.
 """
 
-import multiprocessing
+import math
 import os
-import queue
 import subprocess
 import sys
 import threading
@@ -205,7 +204,9 @@ def test_sampler_rejects_bad_arguments():
 # ------------------------------------------------------- pinned outputs
 
 # check-bounds stdout at 200 trials and the default seed, recorded before
-# the samplers moved to raw arrays.
+# the samplers moved to raw arrays.  The biseparable4 and d = 5 values were
+# re-pinned when set values became one dot product with a set projector
+# (moved by 6.7e-16 and 2.9e-15).
 GOLDEN_CHECK_BOUNDS = {
     ("--class", "biseparable3"): """{
   "bound": 1.625,
@@ -220,7 +221,7 @@ GOLDEN_CHECK_BOUNDS = {
     ("--class", "biseparable4"): """{
   "bound": 1.75,
   "class": "biseparable4",
-  "max_i": 1.1613316494349895,
+  "max_i": 1.1613316494349901,
   "pass": true,
   "seed": 20260816,
   "trials": 200,
@@ -244,11 +245,24 @@ GOLDEN_CHECK_BOUNDS = {
   "class": "separable-bipartite",
   "d": 5,
   "m": 6,
-  "max_i": 1.5599580189846662,
+  "max_i": 1.5599580189846691,
   "pass": true,
   "seed": 20260816,
   "trials": 200,
   "worst_trial": 34
+}
+""",
+    # 2 D^2 = 13,122 floats per matrix: read one row at a time.
+    ("--class", "separable-bipartite", "--d", "9"): """{
+  "bound": 1.1111111111111112,
+  "class": "separable-bipartite",
+  "d": 9,
+  "m": 2,
+  "max_i": 0.3579136793575048,
+  "pass": true,
+  "seed": 20260816,
+  "trials": 200,
+  "worst_trial": 191
 }
 """,
 }
@@ -261,46 +275,48 @@ def test_check_bounds_stdout_is_pinned(args, capsys):
     assert capsys.readouterr().out == GOLDEN_CHECK_BOUNDS[args]
 
 
-def _force_split(monkeypatch, workers):
-    """Split every stack linalg.split_rows sees over ``workers`` row ranges,
-    whatever the host's core count."""
-    monkeypatch.setattr(linalg, "SPLIT_WORK", 0)
-    monkeypatch.setattr(linalg, "WORKERS", workers)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("args", list(GOLDEN_CHECK_BOUNDS))
-def test_check_bounds_stdout_does_not_depend_on_the_worker_count(monkeypatch, capsys, args, workers):
-    _force_split(monkeypatch, workers)
-    assert main(["check-bounds", *args, "--trials", "200"]) == 0
-    assert capsys.readouterr().out == GOLDEN_CHECK_BOUNDS[args]
+def test_check_bounds_stdout_does_not_depend_on_the_worker_count(args, workers):
+    # The only workers left are BLAS threads: each set value is made of
+    # ddots short enough for one thread, however many there are.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(workers), "OMP_NUM_THREADS": str(workers)}
+    command = [sys.executable, "-m", "mubcert", "check-bounds", *args, "--trials", "200"]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == GOLDEN_CHECK_BOUNDS[args]
 
 
-@pytest.mark.parametrize("dim, witness", [(8, i3_witness), (16, i4_witness), (25, lambda: i_m_witness(prime_mub_family(5)))])
-def test_split_distributions_equal_the_unsplit_ones_bit_for_bit(monkeypatch, dim, witness):
-    # Sampled density matrices and unit-trace hermitian noise, at stack
-    # sizes that split into one row, unequal halves and equal halves.
+@pytest.mark.parametrize(
+    "dim, witness",
+    [
+        (8, i3_witness),
+        (16, i4_witness),
+        (25, lambda: i_m_witness(prime_mub_family(5))),
+        (81, lambda: i_m_witness(fourier_pair(9))),  # read one matrix row at a time
+    ],
+)
+def test_split_reads_equal_the_unsplit_ones_bit_for_bit(dim, witness):
+    # Sampled density matrices and unit-trace hermitian noise (scaled to
+    # keep every set value in range), read whole, one row at a time and in
+    # unequal row ranges.
+    witness = witness()
     rng = np.random.default_rng(dim)
     sampled = np.empty((64, dim, dim), dtype=np.complex128)
-    if dim == 25:
-        separable_block(5, 0, DEFAULT_SEED, sampled)
+    if dim in (25, 81):
+        separable_block(math.isqrt(dim), 0, DEFAULT_SEED, sampled)
     else:
         biseparable_block(dim.bit_length() - 1, 0, DEFAULT_SEED, sampled)
     noise = rng.standard_normal((64, dim, dim)) + 1j * rng.standard_normal((64, dim, dim))
-    noise = (noise + noise.conj().transpose(0, 2, 1)) / 2
+    noise = (noise + noise.conj().transpose(0, 2, 1)) / (8 * dim)
     noise += np.eye(dim) * (1 - noise.trace(axis1=1, axis2=2))[:, None, None] / dim
-    settings = [setting for setting, _ in witness().terms]
     for stack in (sampled, noise):
-        for rows in (1, 2, 63, 64):
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "SPLIT_WORK", 2**62)
-                whole = [correlations._distributions(stack[:rows], s) for s in settings]
-            with monkeypatch.context() as m:
-                _force_split(m, 2)
-                split = [correlations._distributions(stack[:rows], s) for s in settings]
-            for a, b in zip(whole, split):
-                assert a.shape == b.shape == (rows, dim)
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), rows
+        whole = witness._set_values(stack, witness._ops)
+        assert whole.shape == (64, sum(len(sets) for _, sets in witness.terms))
+        for bounds in ([0, 64], list(range(65)), [0, 1, 2, 63, 64], [0, 30, 64]):
+            parts = [witness._set_values(stack[a:b], witness._ops) for a, b in zip(bounds[:-1], bounds[1:])]
+            assert np.array_equal(np.concatenate(parts).view(np.uint64), whole.view(np.uint64)), bounds
 
 
 def _einsum_distributions(monkeypatch, stack, setting):
@@ -346,10 +362,10 @@ def test_a_setting_with_one_unbiased_party_takes_the_einsum(monkeypatch):
     zzx = BasisAssignment((z, z, x))
     assert not zzx.computational and BasisAssignment((z, z, z)).computational
     rho = random_pure((2, 2, 2), 5).density()
-    calls = _count_calls(monkeypatch, correlations, "split_rows")
+    want = np.einsum("ji,jk,ki->i", zzx.product_unitary.conj(), rho.entries, zzx.product_unitary).real
+    calls = _count_calls(monkeypatch, np, "einsum")
     got = correlations.outcome_distribution(rho, zzx)
     assert len(calls) == 1
-    want = np.einsum("ji,jk,ki->i", zzx.product_unitary.conj(), rho.entries, zzx.product_unitary).real
     assert np.array_equal(got, want.clip(0.0, 1.0))
     correlations.outcome_distribution(rho, computational_setting(3))
     assert len(calls) == 1
@@ -370,22 +386,17 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_i3_and_i4_take_one_distribution_per_setting(monkeypatch):
+def test_i3_and_i4_take_no_outcome_distribution(monkeypatch):
+    # Every set value, searched or not, is a dot product with a set
+    # projector; no outcome distribution is built.
     rho3 = random_pure((2, 2, 2), 11).density()
     rho4 = ghz4(0.4).density()
     calls = _count_calls(monkeypatch, correlations, "outcome_distribution")
-    i3(rho3)
-    assert len(calls) == 2
-    calls.clear()
-    i4(rho4)
-    assert len(calls) == 2
-    # A basis search takes one distribution per local setting: 3^n.
-    calls.clear()
-    i3(rho3, basis_search=True)
-    assert len(calls) == 27
-    calls.clear()
-    i4(rho4, basis_search=True)
-    assert len(calls) == 81
+    einsums = _count_calls(monkeypatch, np, "einsum")
+    for basis_search in (False, True):
+        i3(rho3, basis_search)
+        i4(rho4, basis_search)
+    assert calls == einsums == []
 
 
 CAMPAIGNS = [
@@ -543,7 +554,7 @@ def test_probability_sum_breach_exits_3_naming_the_trial(monkeypatch, capsys):
 def test_pattern_sum_breach_exits_3_naming_the_trial(monkeypatch, capsys):
     # Unit trace but not positive: Hadamard-basis outcomes of even parity
     # get 1/8 + 1/2 and odd ones 1/8 - 1/2, which sum to 1, and tri5 holds
-    # three even-parity patterns, 1.875 after clipping.
+    # three even-parity and two odd-parity patterns: 15/8 - 6/8.
     def indefinite(m):
         out = np.eye(8, dtype=complex) / 8
         out[0, 7] = out[7, 0] = 2.0
@@ -551,7 +562,7 @@ def test_pattern_sum_breach_exits_3_naming_the_trial(monkeypatch, capsys):
 
     err = _breach(monkeypatch, capsys, indefinite, validate=False)
     prefix = f"invariant breach: biseparable3 seed {BREACH_SEED} trial {BREACH_TRIAL}: "
-    assert err.startswith(prefix + "pattern sum 1.87")
+    assert err.startswith(prefix + "pattern sum 1.125")
     assert err.endswith(" exceeds 1\n")
 
 
@@ -607,66 +618,16 @@ def _indefinite(m):
     ids=["trace", "eigenvalue", "outcome-sum", "pattern-sum"],
 )
 def test_breach_under_a_forced_split_names_the_same_trial(monkeypatch, capsys, entries, validate):
-    # Trial 94 is row 30 of the second block of 36 rows, past its split
-    # point at row 18.
+    # Trial 94 is row 30 of the second block of 64; split into blocks of 18
+    # instead, it is row 4 of the sixth.  The breach must read alike.
     trial = BLOCK_ROWS + 30
     with monkeypatch.context() as m:
         whole = _breach(m, capsys, entries, validate, trial)
     with monkeypatch.context() as m:
-        _force_split(m, 2)
+        m.setattr(cli, "BLOCK_ROWS", 18)
         split = _breach(m, capsys, entries, validate, trial)
     assert split == whole
     assert split.startswith(f"invariant breach: biseparable3 seed {BREACH_SEED} trial {trial}: ")
-
-
-# ------------------------------------------------------------ thread pool
-
-
-def test_check_bounds_starts_at_most_one_thread_per_worker(monkeypatch, capsys):
-    _force_split(monkeypatch, 2)
-    before = threading.active_count()
-    for _ in range(2):
-        assert main(["check-bounds", "--class", "separable-bipartite", "--d", "5", "--complete-family", "--trials", "70"]) == 0
-    assert threading.active_count() - before <= linalg.WORKERS
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize(
-    "argv", [["certify", "--family", "ghz4", "--basis-search"], ["locc", "--grid", "7"]], ids=lambda a: a[0]
-)
-def test_single_matrix_commands_start_no_pool(monkeypatch, capsys, tmp_path, argv):
-    # Only a stack of SPLIT_WORK or more is split; these commands read one
-    # matrix at a time.
-    monkeypatch.setattr(linalg, "WORKERS", 2)
-    started = []
-    monkeypatch.setattr(linalg, "_split_pool", lambda: started.append(1))
-    extra = ["--out-dir", str(tmp_path)] if argv[0] == "locc" else []
-    assert main([*argv, *extra]) == 0
-    assert started == []
-    capsys.readouterr()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_a_child_forked_after_a_split_can_split(monkeypatch):
-    # The child has none of the parent's pool threads; it must start its own.
-    _force_split(monkeypatch, 2)
-    stack = np.tile(np.eye(16, dtype=complex) / 16, (8, 1, 1))
-    setting = i4_witness().terms[1][0]
-    want = correlations._distributions(stack, setting)
-    context = multiprocessing.get_context("fork")
-    results = context.Queue()
-    child = context.Process(target=lambda: results.put(correlations._distributions(stack, setting)))
-    child.start()
-    try:
-        got = results.get(timeout=60)
-    except queue.Empty:
-        got = None
-    finally:
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-    assert got is not None and np.array_equal(got, want)
-    assert child.exitcode == 0
 
 
 def test_split_campaign_process_exits_promptly():
@@ -678,3 +639,34 @@ def test_split_campaign_process_exits_promptly():
     assert done.returncode == 0, done.stderr
     assert done.stdout == GOLDEN_CHECK_BOUNDS[("--class", "separable-bipartite", "--d", "5", "--complete-family")]
     assert time.monotonic() - start < 60
+
+
+# ------------------------------------------------------------- threads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--family", "ghz4", "--basis-search"],
+        ["locc", "--grid", "7"],
+        ["check-bounds", "--class", "separable-bipartite", "--d", "5", "--complete-family", "--trials", "70"],
+        ["sweep", "--family", "ghz4", "--steps", "70"],
+        ["figures", "--steps", "70", "--grid", "7"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_no_command_starts_a_thread(monkeypatch, capsys, tmp_path, argv):
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        return original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    extra = ["--out-dir", str(tmp_path)] if argv[0] in ("locc", "figures") else []
+    before = threading.active_count()
+    assert main([*argv, *extra]) == 0
+    assert started == []
+    assert threading.active_count() == before
+    capsys.readouterr()

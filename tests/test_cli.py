@@ -91,10 +91,12 @@ def test_certify_basis_search_flag(tmp_path, capsys):
 
 # SHA-256 of the searched report (json.dumps, sorted keys) for seeded Haar
 # states, recorded while the search still took two distributions for each
-# of the 6^n setting pairs.  The report, not stdout: stdout names the file.
+# of the 6^n setting pairs, and re-pinned when set values became one dot
+# product with a set projector (values moved by at most 6.7e-16, set names
+# did not).  The report, not stdout: stdout names the file.
 SEARCH_REPORT_PINS = {
-    ((2, 2, 2), 5003): "21972846692018e414e865564c8c71cf8687e971f82d8d0d0e201fd4a9d9f771",
-    ((2, 2, 2, 2), 5004): "f1c4d33acf4711d635baa0c79588c4a820b58c4e366231652c0a8b07a9c0241a",
+    ((2, 2, 2), 5003): "f016626d7a77828377f714c6c0166c814790ce340684170d472a320f13b7706e",
+    ((2, 2, 2, 2), 5004): "f18f5f631632cd8055a83ccbf9efdf0f58313c6635166aad3e749296d12416c4",
 }
 
 
@@ -562,7 +564,10 @@ def test_locc_rejects_conflicting_state_arguments(tmp_path, capsys, argv):
 # einsum over the xi axis only; another build may need its own pins.  The
 # "stdout" pins and the fig2-fig5 pins were recorded before the family table
 # replaced the CLI's per-family code: every family under certify and sweep,
-# with and without parameters.
+# with and without parameters.  The certify, sweep and fig2-fig5 pins were
+# re-pinned when set values became one dot product with a set projector:
+# values moved by at most 8.9e-16, and w3's tied attaining set went from
+# tri1 to tri2.
 LOCC_GOLDEN = {
     ("locc", "--grid", "7"): {
         "grid.csv": "466e3e4f183e454c8ba0730ba8ff1e7833d67cbbab716f7ff8cd9b94a9023bc3",
@@ -581,130 +586,130 @@ LOCC_GOLDEN = {
         "fig1.csv": "a4b269169203d26a49ffb6e3b2d3208c0f013ad544deb3d7723abeec00edcb9c",
     },
     ("certify", "--family", "psi_lambda", "--format", "json"): {
-        "stdout": "aef1da1df7a0bc42370a7a2d27c045fc42f41bbd1c581afa9de85dddd51162f0",
+        "stdout": "701dda9e01f604675ab9f2b8ccd5b82585991a8c780e7891809c7776df238a62",
     },
     ("certify", "--family", "psi_lambda", "--format", "csv"): {
-        "stdout": "a9e0a847475a0264573e7ebf748568824a886bd39cf7cad50fb3ee19d2bda16c",
+        "stdout": "1f81828cb465bd0f943ec5a550ceff56953318be23a7aa7e2b93b12920ea4734",
     },
     ("certify", "--family", "bell", "--format", "json"): {
-        "stdout": "eea41fd6cd0b118941151144e096a6a2b77e23ff48beae907198d674d1875e0f",
+        "stdout": "5b3da7a3eba605959f949ebbad16eb2acbfd7ca3ffadd344a233ed00ef67567b",
     },
     ("certify", "--family", "bell", "--format", "csv"): {
-        "stdout": "3dc65107c5e397375ed5955a20dfdb515d01be02e655e5dc830b60aa5110fe53",
+        "stdout": "4fc0164fefcacebaf149f40f0103db272af5fcfcbd31510aa255b09fb1575eb4",
     },
     ("certify", "--family", "ghz3", "--format", "json"): {
-        "stdout": "6dd866fc7b1517b0437b320f07a7b5dffed2407447cd0774ae73bec2ce7de400",
+        "stdout": "c39c3c9a7ca54cdf46f53db8d2de61c2f44afd2e16fd267321908f3c52b7318b",
     },
     ("certify", "--family", "ghz3", "--format", "csv"): {
-        "stdout": "86aac36c5faaf5f27676212b82b6a94cc7925e17d07dcfa78cf1f7d3267a20b6",
+        "stdout": "42f6d7b6e6b922a5628271f072347ba6a0c500585196e22bbee4566608c5d5d7",
     },
     ("certify", "--family", "w3", "--format", "json"): {
-        "stdout": "783762d9e937098e69b0e378c8e4bda1a01ccf22b2d4a01f9ca1b572131b7d55",
+        "stdout": "20266eaddad8895f37f2f698e5cddc497927ad9ad451fbd7c77fc30e1e32931c",
     },
     ("certify", "--family", "w3", "--format", "csv"): {
-        "stdout": "9c68c5239f487854ae00b8ab199607af5b01f9d0221cf7436cb6b7a70210c5f9",
+        "stdout": "838daeeae4cc55c3c1b7aaeaa34c688808d07e7a7e52f9a13555e2d350b1e087",
     },
     ("certify", "--family", "ghz4", "--format", "json"): {
-        "stdout": "1851748de3de69c44530c135ca28bfbacaa55080d04eea101b10c564e0657c30",
+        "stdout": "683cd43a79d3ece2a6cea9b334f1a5f8ad3e0b38e92032f521469ff30e2a1587",
     },
     ("certify", "--family", "ghz4", "--format", "csv"): {
-        "stdout": "d78f4186a470761d5559b635c4fde9b7c38f96a3bae6dc84d09f2fd28322c42c",
+        "stdout": "9112f6fd993bae2cfbe0f86b336e7421beedee66579921f4e97f8ebfa070fe24",
     },
     ("certify", "--family", "wg4", "--format", "json"): {
-        "stdout": "c17e2d98419533a2b0120d9e9bf5c7440d82b27d0d37db9043dce9bbd0587b1f",
+        "stdout": "08723203db9351ff45a305a453b514089c55641f90bba061dee16d7053f76e58",
     },
     ("certify", "--family", "wg4", "--format", "csv"): {
-        "stdout": "f9ec095de33936a140ba716b32f3bd000246dec0eefe7953f56732be309daeb2",
+        "stdout": "4e53bf4253731cf57c20f403de887a13e6ee3794715357dd9d8089c437609b53",
     },
     ("certify", "--family", "product3", "--format", "json"): {
-        "stdout": "18b1620d03096d64d72f314056a023eb00d4d82dc6d6a45d950086e43b087ba4",
+        "stdout": "310e527a0ae9f4b400f2a07f92171f4a734fb2b174bdb3892239bba6d76c78b3",
     },
     ("certify", "--family", "product3", "--format", "csv"): {
-        "stdout": "ef5ecdc729ae6b80cd7f0f42fbec03fb0f560a084bd5ca389f9e98d364403d85",
+        "stdout": "aa4165b8cafe97943367fc7589d15e61a76cf430b237d1c0de8e36dbf945b426",
     },
     ("certify", "--family", "product4", "--format", "json"): {
-        "stdout": "09381e7bb946294973aff1ab09a805edc2ff1cc886e4fe747ee5371815ab7340",
+        "stdout": "f6477d9fcf0eaaa3dee282b3db16261dd984fe53df4ddad7dc0a7d2253e1e472",
     },
     ("certify", "--family", "product4", "--format", "csv"): {
-        "stdout": "19b312ed13e9704f44e311ac87d1acdda2a38fd9e122be3689450e269f781aa0",
+        "stdout": "2ea9e69863c5adb06f0fce1eb844182ffddcf17afec2e92f5af588a732629857",
     },
     ("certify", "--family", "psi_lambda", "--lambda", "0.2", "--format", "json"): {
-        "stdout": "e8c241a1bf8762d21b0f90e9c8687f9d36d058da631281be544213308fded526",
+        "stdout": "6dfafcd0005f83818949135483275fca1fc6eb8bdba1fc633dd98306783b3f24",
     },
     ("certify", "--family", "ghz3", "--theta", "0.3", "--format", "json"): {
-        "stdout": "5da002d2c10f9084895e2554e83c58fb4f94db7ac011aa2a8c7f8cd130805817",
+        "stdout": "bd8b3d8284e3cdaf3490c6ecfb1f1d871100b3a22e7473e26d592c43f758d929",
     },
     ("certify", "--family", "w3", "--theta", "0.9", "--alpha", "0.4", "--format", "json"): {
-        "stdout": "78500f1f7da16e6bb7c125b8bea55c4be9e4e1500dd2283424c21fe5c04dbe0f",
+        "stdout": "0c11da1505966ee1c9d5851b92587f9d5fb398fe875419b3b4a2b33318c94f7b",
     },
     ("certify", "--family", "ghz4", "--theta", "0.4", "--format", "json"): {
-        "stdout": "4bd9a3c6cd235dd5414c4131eb84ba44d02fbf6293832b0068debbef6c0de2ab",
+        "stdout": "f815a7b518447e8103b4f54c8e925527507d8fc703f0fecd61c1e2ee82a1b767",
     },
     (
         "certify", "--family", "wg4", "--theta", "0.9", "--mu", "0.3", "--nu", "1.1",
         "--format", "json",
     ): {
-        "stdout": "7aeb6a03ef722e30c9cae08b7c58b7f4dc0e024106bedc8665c46833658ff509",
+        "stdout": "4be6333c902b538b90f8fdf29bd7e5e43964ed1c064921a985d340d87c685afa",
     },
     ("certify", "--family", "psi_lambda", "--lambda", "0.2", "--format", "csv"): {
-        "stdout": "f57fca8a68ebe5df2b1ec05b5295689a5c68392753b73cb644f4aaf281bee5f1",
+        "stdout": "53f8752912e0039aa36ac30638b2781c16d2b50ffd47d6aa63033e70491590d8",
     },
     ("certify", "--family", "ghz3", "--theta", "0.3", "--format", "csv"): {
-        "stdout": "5487314bdb309584ccd206ee7a50d404034e39dd355d74830baff5b20fbb37ac",
+        "stdout": "32a9b98e071bec148cdfc4214558a08d8bc6b3df85fd6eaa318f2dc778200f46",
     },
     ("certify", "--family", "w3", "--theta", "0.9", "--alpha", "0.4", "--format", "csv"): {
-        "stdout": "dcced38a4bac64cc1c0b4ae60389361d379cec547e3d9f1d8ad99fbf3295c662",
+        "stdout": "b4afc67f8e566a2d10d61c791ab9e5bb76b1d45e4a362623ab2c08220e9c9318",
     },
     ("certify", "--family", "ghz4", "--theta", "0.4", "--format", "csv"): {
-        "stdout": "e4bd22e70d60afe94fe864c5b0528b6fd6ba6d88932a4a42208e6a1ff74d70e1",
+        "stdout": "811a22371ab8ecbe44cece88e83f157ab3d525e1a217eba60d32b7a14e3022e9",
     },
     (
         "certify", "--family", "wg4", "--theta", "0.9", "--mu", "0.3", "--nu", "1.1",
         "--format", "csv",
     ): {
-        "stdout": "ae81ab96f183a99823c3617ac12e06c63c7751c8e662e06a404c2f02de76227b",
+        "stdout": "5982943fb03b49236a9226178397a2038b4816fef3ae6e78ca75f7597895e830",
     },
     ("certify", "--family", "ghz3", "--basis-search"): {
-        "stdout": "6dd866fc7b1517b0437b320f07a7b5dffed2407447cd0774ae73bec2ce7de400",
+        "stdout": "c39c3c9a7ca54cdf46f53db8d2de61c2f44afd2e16fd267321908f3c52b7318b",
     },
     ("sweep", "--family", "psi_lambda", "--steps", "5", "--verify"): {
-        "stdout": "251a39fca1b3b01ad77040fb79156225ef70929c283ebdea91e5e49d9d2b13cd",
+        "stdout": "31f7049fb823a5323f1e283091e1d86874f21a37eada4871d54167b33cb78c77",
     },
     ("sweep", "--family", "psi_lambda", "--steps", "3", "--format", "json"): {
-        "stdout": "ee1c1a00d7582c5fec865f724582b3ef01e9a771e4ff5d72f3698383926f6c28",
+        "stdout": "d636e127e8831ff6d787b7ad00efc8a3e8e550ce8a3819e7efa824d979ce8ce6",
     },
     ("sweep", "--family", "ghz3", "--steps", "11", "--verify"): {
-        "stdout": "c4680efe8dee7465ebdca47d3ea0d7ae5999f8afbfa8cd0498e31d6868402146",
+        "stdout": "0e3c6e35ed7f2826e83ea16d81cf0bbabea8e31eeca3e0e350d14d2030bbc609",
     },
     (
         "sweep", "--family", "ghz3", "--from", "0.2", "--to", "1.2", "--steps", "4",
         "--format", "json",
     ): {
-        "stdout": "9cf0662ba0ebc8425c16cf0b95158ab909f3066b55ff6880e52833cd5eea2d84",
+        "stdout": "115c373e56e4e2a9e621569df587fb23456d48b74e5de212728f654e5cc5a763",
     },
     ("sweep", "--family", "w3", "--steps", "6", "--verify"): {
-        "stdout": "372569e279fdf099e7da2112ee1460fbce81666235491085ac33a4dfed0f1345",
+        "stdout": "8fba4b87e89e1c25a3c6f467004e61eda06ca7a7be07cfcfa6a79b412eeebbe4",
     },
     ("sweep", "--family", "w3", "--alpha", "0.4", "--steps", "5"): {
-        "stdout": "1bd913ba5304262dd62f6b934bbed1ec82602c6e33e5d019862f14e150fc330e",
+        "stdout": "7ebc782e3e350a14771702815e0012f357bab130611bad5695c018e48d83fbbd",
     },
     ("sweep", "--family", "ghz4", "--steps", "5", "--verify", "--format", "json"): {
-        "stdout": "bbc1592101ac840750d4624b4f469c839f5354e14d1de4f409f6b9b49382b4a7",
+        "stdout": "8279040119fa08687324764d2f90639d08e2dc4f231183b27c7038062497d902",
     },
     ("sweep", "--family", "ghz4", "--from", "0.5", "--to", "1.0", "--steps", "3"): {
-        "stdout": "038af4669c0ec320fa4bbb01f29f13d484753ef9328c2f2a36560e084a63b9c5",
+        "stdout": "490b6da1f97f501a061e1a8e79d38a45f8f0a5a736d7b002bdfb6d9807a47fa4",
     },
     ("sweep", "--family", "wg4", "--steps", "5", "--verify"): {
-        "stdout": "1136182db4444df080470361fd6cf04c6f2b3646fd338cf8d25bed7ea425658a",
+        "stdout": "1add7cdef7dd5485b51c6466e1686b21b8016264523a265ffdf4606561b94192",
     },
     ("sweep", "--family", "wg4", "--theta", "0.7", "--nu", "1.1", "--steps", "5"): {
-        "stdout": "353cc1cbed22fb020e9fec9a12bcbbdfdb327c9a41c5a3f628d50446491669a3",
+        "stdout": "81e6f86d101737fd6b3a14ddb0b815ae11b3c302aa5432ad6daad30ab4c50b71",
     },
     ("figures", "--steps", "21", "--grid", "7", "--verify"): {
-        "fig2.csv": "3b47e5f33ab465b5347da7ec3a84c4b8fb608d586f54c775750a3752d9a8c177",
-        "fig3.csv": "886a56ab362e0c6832b03ce81c7004e7de90b681f86b5d085bf00a2ae962db94",
-        "fig4.csv": "cb55d268786afedabbc6fe87616002dda3f9517c1e7a7935a6bb54ee76905f39",
-        "fig5.csv": "bad7d285dbaa94ed2e97dbd185449b79e64308edcc2247dd0bfaab211db0e26e",
+        "fig2.csv": "c38f3206a5f2b3cacfa29179893b3f9ca96fde20e38592d598b85ef841935475",
+        "fig3.csv": "d9d1acbdb516ebbd2d9eb032cb557eed1fac349fbd0eeeb10789e9ccd8ae22a1",
+        "fig4.csv": "b675ba4ea1455c5aa0a3d45e3190d95ceb955a1eaf90b2bf0e52760fa6108c10",
+        "fig5.csv": "679280728af3a27761f3cc14362d4985f2558ae563ee717b36c394d731326e45",
     },
 }
 
@@ -1027,9 +1032,16 @@ def test_figures_outputs_and_determinism(tmp_path, capsys):
 # ------------------------------------------------------------ entry point
 
 
-@pytest.mark.skipif(shutil.which("mubcert") is None, reason="console script not on PATH")
 def test_console_script_help():
-    done = subprocess.run(["mubcert", "--help"], capture_output=True, text=True)
+    # Without the installed script, run the target that pyproject.toml declares.
+    root = Path(__file__).resolve().parents[1]
+    command = ["mubcert", "--help"]
+    if shutil.which("mubcert") is None:
+        tomllib = pytest.importorskip("tomllib")
+        target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["mubcert"]
+        module, function = target.split(":")
+        command = [sys.executable, "-c", f"from {module} import {function}; {function}()", "--help"]
+    done = subprocess.run(command, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert done.returncode == 0
     assert "certify" in done.stdout
 

@@ -45,6 +45,7 @@ from mubcert import (
     uniform_setting,
     w3,
 )
+import mubcert.correlations as correlations
 from mubcert.correlations import (
     QUADRIPARTITE_BOUND,
     TRIPARTITE_BOUND,
@@ -304,14 +305,51 @@ def test_witness_terms_must_share_dims():
 # -PSD_TOL), so their probabilities may stray outside [0, 1] by that much.
 
 
-def test_pattern_sum_admits_every_density_matrix():
+def test_pattern_sum_admits_every_density_matrix(monkeypatch):
     rho = DensityMatrix((2, 2, 2), np.diag([0.5 + 5e-10, -1e-9, 0, 0, 0, 0, 0, 0.5 + 5e-10]))
     report = i3(rho)
     assert report.c_first == 1.0
     assert report.attaining_set_first == "diagonal"
-    # A pattern sum beyond that slack is still an internal breach.
-    with pytest.raises(InvariantError, match="exceeds 1"):
-        i3_witness()._read(np.full(8, 0.3), 1)
+    # A pattern sum beyond that slack is still an internal breach, above 1
+    # or below 0: unit-trace diagonals that validation would reject.
+    monkeypatch.setattr(correlations, "density_defect", lambda m: None)
+    with pytest.raises(InvariantError, match=r"pattern sum 1\.1 exceeds 1"):
+        i3_witness().read(np.diag([0.6, 0, 0, 0, 0, 0, -0.1, 0.5]).astype(complex)[None])
+    with pytest.raises(InvariantError, match=r"pattern sum -0\.1 is below 0") as raised:
+        i3_witness().read(np.array([np.eye(8) / 8, np.diag([-0.1, 0.6, 0.5, 0, 0, 0, 0, 0])], dtype=complex))
+    assert raised.value.row == 1
+
+
+def _random_mixed(dims, seed):
+    """A seeded full-rank mixture of three Haar-random pure states."""
+    rng = np.random.default_rng(seed)
+    parts = [random_pure(dims, [seed, k]).density() for k in range(3)]
+    return mix(parts, rng.random(3))
+
+
+@pytest.mark.parametrize(
+    "witness, count",
+    [(i3_witness(), 6), (i4_witness(), 1), (i_m_witness(fourier_pair(2)), 1), (i_m_witness(prime_mub_family(5)), 1)],
+    ids=["i3", "i4", "i2", "i6-d5"],
+)
+def test_witness_operators_give_the_value_as_a_largest_trace(witness, count):
+    operators = list(witness.operators())
+    assert len(operators) == count
+    for w, names in operators:
+        assert float(np.max(np.abs(w - w.conj().T))) <= 1e-15
+        assert len(names) == len(witness.terms)
+    for seed in range(10):
+        rho = _random_mixed(witness.dims, seed)
+        traces = [float(np.real(np.trace(rho.entries @ w))) for w, _ in operators]
+        report = witness.evaluate(rho)
+        assert abs(max(traces) - report.i_value) <= 1e-12
+        best = operators[int(np.argmax(traces))][1]
+        assert (best[0], best[-1]) == (report.attaining_set_first, report.attaining_set_second)
+
+
+def test_i3_operators_choose_each_tri_set_once():
+    names = [names for _, names in i3_witness().operators()]
+    assert names == [("diagonal", s.name) for s in lbps_tripartite()]
 
 
 @pytest.mark.parametrize(
