@@ -99,6 +99,8 @@ def _load_state(args) -> StateVector:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.state}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{args.state}: JSON nested too deeply to read") from None
     return state_from_json_dict(data)
 
 

@@ -72,11 +72,6 @@ class BasisAssignment:
     def dims(self) -> tuple[int, ...]:
         return tuple(b.d for b in self.bases)
 
-    @property
-    def computational(self) -> bool:
-        """Every party measures in its computational basis: the product unitary is the identity."""
-        return all(b.computational for b in self.bases)
-
     @cached_property
     def product_unitary(self) -> np.ndarray:
         """Column k (row-major over per-party outcomes) is the product vector.
@@ -230,37 +225,15 @@ def joint_probability(rho: DensityMatrix, setting: BasisAssignment, outcome: Ind
     return min(max(p, 0.0), 1.0)
 
 
-def _distributions(entries: np.ndarray, setting: BasisAssignment) -> np.ndarray:
-    """Outcome probabilities in ``setting`` of each matrix of the (..., D, D)
-    stack ``entries``, shape (..., D); each row checked to sum to 1.
-
-    A computational setting reads the diagonal.  That is the einsum's result
-    bit for bit: with U = I every other term is +-0, the einsum sums from +0,
-    so it returns rho_ii.real, or +0.0 where that is zero, as ``+ 0.0`` does.
-    """
-    if setting.computational:
-        probs = entries.diagonal(axis1=-2, axis2=-1).real + 0.0
-    else:
-        u = setting.product_unitary
-        probs = np.einsum("ji,...jk,ki->...i", u.conj(), entries, u).real
-    total = probs.sum(axis=-1)
-    if abs(total - 1.0).max() > EQUALITY_TOL:
-        total = total.reshape(-1)
-        row = int((abs(total - 1.0) > EQUALITY_TOL).argmax())
-        raise InvariantError(f"outcome probabilities sum to {float(total[row])!r}, not 1", row)
-    return probs.clip(0.0, 1.0)
-
-
 def outcome_distribution(rho: DensityMatrix, setting: BasisAssignment) -> np.ndarray:
     """All d^n outcome probabilities (flat, row-major); checked to sum to 1."""
     _check_state_setting(rho, setting)
-    return _distributions(rho.entries, setting)
-
-
-@lru_cache(maxsize=None)
-def _search_settings(n: int) -> tuple[BasisAssignment, ...]:
-    """Every choice of one qubit MUB per party, in itertools.product order."""
-    return tuple(map(BasisAssignment, itertools.product(qubit_mub_triple().bases, repeat=n)))
+    u = setting.product_unitary
+    probs = np.einsum("ji,jk,ki->i", u.conj(), rho.entries, u).real
+    total = float(probs.sum())
+    if abs(total - 1.0) > EQUALITY_TOL:
+        raise InvariantError(f"outcome probabilities sum to {total!r}, not 1")
+    return probs.clip(0.0, 1.0)
 
 
 def _projectors(pairs, count: int, dim: int) -> np.ndarray:
@@ -323,12 +296,13 @@ class Witness:
 
     @cached_property
     def _search_ops(self) -> np.ndarray:
-        # Every set of every term in each of the 3^n search settings in turn;
-        # each product unitary is built on a copy of its setting, and dropped.
-        settings = _search_settings(len(self.dims))
+        # Every set of every term in each of the 3^n search settings, in
+        # itertools.product order.
+        n = len(self.dims)
         flats = [f for term in self._flat for f in term]
-        unitaries = (BasisAssignment(s.bases).product_unitary for s in settings)
-        return _projectors(((u, f) for u in unitaries for f in flats), len(settings) * len(flats), prod(self.dims))
+        settings = itertools.product(qubit_mub_triple().bases, repeat=n)
+        unitaries = (BasisAssignment(bases).product_unitary for bases in settings)
+        return _projectors(((u, f) for u in unitaries for f in flats), 3**n * len(flats), prod(self.dims))
 
     def _set_values(self, entries: np.ndarray, ops: np.ndarray) -> np.ndarray:
         """Tr(m W) of each matrix m of the (T, D, D) stack ``entries`` for each
@@ -502,7 +476,7 @@ def i4(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
 def _oracle_probability(rho: DensityMatrix, setting: BasisAssignment, pattern: IndexPattern) -> float:
     # Deliberately independent route: the product vector is accumulated
     # per party by broadcasting, and the probability is taken as a single
-    # quadratic form.  No shared machinery with outcome_distribution.
+    # quadratic form.  No shared machinery with the Witness set projectors.
     vec = np.ones(1, dtype=np.complex128)
     for basis, k in zip(setting.bases, pattern):
         column = basis.vectors[:, k]

@@ -48,7 +48,7 @@ class InvariantError(RuntimeError):
     conditions that indicate a bug or numerical breakdown inside the
     package itself, such as a probability distribution that does not sum
     to one.  These are never silently absorbed.  A check run over a stack
-    of matrices or distributions names the first failing one in ``row``.
+    of matrices names the first failing one in ``row``.
     """
 
     def __init__(self, message: str, row: int = 0) -> None:

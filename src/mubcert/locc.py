@@ -30,7 +30,7 @@ from math import cos, hypot, sin, sqrt
 
 import numpy as np
 
-from .correlations import i_m_bipartite, i_m_witness
+from .correlations import i_m_witness
 from .linalg import BRANCH_SUM_TOL, COMPLETENESS_TOL, DensityMatrix, InvariantError, dagger, kron, mix
 from .mub import fourier_pair
 
@@ -156,15 +156,15 @@ def apply_branch(rho: DensityMatrix, e: np.ndarray, party: int = 0):
 
 def omega(rho: DensityMatrix, params: PovmParams, party: int = 0) -> float:
     """Monotonicity residual I2(rho) - sum_k p_k I2(rho_k) for one POVM."""
-    pair = fourier_pair(2)
+    witness = i_m_witness(fourier_pair(2))
     e1, e2 = build_povm(params)
-    value = i_m_bipartite(rho, pair).i_value
+    value = witness.evaluate(rho).i_value
     total_p = 0.0
     for e in (e1, e2):
         p, branch = apply_branch(rho, e, party)
         total_p += p
         if branch is not None:
-            value -= p * i_m_bipartite(branch, pair).i_value
+            value -= p * witness.evaluate(branch).i_value
     if abs(total_p - 1.0) > BRANCH_SUM_TOL:
         raise InvariantError(f"branch probabilities sum to {total_p!r}, not 1")
     return value
@@ -284,13 +284,13 @@ def min_omega_family(rho: DensityMatrix, theta_cap: float = 0.0, party: int = 0)
 
 def convexity_probe(rho1: DensityMatrix, rho2: DensityMatrix, weights) -> float:
     """Max deviation of I2 (Fourier pair) from exact mixing linearity over the given weights."""
-    pair = fourier_pair(rho1.dims[0])  # i_m_bipartite rejects dims other than (d, d)
-    a, b = i_m_bipartite(rho1, pair).i_value, i_m_bipartite(rho2, pair).i_value
+    witness = i_m_witness(fourier_pair(rho1.dims[0]))  # evaluate rejects dims other than (d, d)
+    a, b = witness.evaluate(rho1).i_value, witness.evaluate(rho2).i_value
     worst = 0.0
     for w in weights:
         w = float(w)
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weights must lie in [0, 1], got {w}")
         mixed = mix([rho1, rho2], [w, 1.0 - w])
-        worst = max(worst, abs(i_m_bipartite(mixed, pair).i_value - (w * a + (1.0 - w) * b)))
+        worst = max(worst, abs(witness.evaluate(mixed).i_value - (w * a + (1.0 - w) * b)))
     return worst

@@ -9,7 +9,7 @@ immutable, so each constructor builds its family once per argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,14 +19,10 @@ from .linalg import CONSTRUCTION_TOL
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Orthonormal basis of C^d; column j of ``vectors`` is the j-th vector.
-
-    ``computational`` is set when ``vectors`` is exactly the identity.
-    """
+    """Orthonormal basis of C^d; column j of ``vectors`` is the j-th vector."""
 
     d: int
     vectors: np.ndarray
-    computational: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         d = int(self.d)
@@ -42,7 +38,6 @@ class Basis:
         v.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "computational", bool(np.array_equal(v, np.eye(d))))
 
     def vector(self, j: int) -> np.ndarray:
         return self.vectors[:, j]

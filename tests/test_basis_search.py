@@ -21,12 +21,14 @@ from mubcert import (
     StateVector,
     Witness,
     diagonal_set,
+    fourier_pair,
     ghz3,
     ghz4,
     i3,
     i3_witness,
     i4,
     i4_witness,
+    i_m_witness,
     kron,
     lbps_quadripartite,
     lbps_tripartite,
@@ -119,15 +121,24 @@ def test_search_matches_the_reference(name):
     assert certify(rho, basis_search=True) == _reference_search(rho)
 
 
-def _fresh_settings(n: int) -> tuple[BasisAssignment, ...]:
-    return tuple(BasisAssignment(bases) for bases in itertools.product(qubit_mub_triple().bases, repeat=n))
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_search_settings_are_built_once_in_product_order(n):
-    settings = correlations._search_settings(n)
-    assert settings is correlations._search_settings(n)
-    assert [s.bases for s in settings] == [s.bases for s in _fresh_settings(n)]
+def test_search_settings_are_built_once_in_product_order(monkeypatch, n):
+    # A witness builds its search projectors on its first search only.
+    # Block r holds every set of every term, read in the r-th setting of
+    # itertools.product.
+    witness = {2: i_m_witness(fourier_pair(2)), 3: i3_witness(), 4: i4_witness()}[n]
+    monkeypatch.delitem(witness.__dict__, "_search_ops", raising=False)
+    calls = []
+    build = correlations._projectors
+    monkeypatch.setattr(correlations, "_projectors", lambda *args: calls.append(1) or build(*args))
+    rho = random_pure((2,) * n, [SEED, n]).density()
+    assert witness.evaluate(rho, basis_search=True) == witness.evaluate(rho, basis_search=True)
+    assert len(calls) == 1
+    sets = [s for _, term_sets in witness.terms for s in term_sets]
+    for r, bases in enumerate(itertools.product(qubit_mub_triple().bases, repeat=n)):
+        setting = BasisAssignment(bases)
+        plain = Witness(((setting, sets), (setting, sets[:1])), witness.bound)._ops
+        assert np.array_equal(witness._search_ops[r * len(sets) : (r + 1) * len(sets)], plain[: len(sets)])
 
 
 def test_cached_search_settings_give_the_reports_of_fresh_ones(monkeypatch, capsys, tmp_path):
@@ -143,9 +154,6 @@ def test_cached_search_settings_give_the_reports_of_fresh_ones(monkeypatch, caps
         return capsys.readouterr().out
 
     cached = reports()
-    monkeypatch.setattr(correlations, "_search_settings", _fresh_settings)
-    # Each witness keeps its search projectors: drop them, so that they are
-    # built again from the fresh settings.
-    for witness in (i3_witness(), i4_witness()):
-        monkeypatch.delitem(witness.__dict__, "_search_ops", raising=False)
+    # Each witness keeps its search projectors: build them afresh for each state.
+    monkeypatch.setattr(Witness, "_search_ops", property(Witness._search_ops.func))
     assert reports() == cached

@@ -28,9 +28,7 @@ from mubcert import (
     BasisAssignment,
     StateVector,
     bipartitions,
-    computational_setting,
     fourier_pair,
-    ghz3,
     ghz4,
     i3,
     i3_witness,
@@ -44,7 +42,6 @@ from mubcert import (
     random_biseparable,
     random_pure,
     random_separable,
-    w3,
 )
 from mubcert import cli
 from mubcert.cli import BLOCK_ROWS, DEFAULT_SEED, main, run_bound_campaign
@@ -319,56 +316,12 @@ def test_split_reads_equal_the_unsplit_ones_bit_for_bit(dim, witness):
             assert np.array_equal(np.concatenate(parts).view(np.uint64), whole.view(np.uint64)), bounds
 
 
-def _einsum_distributions(monkeypatch, stack, setting):
-    """``_distributions`` with the computational shortcut switched off."""
-    with monkeypatch.context() as m:
-        m.setattr(BasisAssignment, "computational", property(lambda self: False))
-        return correlations._distributions(stack, setting)
-
-
-def _diagonal_cases():
-    for n in (3, 4):
-        block = np.empty((64, 2**n, 2**n), dtype=np.complex128)
-        biseparable_block(n, 0, DEFAULT_SEED, block)
-        yield pytest.param(block, i3_witness() if n == 3 else i4_witness(), id=f"biseparable{n}")
-    block = np.empty((64, 25, 25), dtype=np.complex128)
-    separable_block(5, 0, DEFAULT_SEED, block)
-    yield pytest.param(block, i_m_witness(prime_mub_family(5)), id="d5")
-    # Pure sweep rows with zero diagonal entries, stacked as sweep stacks them.
-    for name, build in (("ghz3", ghz3), ("w3", lambda t: w3(t, 0.5))):
-        amps = np.array([build(t).amplitudes for t in (0.0, np.pi / 2)])
-        yield pytest.param(amps[:, :, None] * amps.conj()[:, None, :], i3_witness(), id=name)
-    # A -0.0 diagonal entry, where the einsum gives +0.0.
-    signed = np.diag([0.5, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]).astype(np.complex128)
-    yield pytest.param(signed[None], i3_witness(), id="signed-zero")
-
-
-@pytest.mark.parametrize("stack, witness", list(_diagonal_cases()))
-def test_computational_distributions_equal_the_einsum_bit_for_bit(monkeypatch, stack, witness):
-    computational = [s for s, _ in witness.terms if s.computational]
-    assert computational
-    for setting in computational:
-        want = _einsum_distributions(monkeypatch, stack, setting)
-        got = correlations._distributions(stack, setting)
-        assert got.shape == want.shape == stack.shape[:2]
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        # The single-matrix route reads the same diagonal.
-        got_one = correlations._distributions(stack[0], setting)
-        assert np.array_equal(got_one.view(np.int64), want[0].view(np.int64))
-
-
-def test_a_setting_with_one_unbiased_party_takes_the_einsum(monkeypatch):
+def test_outcome_distribution_is_the_clipped_einsum():
     z, x, _ = qubit_mub_triple().bases
     zzx = BasisAssignment((z, z, x))
-    assert not zzx.computational and BasisAssignment((z, z, z)).computational
     rho = random_pure((2, 2, 2), 5).density()
     want = np.einsum("ji,jk,ki->i", zzx.product_unitary.conj(), rho.entries, zzx.product_unitary).real
-    calls = _count_calls(monkeypatch, np, "einsum")
-    got = correlations.outcome_distribution(rho, zzx)
-    assert len(calls) == 1
-    assert np.array_equal(got, want.clip(0.0, 1.0))
-    correlations.outcome_distribution(rho, computational_setting(3))
-    assert len(calls) == 1
+    assert np.array_equal(correlations.outcome_distribution(rho, zzx), want.clip(0.0, 1.0))
 
 
 # ----------------------------------------------------------- trial costs

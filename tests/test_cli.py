@@ -199,8 +199,10 @@ def test_nonfinite_values_exit_2_naming_the_flag(tmp_path, capsys, argv, flags):
         ({"dims": [48, 48], "amplitudes": [[1.0, 0.0]]}, "exceeds 256"),
         ({"dims": [2] * 9, "amplitudes": [[1.0, 0.0]]}, "exceeds 256"),
         ({"dims": [2, 2], "amplitudes": [[1e200, 0.0]] * 4}, "finite"),
+        # complex(True, False) is 1: this was certified as a Bell state.
+        ({"dims": [2, 2], "amplitudes": [[True, False], [0, 0], [0, 0], [True, False]]}, "not booleans"),
     ],
-    ids=["48x48", "nine-qubits", "overflowing-norm"],
+    ids=["48x48", "nine-qubits", "overflowing-norm", "boolean-amplitudes"],
 )
 def test_certify_rejects_oversized_or_overflowing_state_files(tmp_path, capsys, document, message):
     path = tmp_path / "state.json"
@@ -219,6 +221,11 @@ def test_certify_malformed_state_file(tmp_path, capsys):
     bad.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[1.0, 0.0]]}))
     code, _ = _run(capsys, "certify", "--state", str(bad))
     assert code == 2
+    # json.load raised RecursionError on this, a traceback with exit 1.
+    bad.write_text("[" * 400_000)
+    code = main(["certify", "--state", str(bad)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {bad}: JSON nested too deeply to read\n")
 
 
 @pytest.mark.parametrize("dims", [4, None, [2.9, 2], [2, True], "22", {"2": 2}], ids=repr)

@@ -1,6 +1,8 @@
 """Local two-outcome POVM family, the monotonicity residual, grid sweeps."""
 
+import importlib
 import math
+import pkgutil
 import tracemalloc
 from functools import cached_property
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mubcert
 import mubcert.locc
 from mubcert import (
     BasisAssignment,
@@ -32,6 +35,7 @@ from mubcert import (
     random_pure,
     sweep,
 )
+from mubcert.cli import main
 
 IDENTITY_POVM = PovmParams(chi=math.pi / 2, zeta=math.pi / 2, xi=0.0, theta_cap=0.0)
 
@@ -455,6 +459,27 @@ def test_convexity_probe():
     qubit_qutrit = random_pure((2, 3), 4).density()
     with pytest.raises(ValueError):
         convexity_probe(qubit_qutrit, qubit_qutrit, (0.5,))
+
+
+def test_verify_paths_reach_i2_only_through_the_witness(monkeypatch, tmp_path):
+    # Every mubcert module that binds i_m_bipartite or outcome_distribution
+    # gets a version that raises; omega, the verify paths and the probe read
+    # I_2 through its Witness, so they must not notice.
+    modules = [importlib.import_module(f"mubcert.{m.name}") for m in pkgutil.iter_modules(mubcert.__path__)
+               if m.name != "__main__"] + [mubcert]
+    for name in ("i_m_bipartite", "outcome_distribution"):
+        original = getattr(mubcert.correlations, name)
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    assert main(["locc", "--grid", "5", "--verify", "--out-dir", str(tmp_path / "locc")]) == 0
+    assert main(["figures", "--steps", "3", "--grid", "3", "--verify", "--out-dir", str(tmp_path / "figures")]) == 0
+    assert convexity_probe(psi_lambda(0.5).density(), psi_lambda(1.0).density(), (0.0, 0.5, 1.0)) <= 1e-10
 
 
 def test_omega_builds_no_family_or_product_unitary_after_warm_up(monkeypatch):

@@ -99,14 +99,3 @@ def test_family_rejects_biased_pair():
 def test_family_requires_two_bases():
     with pytest.raises(ValueError):
         MubFamily(d=2, bases=(computational_basis(2),))
-
-
-def test_only_the_identity_is_flagged_computational():
-    assert computational_basis(2).computational
-    assert computational_basis(5).computational
-    assert prime_mub_family(5).bases[0].computational
-    assert qubit_mub_triple().bases[0].computational
-    assert not fourier_basis(2).computational
-    assert not any(b.computational for b in prime_mub_family(5).bases[1:])
-    # Phases leave the measurement unchanged but not the vectors: no flag.
-    assert not Basis(2, np.diag([1.0, -1.0])).computational
