@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from functools import lru_cache
 from math import cos, prod, sin, sqrt
 from typing import NamedTuple
@@ -110,16 +112,18 @@ def bipartitions(n: int) -> list[tuple[int, ...]]:
     return cuts
 
 
-# The seeded samplers share one core.  Each trial draws from its own
-# generator: the component count, the Dirichlet weights, then all its
-# Gaussian amplitudes in one standard_normal call (the numbers of one call
-# per factor, in the same order).  _fill builds the product vectors of all
-# components that share a cut as one stack, and sums the weighted projectors
-# of every trial of the block at once, term by term.  Its float operations
-# are those of building StateVector and DensityMatrix objects and mixing them
-# with convex_sum, so seeded samples are the same bit for bit.  Trial states
-# are internal, so a guard that fails raises InvariantError naming the
-# trial's row.
+# The seeded samplers share one core.  Each trial draws from its own stream,
+# default_rng([seed, trial]): the component count, the Dirichlet weights, then
+# all its Gaussian amplitudes in one standard_normal call (the numbers of one
+# call per factor, in the same order).  A block seeds the streams of all its
+# trials at once (_pcg64_seeds) and sets one generator of its own to each
+# stream's start in turn.  _fill builds the product vectors of all components
+# that share a cut as one stack, and sums the weighted projectors of every
+# trial of the block at once, term by term.  Its float operations are those
+# of building StateVector and DensityMatrix objects and mixing them with
+# convex_sum, so seeded samples are the same bit for bit.  Trial states are
+# internal, so a guard that fails raises InvariantError naming the trial's
+# row.
 
 
 class _Cut(NamedTuple):
@@ -155,7 +159,16 @@ def _draw(rng: np.random.Generator, cut: _Cut, k_min: int, terms: int | None = N
     k = int(terms) if terms is not None else int(rng.integers(k_min, 6))
     if k < 1:
         raise ValueError("terms must be at least 1")
-    weights = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+    weights = np.ones(1)
+    if k > 1:
+        # Dirichlet(1, ..., 1) as numpy's dirichlet draws it: k unit-shape
+        # gammas, which are standard exponentials, times 1 / their sum taken
+        # left to right (builtin sum compensates from Python 3.12).
+        weights = rng.standard_exponential(k)
+        acc = 0.0
+        for x in weights.tolist():
+            acc += x
+        weights *= 1.0 / acc
     return cut, weights, rng.standard_normal(k * 2 * (cut.left + cut.right)).reshape(k, -1)
 
 
@@ -285,15 +298,121 @@ def random_separable(d: int, seed, terms: int | None = None) -> DensityMatrix:
     return DensityMatrix((d, d), _entries(d * d, (None, [part])))
 
 
-def _biseparable_mixture(n: int, trial: int, seed: int) -> _Mixture:
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 seeding, with
+# numpy's constants.  numpy's stream-compatibility policy (NEP 19) keeps both
+# algorithms fixed; the tests compare the result with numpy's own.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(value) -> list[int]:
+    """SeedSequence's entropy words of one non-negative integer, low word first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seeds must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix of uint32 arrays, its multiplier stepping by
+    ``mult`` at each call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _entropy_pool(words: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's mix_entropy on every row of ``words`` (uint32, at least
+    four columns): the four pool words, each as a column."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ result >> 16
+
+    pool = [hashmix(words[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    return pool
+
+
+def _pcg64_seeds(keys) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``np.random.default_rng(list(key))``
+    starts from, for each key (a tuple of non-negative integers).
+
+    The keys' entropy is hashed as uint32 arrays, one array per word count;
+    a key of fewer than four words hashes as if padded with zero words, so
+    those share one array.
+    """
+    entropy = [[w for v in key for w in _uint32_words(v)] for key in keys]
+    groups: dict[int, list[int]] = {}
+    for i, words in enumerate(entropy):
+        groups.setdefault(max(len(words), 4), []).append(i)
+    seeds: list[tuple[int, int]] = [(0, 0)] * len(keys)
+    for width, rows in groups.items():
+        pool = _entropy_pool(np.array([entropy[i] + [0] * (width - len(entropy[i])) for i in rows], dtype=np.uint32))
+        # generate_state(4, np.uint64): eight words from the cycled pool,
+        # paired into little-endian uint64s, the high half of each 128-bit
+        # number first.
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        generated = [hashmix(pool[i % 4]) for i in range(8)]
+        halves = np.stack(generated, axis=1).astype("<u4").view("<u8").tolist()
+        for row, (state_hi, state_lo, inc_hi, inc_lo) in zip(rows, halves):
+            # PCG64's seeding: two steps of its generator from state 0.
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            seeds[row] = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128, inc
+    return seeds
+
+
+def _streams(keys) -> Callable[..., np.random.Generator]:
+    """A function that sets one generator to the start of
+    ``np.random.default_rng(list(key))``, for any key in ``keys``, and
+    returns it."""
+    seeds = dict(zip(keys, _pcg64_seeds(keys)))
+    # Seeded only to skip reading OS entropy: every use sets the state.
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+
+    def at(*key: int) -> np.random.Generator:
+        state, inc = seeds[key]
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+    return at
+
+
+def _biseparable_mixture(n: int, trial: int, seed: int, streams: Callable[..., np.random.Generator]) -> _Mixture:
     cuts = _qubit_cuts(n)
     slot = trial % (len(cuts) + 1)
-    rng = np.random.default_rng([seed, trial])
+    rng = streams(seed, trial)
     if slot < len(cuts):
         return None, [_draw(rng, cuts[slot], 2)]
     i, j = rng.choice(len(cuts), size=2, replace=False)
     w = float(rng.uniform(0.05, 0.95))
-    parts = [_draw(np.random.default_rng([seed, trial, s]), cuts[c], 2) for s, c in enumerate((i, j))]
+    parts = [_draw(streams(seed, trial, s), cuts[c], 2) for s, c in enumerate((i, j))]
     return [w, 1.0 - w], parts
 
 
@@ -302,7 +421,11 @@ def biseparable_block(n: int, start: int, seed: int, out: np.ndarray) -> None:
     ``biseparable_sample(n, start + t, seed)`` for every row t."""
     if n not in (3, 4):
         raise ValueError(f"n must be 3 or 4, got {n}")
-    _fill(out, [_biseparable_mixture(n, start + t, seed) for t in range(len(out))])
+    trials = range(start, start + len(out))
+    cycle = len(_qubit_cuts(n)) + 1
+    mixed = [(seed, t, s) for t in trials if t % cycle == cycle - 1 for s in (0, 1)]
+    streams = _streams([(seed, t) for t in trials] + mixed)
+    _fill(out, [_biseparable_mixture(n, t, seed, streams) for t in trials])
 
 
 def biseparable_sample(n: int, trial: int, seed: int) -> DensityMatrix:
@@ -323,7 +446,9 @@ def separable_block(d: int, start: int, seed: int, out: np.ndarray) -> None:
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     cut = _Cut(d, d, None)
-    _fill(out, [(None, [_draw(np.random.default_rng([seed, start + t]), cut, 1)]) for t in range(len(out))])
+    trials = range(start, start + len(out))
+    streams = _streams([(seed, t) for t in trials])
+    _fill(out, [(None, [_draw(streams(seed, t), cut, 1)]) for t in trials])
 
 
 def separable_sample(d: int, trial: int, seed: int) -> DensityMatrix:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mubcert.correlations as correlations
@@ -163,7 +163,9 @@ def test_block_sampler_matches_reference_on_every_trial(sampler, seed):
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 10**9))
+@given(st.integers(0, 2**70), st.integers(0, 2**33))
+@example(2**64 + 3, 2**32 - 4)  # a block across the trials' one-to-two-word step
+@example(2**70, 2**32 + 1)
 def test_block_sampler_matches_reference_at_any_seed_and_start(seed, start):
     for sampler in BLOCK_SAMPLERS:
         _check_block(sampler, start, 9, seed)
@@ -187,6 +189,36 @@ def test_one_stack_of_every_cut_matches_reference(n, terms):
         assert np.array_equal(out[row], want.entries), (cut, seed)
 
 
+# ---------------------------------------------------------------- seeding
+
+# Seeds of 1 to 4 uint32 words and trials of 1 or 2: keys of 2 to 6 words,
+# and mixed-cut slot keys of 3 to 7.
+SEED_KEYS = [(seed, trial) for seed in (0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 1) for trial in (0, 63, 2**32)]
+SEED_KEYS += [(seed, trial, s) for seed, trial in SEED_KEYS for s in (0, 1)]
+
+
+def test_block_seeds_are_the_default_rng_seeds():
+    # One call holds keys of every word count; a change to numpy's seeding
+    # must fail here.
+    word_counts = {len(states._uint32_words(seed)) + len(states._uint32_words(trial)) for seed, trial, *_ in SEED_KEYS}
+    assert word_counts == {2, 3, 4, 5, 6}
+    for key, (state, inc) in zip(SEED_KEYS, states._pcg64_seeds(SEED_KEYS)):
+        want = np.random.default_rng(list(key)).bit_generator.state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), key
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_drawn_weights_are_numpys_dirichlet(k):
+    # _draw takes unit-α Dirichlet weights as normalised exponentials; they
+    # and the amplitudes drawn after them equal numpy's bit for bit.
+    cut = states._Cut(2, 2, None)
+    for seed in range(2000):
+        _, weights, draws = states._draw(np.random.default_rng(seed), cut, 1, terms=k)
+        rng = np.random.default_rng(seed)
+        assert weights.tobytes() == rng.dirichlet(np.ones(k)).tobytes(), seed
+        assert draws.tobytes() == rng.standard_normal(draws.size).tobytes(), seed
+
+
 def test_sampler_rejects_bad_arguments():
     with pytest.raises(ValueError):
         random_biseparable(3, (0,), 1, terms=0)
@@ -196,6 +228,10 @@ def test_sampler_rejects_bad_arguments():
         random_separable(3, 1, terms=0)
     with pytest.raises(ValueError):
         random_separable(1, 1)
+    with pytest.raises(ValueError):
+        biseparable_block(3, 0, -1, np.empty((4, 8, 8), dtype=np.complex128))
+    with pytest.raises(ValueError):
+        separable_block(2, -1, 1, np.empty((4, 4, 4), dtype=np.complex128))
 
 
 # ------------------------------------------------------- pinned outputs
@@ -247,6 +283,19 @@ GOLDEN_CHECK_BOUNDS = {
   "seed": 20260816,
   "trials": 200,
   "worst_trial": 34
+}
+""",
+    # A seed of three uint32 words (2^64 + 3): trial keys of four words and
+    # mixed-cut slot keys of five.  Recorded before the blocks seeded their
+    # trials' generators at once.
+    ("--class", "biseparable3", "--seed", "18446744073709551619"): """{
+  "bound": 1.625,
+  "class": "biseparable3",
+  "max_i": 1.3419201057686412,
+  "pass": true,
+  "seed": 18446744073709551619,
+  "trials": 200,
+  "worst_trial": 49
 }
 """,
     # 2 D^2 = 13,122 floats per matrix: read one row at a time.
@@ -523,8 +572,8 @@ def _poison(monkeypatch, change, trial=BREACH_TRIAL, part=0):
     """Let ``change`` rewrite part ``part`` of the parts that ``trial`` draws."""
     original = states._biseparable_mixture
 
-    def mixture(n, t, seed):
-        weights, parts = original(n, t, seed)
+    def mixture(n, t, seed, streams):
+        weights, parts = original(n, t, seed, streams)
         if t == trial:
             parts[part] = change(*parts[part])
         return weights, parts
@@ -623,3 +672,33 @@ def test_no_command_starts_a_thread(monkeypatch, capsys, tmp_path, argv):
     assert started == []
     assert threading.active_count() == before
     capsys.readouterr()
+
+
+def test_blocks_filled_at_once_in_threads_match_serial_fills():
+    # Each block call sets a generator of its own, so four threads (more
+    # than the cores) filling four-qubit and d = 5 blocks at the same time,
+    # with a short switch interval, get the bits of serial fills.
+    jobs = [(biseparable_block, 4, 16, 0), (separable_block, 5, 25, BLOCK_ROWS),
+            (biseparable_block, 4, 16, BLOCK_ROWS), (separable_block, 5, 25, 0)]
+
+    def fill(job):
+        sample, size, dim, start = job
+        out = np.empty((BLOCK_ROWS, dim, dim), dtype=np.complex128)
+        sample(size, start, DEFAULT_SEED, out)
+        return out.tobytes()
+
+    serial = [fill(job) for job in jobs]
+    filled = [[] for _ in jobs]
+    threads = [threading.Thread(target=lambda i=i: filled[i].extend(fill(jobs[i]) for _ in range(5)))
+               for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [[got == want for got in runs] for runs, want in zip(filled, serial)] == [[True] * 5] * len(jobs)
