@@ -45,6 +45,7 @@ from .locc import (
     convexity_probe,
     min_omega_family,
     omega,
+    omega_stack,
     sweep,
 )
 from .measures import global_q, one_tangle, triangle_tau

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .correlations import (
     paper_i4_ghz4,
 )
 from .linalg import UNIT_NORM_TOL, DensityMatrix, InvariantError, StateVector
-from .locc import PovmParams, PovmSweepResult, min_omega_family, omega, sweep
+from .locc import PovmParams, PovmSweepResult, min_omega_family, omega_stack, sweep
 from .measures import global_q_stack, triangle_tau_stack
 from .mub import fourier_pair, is_odd_prime, prime_mub_family
 from .states import (
@@ -211,6 +212,18 @@ class _Verification:
     def report(self) -> None:
         gap = f"largest |emitted - recomputed| {self.gap:.3g}"
         print(f"verified {self.output}: rows checked {self.rows}, {gap}", file=sys.stderr)
+
+    def check_omega(self, rho: DensityMatrix, rows, party: int = 0) -> None:
+        """Check each (context, PovmParams, emitted omega) of ``rows`` against
+        omega_stack, BLOCK_ROWS rows at a time, in order."""
+        rows = iter(rows)
+        while block := list(itertools.islice(rows, BLOCK_ROWS)):
+            try:
+                recomputed = omega_stack(rho, [params for _, params, _ in block], party)
+            except InvariantError as exc:
+                raise InvariantError(f"{block[exc.row][0]}: {exc}") from None
+            for (context, _, value), reference in zip(block, recomputed.tolist()):
+                self.check(reference, value, context)
 
 
 # ---------------------------------------------------------------- certify
@@ -402,11 +415,14 @@ def cmd_locc(args) -> int:
     check = _Verification("grid.csv") if args.verify else None
     if check:
         chi_ax, zeta_ax, xi_ax = result.axes()
-        for index in range(0, result.omega.size, VERIFY_STRIDE):
-            i, j, k = np.unravel_index(index, (args.grid,) * 3)
-            params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), args.theta_cap)
-            value = float(result.omega[index])
-            check.check(omega(rho, params, party=party), value, f"grid index {index}")
+
+        def rows():
+            for index in range(0, result.omega.size, VERIFY_STRIDE):
+                i, j, k = np.unravel_index(index, (args.grid,) * 3)
+                params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), args.theta_cap)
+                yield f"grid index {index}", params, float(result.omega[index])
+
+        check.check_omega(rho, rows(), party)
     _write_grid_csv(out_dir / "grid.csv", result)
     if check:
         check.report()
@@ -524,11 +540,15 @@ def cmd_figures(args) -> int:
     if check:
         chi_ax, zeta_ax, xi_ax = result.axes()
         cube = result.omega.reshape((args.grid,) * 3)
-        for index in range(0, args.grid**2, VERIFY_STRIDE):
-            i, j = divmod(index, args.grid)
-            k = int(np.argmin(cube[i, j]))
-            params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), 0.0)
-            check.check(omega(rho_bell, params), float(cube[i, j, k]), f"fig1 row {index}")
+
+        def rows():
+            for index in range(0, args.grid**2, VERIFY_STRIDE):
+                i, j = divmod(index, args.grid)
+                k = int(np.argmin(cube[i, j]))
+                params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), 0.0)
+                yield f"fig1 row {index}", params, float(cube[i, j, k])
+
+        check.check_omega(rho_bell, rows())
     _write_density_csv(out_dir / "fig1.csv", result)
     if check:
         check.report()

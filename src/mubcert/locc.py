@@ -4,8 +4,9 @@ local two-outcome POVMs.
 The POVM family is E_i = D_i V with D_1 = diag(sin chi, sin zeta),
 D_2 = diag(cos chi, cos zeta) and V a rotation through xi with relative
 phase theta_cap, so completeness E1'E1 + E2'E2 = I holds identically.
-build_povm checks it for one POVM; the sweep checks it at every grid point
-once, from per-axis tables, before it evaluates omega anywhere.
+omega_stack checks it for each POVM it is given.  The sweep bounds it over
+the whole grid from per-axis tables before it evaluates omega anywhere, and
+checks every grid point only when that bound does not accept.
 The monitored residual is
 
     omega = I2(rho) - sum_k p_k I2(rho_k),
@@ -18,8 +19,10 @@ with M the sum of the matched-outcome projectors of the MUB pair, which
 needs no per-branch normalization and is exact for zero-probability
 branches.  Both elements share V, so omega = A(xi) + B(xi) cos(chi - zeta)
 exactly; the sweep evaluates that form, and min_omega_family minimises it
-over the whole continuous family.  The scalar omega() walks the definition
-literally, giving an independent point check for sweep output.
+over the whole continuous family.  omega_stack walks the definition
+instead, building each POVM's normalized branches and reading them with one
+stacked read of the I2 witness, an independent point check for sweep output;
+omega is its one-row call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import cos, hypot, sin, sqrt
 import numpy as np
 
 from .correlations import i_m_witness
-from .linalg import BRANCH_SUM_TOL, COMPLETENESS_TOL, DensityMatrix, InvariantError, dagger, kron, mix
+from .linalg import BRANCH_SUM_TOL, COMPLETENESS_TOL, DensityMatrix, InvariantError, mix
 from .mub import fourier_pair
 
 ZERO_BRANCH_TOL = 1e-12
@@ -115,19 +118,56 @@ class PovmSweepResult:
         return self.omega.reshape(shape).min(axis=2)
 
 
+def _povm_stack(params) -> tuple[np.ndarray, np.ndarray]:
+    """Each POVM's elements E_1 = D_1 V and E_2 = D_2 V, shape (T, 2, 2, 2), and
+    its completeness residual max |E1'E1 + E2'E2 - I|, shape (T,).
+
+    The angles go through math.sin/cos and np.exp one POVM at a time, and
+    every product is a stacked matmul of one POVM's shapes, so each row is
+    bit for bit what that POVM gives alone.
+    """
+    params = list(params)
+    trig = np.array(
+        [(sin(p.chi), cos(p.chi), sin(p.zeta), cos(p.zeta), sin(p.xi), cos(p.xi)) for p in params]
+    ).reshape(-1, 6)
+    phase = np.exp(1j * np.array([p.theta_cap for p in params]))
+    s_xi, c_xi = trig[:, 4], trig[:, 5]
+    v = np.empty((len(trig), 1, 2, 2), dtype=np.complex128)
+    v[:, 0, 0, 0] = c_xi
+    v[:, 0, 0, 1] = -phase * s_xi
+    v[:, 0, 1, 0] = s_xi
+    v[:, 0, 1, 1] = phase * c_xi
+    d = np.zeros((len(trig), 2, 2, 2), dtype=np.complex128)
+    d[:, :, 0, 0], d[:, :, 1, 1] = trig[:, 0:2], trig[:, 2:4]
+    e = d @ v
+    gram = e.conj().swapaxes(-1, -2) @ e
+    residual = np.abs(gram[:, 0] + gram[:, 1] - np.eye(2)).max(axis=(1, 2))
+    return e, residual
+
+
+def _branch_stack(rho: DensityMatrix, ops: np.ndarray, party: int) -> tuple[np.ndarray, np.ndarray]:
+    """K rho K' and its probability Re Tr for each operator E of the (N, d, d)
+    stack ``ops``, K = E x I on party 0 or I x E on party 1, unnormalized.
+
+    K is taken by broadcasting as np.kron does, and each product is a
+    stacked matmul, so each row is bit for bit the one-operator result.
+    """
+    n, dims = len(ops), rho.dims
+    if party == 0:
+        k = ops[:, :, None, :, None] * np.eye(dims[1], dtype=np.complex128)[:, None, :]
+    else:
+        k = np.eye(dims[0], dtype=np.complex128)[:, None, :, None] * ops[:, None, :, None, :]
+    k = k.reshape(n, rho.dim, rho.dim)
+    raw = k @ rho.entries @ k.conj().swapaxes(-1, -2)
+    return raw, np.real(np.trace(raw, axis1=1, axis2=2))
+
+
 def build_povm(p: PovmParams) -> tuple[np.ndarray, np.ndarray]:
     """The two POVM elements E_1 = D_1 V, E_2 = D_2 V; completeness checked."""
-    phase = np.exp(1j * p.theta_cap)
-    v = np.array(
-        [[cos(p.xi), -phase * sin(p.xi)], [sin(p.xi), phase * cos(p.xi)]],
-        dtype=np.complex128,
-    )
-    e1 = np.diag([sin(p.chi), sin(p.zeta)]).astype(np.complex128) @ v
-    e2 = np.diag([cos(p.chi), cos(p.zeta)]).astype(np.complex128) @ v
-    residual = float(np.max(np.abs(dagger(e1) @ e1 + dagger(e2) @ e2 - np.eye(2))))
+    (e,), (residual,) = _povm_stack([p])
     if residual > COMPLETENESS_TOL:
         raise InvariantError(f"POVM completeness residual {residual:.3e}")
-    return e1, e2
+    return e[0], e[1]
 
 
 def apply_branch(rho: DensityMatrix, e: np.ndarray, party: int = 0):
@@ -143,41 +183,69 @@ def apply_branch(rho: DensityMatrix, e: np.ndarray, party: int = 0):
     e = np.asarray(e, dtype=np.complex128)
     if e.shape != (d, d):
         raise ValueError(f"operator shape {e.shape} does not match local dimension {d}")
-    if party == 0:
-        k = kron(e, np.eye(rho.dims[1]))
-    else:
-        k = kron(np.eye(rho.dims[0]), e)
-    raw = k @ rho.entries @ dagger(k)
-    p = float(np.real(np.trace(raw)))
+    (raw,), (p,) = _branch_stack(rho, e[None], party)
+    p = float(p)
     if p < ZERO_BRANCH_TOL:
         return max(p, 0.0), None
     return p, DensityMatrix(rho.dims, raw / p)
 
 
+def omega_stack(rho: DensityMatrix, params, party: int = 0) -> np.ndarray:
+    """omega(rho, p, party) for each p of the sequence ``params``, bit for bit.
+
+    One read of the I2 witness takes rho and every normalized branch of
+    probability at least ZERO_BRANCH_TOL, and validates them.  A failed
+    check raises InvariantError whose row is the index into ``params`` of
+    the first POVM that fails it: completeness first, then the read, then
+    the branch sum.
+    """
+    witness = i_m_witness(fourier_pair(2))
+    if rho.dims != witness.dims:
+        raise ValueError(f"state dims {rho.dims} do not match witness dims {witness.dims}")
+    if party not in (0, 1):
+        raise ValueError(f"party must be 0 or 1, got {party}")
+    e, residual = _povm_stack(params)
+    bad = residual > COMPLETENESS_TOL
+    if bad.any():
+        row = int(bad.argmax())
+        raise InvariantError(f"POVM completeness residual {residual[row]:.3e}", row)
+    raw, p = _branch_stack(rho, e.reshape(-1, 2, 2), party)
+    dead = p < ZERO_BRANCH_TOL
+    live = np.flatnonzero(~dead)
+    stack = np.concatenate((rho.entries[None], raw[live] / p[live, None, None]))
+    try:
+        values = witness.read(stack)[0]
+    except InvariantError as exc:
+        # Row 0 is rho, which the first POVM's walk reads first.
+        owner = live[exc.row - 1] // 2 if exc.row else 0
+        raise InvariantError(str(exc), int(owner)) from None
+    # The scalar walk: I2(rho) less p_k I2(rho_k) for each live branch in
+    # turn, and the probabilities summed from 0.0, a dead one as max(p, 0).
+    loss = np.zeros(p.shape)
+    loss[live] = p[live] * values[1:]
+    loss = loss.reshape(-1, 2)
+    counted = np.where(dead, np.maximum(p, 0.0), p).reshape(-1, 2)
+    total = (0.0 + counted[:, 0]) + counted[:, 1]
+    off = abs(total - 1.0) > BRANCH_SUM_TOL
+    if off.any():
+        row = int(off.argmax())
+        raise InvariantError(f"branch probabilities sum to {float(total[row])!r}, not 1", row)
+    return (values[0] - loss[:, 0]) - loss[:, 1]
+
+
 def omega(rho: DensityMatrix, params: PovmParams, party: int = 0) -> float:
     """Monotonicity residual I2(rho) - sum_k p_k I2(rho_k) for one POVM."""
-    witness = i_m_witness(fourier_pair(2))
-    e1, e2 = build_povm(params)
-    value = witness.evaluate(rho).i_value
-    total_p = 0.0
-    for e in (e1, e2):
-        p, branch = apply_branch(rho, e, party)
-        total_p += p
-        if branch is not None:
-            value -= p * witness.evaluate(branch).i_value
-    if abs(total_p - 1.0) > BRANCH_SUM_TOL:
-        raise InvariantError(f"branch probabilities sum to {total_p!r}, not 1")
-    return value
+    return float(omega_stack(rho, [params], party)[0])
 
 
-def _completeness_residual(chi_trig, zeta_trig, xi_trig, phase) -> float:
-    """Largest |E1'E1 + E2'E2 - I| over every (chi, zeta, xi) grid point.
+def _completeness_tables(chi_trig, zeta_trig, xi_trig, phase) -> tuple[np.ndarray, np.ndarray]:
+    """The (chi, xi) and (zeta, xi) tables whose sum at a grid point is
+    E1'E1 + E2'E2 - I there, the second less I.
 
     Each *_trig is the (sin, cos) pair of one axis.  With E_k = D_k V, row 0
     of E_k depends on (chi, xi) only and row 1 on (zeta, xi) only, so each
     entry of the sum at a grid point is a (chi, xi) table entry plus a
-    (zeta, xi) one.  The tables are added one chi value at a time, so the
-    largest temporary is one (zeta, xi) slab of 2x2 matrices.
+    (zeta, xi) one.
     """
     s_xi, c_xi = xi_trig
 
@@ -189,8 +257,47 @@ def _completeness_residual(chi_trig, zeta_trig, xi_trig, phase) -> float:
     # the products E_k = D_k V: row 0 from chi, row 1 from zeta
     chi_part = sum(gram(t[:, None] * c_xi, -t[:, None] * phase * s_xi) for t in chi_trig)
     zeta_part = sum(gram(t[:, None] * s_xi, t[:, None] * phase * c_xi) for t in zeta_trig)
-    zeta_part = zeta_part - np.eye(2)
+    return chi_part, zeta_part - np.eye(2)
+
+
+def _largest_residual(chi_part, zeta_part) -> float:
+    """Largest |E1'E1 + E2'E2 - I| over every grid point, from the tables.
+
+    The tables are added one chi value at a time, so the largest temporary
+    is one (zeta, xi) slab of 2x2 matrices.
+    """
     return max(float(np.max(np.abs(zeta_part + part))) for part in chi_part)
+
+
+def _completeness_residual(chi_trig, zeta_trig, xi_trig, phase) -> float:
+    """Largest |E1'E1 + E2'E2 - I| over every (chi, zeta, xi) grid point."""
+    return _largest_residual(*_completeness_tables(chi_trig, zeta_trig, xi_trig, phase))
+
+
+def _completeness_bound(chi_part, zeta_part) -> float:
+    """An upper bound on every grid point's residual, read off the tables alone.
+
+    With r the zeta table's first row over xi, A + B = (A + r) + (B - r) at
+    every grid point, so the triangle inequality bounds |A + B| by
+    max |A + r| + max |B - r|.
+    """
+    r = zeta_part[0]
+    return float(np.max(np.abs(chi_part + r))) + float(np.max(np.abs(zeta_part - r)))
+
+
+def _check_completeness(trig, phase) -> None:
+    """Raise InvariantError unless every grid point's POVM is complete.
+
+    The bound accepts at COMPLETENESS_TOL / 2, which leaves room for the
+    rounding in its own sums.  Only a grid it does not accept takes the
+    exact pass over every point, which decides and words every rejection.
+    """
+    tables = _completeness_tables(*trig, phase)
+    if _completeness_bound(*tables) <= COMPLETENESS_TOL / 2:
+        return
+    residual = _largest_residual(*tables)
+    if residual > COMPLETENESS_TOL:
+        raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
 
 
 def _coefficients(rho: DensityMatrix, phase: complex, party: int, s_xi, c_xi):
@@ -251,9 +358,7 @@ def sweep(
     trig = [(np.sin(a), np.cos(a)) for a in (np.linspace(lo, hi, s) for lo, hi, s in grid)]
     (s_chi, c_chi), (s_zeta, c_zeta), (s_xi, c_xi) = trig
     phase = np.exp(1j * theta_cap)
-    residual = _completeness_residual(*trig, phase)
-    if residual > COMPLETENESS_TOL:
-        raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
+    _check_completeness(trig, phase)
 
     a, b = _coefficients(rho, phase, party, s_xi, c_xi)
     c = np.outer(s_chi, s_zeta) + np.outer(c_chi, c_zeta)

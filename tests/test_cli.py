@@ -19,7 +19,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubcert import StateVector, cli, ghz3, kron, psi_lambda, random_pure
+import mubcert.correlations
+import mubcert.linalg
+from mubcert import (
+    PovmParams,
+    StateVector,
+    Witness,
+    apply_branch,
+    build_povm,
+    cli,
+    fourier_pair,
+    ghz3,
+    i_m_witness,
+    kron,
+    psi_lambda,
+    random_pure,
+)
 from mubcert.cli import main
 from mubcert.locc import PovmSweepResult, sweep
 from mubcert.states import state_to_json_dict
@@ -891,6 +906,103 @@ def test_verify_reports_rows_and_largest_gap_per_output(tmp_path, capsys):
         assert all(0.0 <= gap <= cli.VERIFY_TOL for _, gap in report.values())
     assert _stderr_lines(capsys, "locc", "--grid", "3", "--out-dir", str(tmp_path)) == []
     assert _stderr_lines(capsys, "sweep", "--family", "w3", "--steps", "5") == []
+
+
+# SHA-256 of stderr, recorded when the verify paths recomputed omega one
+# point at a time; the stacked recomputation must print the same gaps.
+VERIFY_STDERR_PINS = {
+    ("figures", "--steps", "21", "--grid", "7", "--verify"):
+        "fe85122fe2b9c8e743eeb6580ddd24fc69ff456ca9b65697bfd8023031b836c8",
+    ("locc", "--grid", "21", "--verify"):
+        "61e4395f0294ad74970707c6865329e24f2e257a8d02c789eaa6e4d5ef60d928",
+    (
+        "locc", "--grid", "21", "--verify", "--family", "psi_lambda", "--lambda", "0.3",
+        "--mirror-povm", "--theta-cap", "0.5",
+    ): "a716e4e15de4dceaf13959006c83d50ff674aed3ba0b2cec0cbd061592466195",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_STDERR_PINS), ids=lambda argv: " ".join(argv))
+def test_verify_stderr_is_pinned(tmp_path, capsys, argv):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().err.encode()).hexdigest() == VERIFY_STDERR_PINS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, verified",
+    [
+        (("figures", "--steps", "5", "--grid", "61", "--verify"), 38),  # 61^2 cells
+        (("locc", "--grid", "21", "--verify"), 93),  # 21^3 points
+        (("locc", "--grid", "21", "--verify", "--mirror-povm"), 93),
+    ],
+    ids=["figures", "locc", "locc-mirrored"],
+)
+def test_verify_reads_omega_once_per_block(monkeypatch, tmp_path, capsys, argv, verified):
+    i2 = i_m_witness(fourier_pair(2))
+    reads, evaluations = [], []
+    read, evaluate = Witness.read, Witness.evaluate
+
+    def counted_read(self, entries):
+        if self is i2:
+            reads.append(len(entries))
+        return read(self, entries)
+
+    def counted_evaluate(self, *args, **kwargs):
+        evaluations.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Witness, "read", counted_read)
+    monkeypatch.setattr(Witness, "evaluate", counted_evaluate)
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert f"rows checked {verified}," in capsys.readouterr().err
+    assert len(reads) == -(-verified // cli.BLOCK_ROWS)
+    assert max(reads) <= 1 + 2 * cli.BLOCK_ROWS  # rho and two branches a point
+    assert evaluations == []
+
+
+@pytest.mark.parametrize(
+    "argv, index, context",
+    [
+        (("locc", "--grid", "21", "--verify", "--family", "psi_lambda", "--lambda", "0.3"), 400, "grid index"),
+        (("locc", "--grid", "21", "--verify", "--mirror-povm", "--theta-cap", "0.5"), 6200, "grid index"),
+        (("figures", "--steps", "3", "--grid", "21", "--verify"), 300, "fig1 row"),
+    ],
+    ids=["locc", "locc-mirrored", "figures"],
+)
+def test_a_broken_verify_branch_is_an_invariant_breach(monkeypatch, tmp_path, capsys, argv, index, context):
+    # Make density_defect reject one post-measurement branch of one verified
+    # point: an internal breach, so exit 3 naming the point, not exit 2.
+    grid = int(argv[argv.index("--grid") + 1])
+    lam = float(argv[argv.index("--lambda") + 1]) if "--lambda" in argv else 0.5
+    cap = float(argv[argv.index("--theta-cap") + 1]) if "--theta-cap" in argv else 0.0
+    party = 1 if "--mirror-povm" in argv else 0
+    rho = psi_lambda(lam).density()
+    result = sweep(rho, grid=((-math.pi, math.pi, grid),) * 3, theta_cap=cap, party=party)
+    cube = result.omega.reshape((grid,) * 3)
+    if context == "fig1 row":
+        i, j = divmod(index, grid)
+        point = (i, j, int(np.argmin(cube[i, j])))
+    else:
+        point = np.unravel_index(index, (grid,) * 3)
+    params = PovmParams(*(float(ax[n]) for ax, n in zip(result.axes(), point)), cap)
+    target = apply_branch(rho, build_povm(params)[0], party)[1].entries
+    defects = []
+    for module in (mubcert.linalg, mubcert.correlations):
+        real = module.density_defect
+
+        def reject_target(m, real=real):
+            stack = m.reshape((-1,) + m.shape[-2:])
+            hits = [row for row, matrix in enumerate(stack) if np.array_equal(matrix, target)]
+            if hits:
+                defects.append(hits[0])
+                return hits[0], "matrix has a negative eigenvalue (-1.000e-03)"
+            return real(m)
+
+        monkeypatch.setattr(module, "density_defect", reject_target)
+    code = main([*argv, "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert defects and code == 3
+    assert captured.err == f"invariant breach: {context} {index}: matrix has a negative eigenvalue (-1.000e-03)\n"
 
 
 # ----------------------------------------------------------- check-bounds

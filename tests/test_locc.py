@@ -15,6 +15,7 @@ import mubcert
 import mubcert.locc
 from mubcert import (
     BasisAssignment,
+    DensityMatrix,
     InvariantError,
     MubFamily,
     PovmParams,
@@ -26,9 +27,11 @@ from mubcert import (
     dagger,
     fourier_pair,
     i_m_witness,
+    kron,
     min_omega_family,
     mix,
     omega,
+    omega_stack,
     prime_mub_family,
     psi_lambda,
     qubit_mub_triple,
@@ -49,6 +52,48 @@ def _random_mixed(seed) -> "DensityMatrix":
     rng = np.random.default_rng(seed)
     parts = [random_pure((2, 2), [int(seed), k]).density() for k in range(3)]
     return mix(parts, rng.dirichlet(np.ones(3)).tolist())
+
+
+def _reference_povm(p: PovmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the former build_povm, one POVM's 2x2 products."""
+    phase = np.exp(1j * p.theta_cap)
+    v = np.array(
+        [[math.cos(p.xi), -phase * math.sin(p.xi)], [math.sin(p.xi), phase * math.cos(p.xi)]],
+        dtype=np.complex128,
+    )
+    e1 = np.diag([math.sin(p.chi), math.sin(p.zeta)]).astype(np.complex128) @ v
+    e2 = np.diag([math.cos(p.chi), math.cos(p.zeta)]).astype(np.complex128) @ v
+    residual = float(np.max(np.abs(dagger(e1) @ e1 + dagger(e2) @ e2 - np.eye(2))))
+    if residual > mubcert.locc.COMPLETENESS_TOL:
+        raise InvariantError(f"POVM completeness residual {residual:.3e}")
+    return e1, e2
+
+
+def _reference_branch(rho, e, party):
+    """Reference: the former apply_branch, one np.kron and one DensityMatrix."""
+    k = kron(e, np.eye(rho.dims[1])) if party == 0 else kron(np.eye(rho.dims[0]), e)
+    raw = k @ rho.entries @ dagger(k)
+    p = float(np.real(np.trace(raw)))
+    if p < mubcert.locc.ZERO_BRANCH_TOL:
+        return max(p, 0.0), None
+    return p, DensityMatrix(rho.dims, raw / p)
+
+
+def _reference_omega(rho, params, party=0) -> float:
+    """Reference: the former scalar omega, which walks the definition one POVM
+    at a time through Witness.evaluate."""
+    witness = i_m_witness(fourier_pair(2))
+    e1, e2 = _reference_povm(params)
+    value = witness.evaluate(rho).i_value
+    total_p = 0.0
+    for e in (e1, e2):
+        p, branch = _reference_branch(rho, e, party)
+        total_p += p
+        if branch is not None:
+            value -= p * witness.evaluate(branch).i_value
+    if abs(total_p - 1.0) > mubcert.locc.BRANCH_SUM_TOL:
+        raise InvariantError(f"branch probabilities sum to {total_p!r}, not 1")
+    return value
 
 
 def test_params_validate_range():
@@ -107,6 +152,79 @@ def test_apply_branch_validation():
         apply_branch(rho, np.eye(3))
     with pytest.raises(ValueError):
         apply_branch(rho, np.eye(2), party=2)
+
+
+# POVMs that zero branch 1 (chi = zeta = 0) or branch 2 (chi = zeta = pi/2),
+# and the ends of the theta_cap range.
+EDGE_POVMS = [
+    PovmParams(chi=0.0, zeta=0.0, xi=0.7, theta_cap=0.3),
+    PovmParams(chi=0.0, zeta=0.0, xi=-2.1, theta_cap=-math.pi),
+    PovmParams(chi=math.pi / 2, zeta=math.pi / 2, xi=1.3, theta_cap=math.pi),
+    PovmParams(chi=math.pi / 2, zeta=math.pi / 2, xi=0.0, theta_cap=0.0),
+    PovmParams(chi=0.4, zeta=-1.2, xi=2.5, theta_cap=math.pi),
+    PovmParams(chi=-math.pi, zeta=math.pi, xi=-math.pi, theta_cap=-math.pi),
+]
+
+
+@pytest.mark.parametrize("party", [0, 1])
+@pytest.mark.parametrize(
+    "state",
+    [0.5, 0.3137] + [(9, k) for k in range(6)],
+    ids=lambda s: f"psi_lambda({s})" if isinstance(s, float) else f"random_pure{list(s)}",
+)
+def test_omega_stack_equals_the_scalar_walk_bit_for_bit(state, party):
+    rho = (psi_lambda(state) if isinstance(state, float) else random_pure((2, 2), list(state))).density()
+    rng = np.random.default_rng([31, party])
+    params = [_random_params(rng) for _ in range(300)] + EDGE_POVMS
+    stacked = omega_stack(rho, params, party)
+    assert stacked.dtype == np.float64 and stacked.shape == (len(params),)
+    assert stacked.tolist() == [_reference_omega(rho, p, party) for p in params]
+    for p in params[:20] + EDGE_POVMS:
+        assert omega(rho, p, party) == omega_stack(rho, [p] + params[:3], party)[0]
+        for element, expected in zip(build_povm(p), _reference_povm(p)):
+            assert np.array_equal(element, expected)
+            prob, branch = apply_branch(rho, element, party)
+            ref_prob, ref_branch = _reference_branch(rho, expected, party)
+            assert prob == ref_prob and (branch is None) == (ref_branch is None)
+            assert branch is None or np.array_equal(branch.entries, ref_branch.entries)
+
+
+def test_edge_povms_zero_each_branch():
+    rho = psi_lambda(0.3137).density()
+    dead = [[_reference_branch(rho, e, 0)[1] is None for e in _reference_povm(p)] for p in EDGE_POVMS]
+    assert dead[:4] == [[True, False], [True, False], [False, True], [False, True]]
+
+
+def test_omega_stack_names_the_povm_whose_branch_fails(monkeypatch):
+    rho = random_pure((2, 2), [9, 2]).density()
+    params = [_random_params(np.random.default_rng(seed)) for seed in range(5)]
+    target = apply_branch(rho, build_povm(params[3])[1])[1].entries
+    real = mubcert.correlations.density_defect
+
+    def reject_target(m):
+        hits = [row for row, matrix in enumerate(m) if np.array_equal(matrix, target)]
+        return (hits[0], "matrix has a negative eigenvalue (-1.000e-03)") if hits else real(m)
+
+    monkeypatch.setattr(mubcert.correlations, "density_defect", reject_target)
+    with pytest.raises(InvariantError, match="negative eigenvalue") as caught:
+        omega_stack(rho, params)
+    assert caught.value.row == 3
+    monkeypatch.setattr(mubcert.locc, "BRANCH_SUM_TOL", -1.0)
+    with pytest.raises(InvariantError, match="branch probabilities sum to") as caught:
+        omega_stack(rho, params[:3])
+    assert caught.value.row == 0
+    monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", -1.0)
+    with pytest.raises(InvariantError, match="POVM completeness residual") as caught:
+        omega_stack(rho, params)
+    assert caught.value.row == 0
+
+
+def test_omega_stack_validation():
+    with pytest.raises(ValueError, match="do not match witness dims"):
+        omega_stack(random_pure((2, 3), 4).density(), [IDENTITY_POVM])
+    with pytest.raises(ValueError, match="party must be 0 or 1"):
+        omega_stack(psi_lambda(0.5).density(), [IDENTITY_POVM], party=2)
+    assert omega_stack(psi_lambda(0.5).density(), []).shape == (0,)
 
 
 def test_sweep_matches_scalar_omega():
@@ -370,6 +488,64 @@ def test_sweep_checks_completeness_before_any_grid_work(monkeypatch):
     monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", -1.0)
     with pytest.raises(InvariantError, match="POVM completeness residual .* on the grid"):
         sweep(psi_lambda(0.5).density(), grid=GRID_61)
+
+
+def _perturbed_trig(grid, theta_cap, broken, scale, seed):
+    trig = [[np.sin(a), np.cos(a)] for a in (np.linspace(lo, hi, s) for lo, hi, s in grid)]
+    phase = np.exp(1j * theta_cap)
+    if broken == "phase":
+        phase *= 1.0 + scale
+    elif broken is not None:
+        name, part = broken.split()
+        axis, column = ("chi", "zeta", "xi").index(name), ("sin", "cos").index(part)
+        noise = np.random.default_rng(seed).normal(0.0, scale, trig[axis][column].size)
+        trig[axis][column] = trig[axis][column] + noise
+    return trig, phase
+
+
+BROKEN = [None, "phase", "chi sin", "zeta sin", "xi sin", "chi cos", "zeta cos", "xi cos"]
+
+
+def test_completeness_bound_accepts_only_complete_grids():
+    # Perturbations from 1e-13 to 1e-11 put the residual on both sides of
+    # COMPLETENESS_TOL; the 1e-3 ones are the broken cases above.
+    tol = mubcert.locc.COMPLETENESS_TOL
+    rng = np.random.default_rng(1212)
+    paths = []
+    for seed in range(240):
+        steps = [int(v) for v in rng.integers(1, 18, 3)]
+        grid = tuple((lo, hi, n) for (lo, hi), n in zip(np.sort(rng.uniform(-math.pi, math.pi, (3, 2))), steps))
+        theta_cap = float(rng.choice([0.0, math.pi, -math.pi, rng.uniform(-math.pi, math.pi)]))
+        broken = BROKEN[seed % len(BROKEN)]
+        scale = 1e-3 if seed % 16 == 15 else float(10.0 ** rng.uniform(-13, -11))
+        trig, phase = _perturbed_trig(grid, theta_cap, broken, scale, seed)
+        exact = _per_point_completeness_residual(*trig, phase)
+        residual = mubcert.locc._completeness_residual(*trig, phase)
+        assert abs(residual - exact) <= 1e-15
+        if mubcert.locc._completeness_bound(*mubcert.locc._completeness_tables(*trig, phase)) <= tol / 2:
+            assert exact <= tol
+            paths.append("bound")
+        elif residual <= tol:
+            paths.append("exact pass")
+        else:
+            with pytest.raises(InvariantError, match=f"POVM completeness residual {residual:.3e} on the grid"):
+                mubcert.locc._check_completeness(trig, phase)
+            paths.append("reject")
+            continue
+        mubcert.locc._check_completeness(trig, phase)
+    # Every path is taken: accepted by the bound, accepted by the exact pass
+    # alone, and rejected (57, 37 and 146 times when written).
+    assert all(paths.count(path) >= 20 for path in ("bound", "exact pass", "reject"))
+
+
+def test_sweep_words_a_completeness_rejection_with_the_exact_residual(monkeypatch):
+    # Below every real grid's rounding, so the bound cannot accept and the
+    # exact pass rejects, naming its own residual.
+    monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", 1e-17)
+    trig = [(np.sin(a), np.cos(a)) for a in (np.linspace(lo, hi, s) for lo, hi, s in GRID_61)]
+    residual = mubcert.locc._completeness_residual(*trig, np.exp(0.5j))
+    with pytest.raises(InvariantError, match=f"POVM completeness residual {residual:.3e} on the grid"):
+        sweep(psi_lambda(0.5).density(), grid=GRID_61, theta_cap=0.5)
 
 
 def _sweep_peak(rho, **kwargs) -> int:
