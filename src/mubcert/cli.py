@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import states
 from .correlations import (
     VIOLATION_MARGIN,
     Witness,
@@ -33,7 +34,7 @@ from .correlations import (
     paper_i3_w3,
     paper_i4_ghz4,
 )
-from .linalg import UNIT_NORM_TOL, DensityMatrix, InvariantError, StateVector
+from .linalg import UNIT_NORM_TOL, DensityMatrix, InvariantError, StackError, StateVector, normalise
 from .locc import PovmParams, PovmSweepResult, min_omega_family, omega_stack, sweep
 from .measures import global_q_stack, triangle_tau_stack
 from .mub import fourier_pair, is_odd_prime, prime_mub_family
@@ -135,7 +136,7 @@ class _Family(NamedTuple):
     build: Callable[..., StateVector]
     params: dict[str, float]  # certify defaults, in the builder's argument order
     reference: Callable[..., float] | None = None  # paper_* curve over the same arguments
-    sweep: tuple[str, float, float] | None = None  # swept parameter and its default range
+    sweep: tuple[Callable[..., np.ndarray], str, float, float] | None = None  # amplitudes, swept parameter, range
     sweep_params: dict[str, float] = {}  # defaults that differ under sweep
     fixed: tuple[str, ...] = ()  # shown in params but not settable
 
@@ -143,21 +144,21 @@ class _Family(NamedTuple):
 def _families() -> dict[str, _Family]:
     return {
         "psi_lambda": _Family(
-            psi_lambda, {"lambda": 0.5}, paper_i2_psi_lambda, ("lambda", 0.0, 1.0)
+            psi_lambda, {"lambda": 0.5}, paper_i2_psi_lambda, (states.psi_lambda_amplitudes, "lambda", 0.0, 1.0)
         ),
         "bell": _Family(psi_lambda, {"lambda": 0.5}, paper_i2_psi_lambda, fixed=("lambda",)),
-        "ghz3": _Family(ghz3, {"theta": PI / 4}, paper_i3_ghz3, ("theta", 0.0, PI / 2)),
+        "ghz3": _Family(ghz3, {"theta": PI / 4}, paper_i3_ghz3, (states.ghz3_amplitudes, "theta", 0.0, PI / 2)),
         "w3": _Family(
             w3,
             {"theta": W3_STANDARD_THETA, "alpha": W3_STANDARD_ALPHA},
             paper_i3_w3,
-            ("theta", 0.0, PI / 2),
+            (states.w3_amplitudes, "theta", 0.0, PI / 2),
         ),
-        "ghz4": _Family(ghz4, {"theta": PI / 4}, paper_i4_ghz4, ("theta", 0.0, PI / 2)),
+        "ghz4": _Family(ghz4, {"theta": PI / 4}, paper_i4_ghz4, (states.ghz4_amplitudes, "theta", 0.0, PI / 2)),
         "wg4": _Family(
             wg4,
             {"theta": 1.05, "mu": 0.62, "nu": PI / 4},
-            sweep=("mu", 0.0, PI / 2),
+            sweep=(states.wg4_amplitudes, "mu", 0.0, PI / 2),
             sweep_params={"nu": 0.5},
         ),
         "product3": _Family(lambda: StateVector((2, 2, 2), [1] + [0] * 7), {}),
@@ -189,7 +190,7 @@ def _family(name: str, args=None, for_sweep: bool = False) -> tuple[_Family, dic
     family = _families()[name]
     values = {**family.params, **(family.sweep_params if for_sweep else {})}
     if args is not None:
-        swept = family.sweep[0] if for_sweep else None
+        swept = family.sweep[1] if for_sweep else None
         settable = [k for k in values if k not in family.fixed and k != swept]
         values.update(_param_flags(args, settable, f"{args.command} --family {name}"))
     return family, values
@@ -279,7 +280,7 @@ def _flatten_certify(out: dict) -> tuple[list[str], list[list]]:
 
 def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
     family, values = _family(name, args, for_sweep=True)
-    swept, lo, hi = family.sweep
+    amplitudes, swept, lo, hi = family.sweep
     if args is not None:
         lo = lo if args.start is None else args.start
         hi = hi if args.stop is None else args.stop
@@ -287,19 +288,18 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
     rows = []
     for start in range(0, steps, BLOCK_ROWS):
         block = xs[start : start + BLOCK_ROWS]
-        states = []
-        for x in block:
-            values[swept] = x
-            try:
-                states.append(family.build(*values.values()))
-            except ValueError as exc:
-                raise ValueError(f"{name} {swept}={_fmt(x)}: {exc}") from None
-        dims = states[0].dims
-        quantity = _quantity(dims)
+        tensors = []
+        try:
+            for x in block:
+                values[swept] = x
+                tensors.append(amplitudes(*values.values()))
+            amps, _ = normalise(np.reshape(tensors, (len(block), -1)))  # each row its StateVector's bits
+        except ValueError as exc:
+            x = block[exc.row] if isinstance(exc, StackError) else x
+            raise ValueError(f"{name} {swept}={_fmt(x)}: {exc}") from None
+        quantity = _quantity(tensors[0].shape)
         witness = quantity.witness
-        # Each row's density matrix is np.outer's own product of its amplitudes.
-        amps = np.array([psi.amplitudes for psi in states])
-        stack = amps[:, :, None] * amps.conj()[:, None, :]
+        stack = amps[:, :, None] * amps.conj()[:, None, :]  # np.outer's own product, row by row
         try:
             i_values = witness.read(stack)[0].tolist()
             measured = quantity.measure[1](stack) if quantity.measure else None
@@ -314,7 +314,7 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
             if family.reference is not None:
                 row["paper_" + quantity.name] = family.reference(*values.values())
             if check and (start + t) % VERIFY_STRIDE == 0:
-                rho = DensityMatrix(dims, stack[t])
+                rho = DensityMatrix(witness.dims, stack[t])
                 reference = i_value_oracle(rho, [s for s, _ in witness.terms], witness.terms[-1][1])
                 check.check(reference, i_values[t], f"{name} row {start + t}")
             rows.append(row)

@@ -13,19 +13,45 @@ import numpy as np
 from .linalg import DensityMatrix, InvariantError, StackError, StateVector, mixture_weights, normalise
 
 
-def psi_lambda(lam: float) -> StateVector:
-    """Two-qubit sqrt(lam)|00> + sqrt(1-lam)|11>."""
+# Each family's amplitude function gives its raw amplitude tensor, party k
+# along axis k, so the tensor's shape is the state's dims; its builder wraps
+# that tensor in a StateVector.  A sweep stacks the tensors of many rows.
+
+
+def psi_lambda_amplitudes(lam: float) -> np.ndarray:
+    """The amplitudes of ``psi_lambda(lam)``."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return StateVector((2, 2), [sqrt(lam), 0.0, 0.0, sqrt(1.0 - lam)])
+    return np.array([[sqrt(lam), 0.0], [0.0, sqrt(1.0 - lam)]], dtype=np.complex128)
+
+
+def psi_lambda(lam: float) -> StateVector:
+    """Two-qubit sqrt(lam)|00> + sqrt(1-lam)|11>."""
+    amps = psi_lambda_amplitudes(lam)
+    return StateVector(amps.shape, amps)
+
+
+def ghz3_amplitudes(theta: float) -> np.ndarray:
+    """The amplitudes of ``ghz3(theta)``."""
+    amps = np.zeros((2, 2, 2), dtype=np.complex128)
+    amps[0, 0, 0] = cos(theta)
+    amps[1, 1, 1] = sin(theta)
+    return amps
 
 
 def ghz3(theta: float) -> StateVector:
     """cos(theta)|000> + sin(theta)|111>."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = cos(theta)
-    amps[7] = sin(theta)
-    return StateVector((2, 2, 2), amps)
+    amps = ghz3_amplitudes(theta)
+    return StateVector(amps.shape, amps)
+
+
+def w3_amplitudes(theta: float, alpha: float) -> np.ndarray:
+    """The amplitudes of ``w3(theta, alpha)``."""
+    amps = np.zeros((2, 2, 2), dtype=np.complex128)
+    amps[0, 0, 1] = cos(theta)
+    amps[0, 1, 0] = cos(alpha) * sin(theta)
+    amps[1, 0, 0] = sin(alpha) * sin(theta)
+    return amps
 
 
 def w3(theta: float, alpha: float) -> StateVector:
@@ -33,11 +59,8 @@ def w3(theta: float, alpha: float) -> StateVector:
 
     Already unit-norm for every (theta, alpha).
     """
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[1] = cos(theta)
-    amps[2] = cos(alpha) * sin(theta)
-    amps[4] = sin(alpha) * sin(theta)
-    return StateVector((2, 2, 2), amps)
+    amps = w3_amplitudes(theta, alpha)
+    return StateVector(amps.shape, amps)
 
 
 # The standard W state (all three amplitudes 1/sqrt(3)) sits at alpha=pi/4,
@@ -68,12 +91,28 @@ def acin_canonical(l0: float, l1: float, l2: float, l3: float, l4: float, phi: f
     return StateVector((2, 2, 2), amps)
 
 
+def ghz4_amplitudes(theta: float) -> np.ndarray:
+    """The amplitudes of ``ghz4(theta)``."""
+    amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    amps[0, 0, 0, 0] = cos(theta)
+    amps[1, 1, 1, 1] = sin(theta)
+    return amps
+
+
 def ghz4(theta: float) -> StateVector:
     """cos(theta)|0000> + sin(theta)|1111>."""
-    amps = np.zeros(16, dtype=np.complex128)
-    amps[0] = cos(theta)
-    amps[15] = sin(theta)
-    return StateVector((2, 2, 2, 2), amps)
+    amps = ghz4_amplitudes(theta)
+    return StateVector(amps.shape, amps)
+
+
+def wg4_amplitudes(theta: float, mu: float, nu: float) -> np.ndarray:
+    """The raw, not yet normalised, amplitudes of ``wg4(theta, mu, nu)``."""
+    amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+    amps[0, 0, 0, 1] = cos(theta)
+    amps[0, 0, 1, 0] = sin(mu) * sin(theta)
+    amps[0, 1, 0, 0] = cos(mu) * sin(nu) * sin(theta)
+    amps[1, 0, 0, 0] = sin(mu) * sin(nu) * sin(theta)
+    return amps
 
 
 def wg4(theta: float, mu: float, nu: float) -> StateVector:
@@ -84,12 +123,8 @@ def wg4(theta: float, mu: float, nu: float) -> StateVector:
     not unit-norm for general parameters; the pre-normalization norm is kept
     on the returned state's ``original_norm``.
     """
-    amps = np.zeros(16, dtype=np.complex128)
-    amps[0b0001] = cos(theta)
-    amps[0b0010] = sin(mu) * sin(theta)
-    amps[0b0100] = cos(mu) * sin(nu) * sin(theta)
-    amps[0b1000] = sin(mu) * sin(nu) * sin(theta)
-    return StateVector((2, 2, 2, 2), amps)
+    amps = wg4_amplitudes(theta, mu, nu)
+    return StateVector(amps.shape, amps)
 
 
 def random_pure(dims, seed) -> StateVector:

@@ -457,6 +457,10 @@ def test_sweep_rejects_single_step(capsys):
         # The guard fails in the second block; nothing is written.
         (["--family", "psi_lambda", "--from", "0", "--to", "2", "--steps", str(2 * cli.BLOCK_ROWS)],
          "error: psi_lambda lambda=1.0078740157480315: lambda must lie in [0, 1], got 1.0078740157480315\n"),
+        # Row 64, exactly mu = 0, is the first row of the second block.
+        (["--family", "wg4", "--theta", "1.5707963267948966", "--nu", "0", "--from", "-1", "--to", "1",
+          "--steps", str(2 * cli.BLOCK_ROWS + 1)],
+         "error: wg4 mu=0: cannot normalise a zero vector\n"),
     ],
 )
 def test_sweep_row_that_fails_a_builder_guard_is_named(capsys, argv, message):
@@ -733,6 +737,14 @@ LOCC_GOLDEN = {
         "fig4.csv": "b675ba4ea1455c5aa0a3d45e3190d95ceb955a1eaf90b2bf0e52760fa6108c10",
         "fig5.csv": "679280728af3a27761f3cc14362d4985f2558ae563ee717b36c394d731326e45",
     },
+    # The benchmark's own call: each family sweep spans four blocks.
+    ("figures", "--steps", "201", "--grid", "61", "--verify"): {
+        "fig1.csv": "c66c7f64b364efa28a2ed9c5335b14af84df4554627f40b646c0582e57faecb2",
+        "fig2.csv": "6cc4deb9390694d8693c7f40f71680b6cfaf966da2bf6d854d152c65dac06db1",
+        "fig3.csv": "944fa37da62fd6f3f4d07c4240f0716c9495b99af22c1b71487659c486e97ee1",
+        "fig4.csv": "4f5d986374f7e4f3fdf4e158b8f777bbe2b03dfb23ca528da500ab2eec84b689",
+        "fig5.csv": "a54360669e8f13ceb54b7a194891f5364c094c6b295c811044df8295d257a9a9",
+    },
 }
 
 
@@ -913,6 +925,8 @@ def test_verify_reports_rows_and_largest_gap_per_output(tmp_path, capsys):
 VERIFY_STDERR_PINS = {
     ("figures", "--steps", "21", "--grid", "7", "--verify"):
         "fe85122fe2b9c8e743eeb6580ddd24fc69ff456ca9b65697bfd8023031b836c8",
+    ("figures", "--steps", "201", "--grid", "61", "--verify"):
+        "aff643620708c01ee9f9a0db4814d7505fa7b7844481e0caedb4e538171c0074",
     ("locc", "--grid", "21", "--verify"):
         "61e4395f0294ad74970707c6865329e24f2e257a8d02c789eaa6e4d5ef60d928",
     (

@@ -1,11 +1,13 @@
 """Family sweeps: the block evaluation against a per-row reference.
 
-``cli._sweep_rows`` builds each row's state one at a time but validates and
-evaluates each block of rows as one stack.  The reference below is the
-per-row loop it replaces: one ``density()``, one ``i_m_bipartite``/``i3``/``i4``
-call and one ``triangle_tau``/``global_q`` call per row, and the oracle
-functions called directly for ``--verify``.  Both must give the same
-header, the same float bits and the same ``--verify`` report.
+``cli._sweep_rows`` stacks each block's amplitude tensors from the family's
+amplitude function, normalises them in one call, and validates and
+evaluates the block as one stack.  The reference below is the per-row loop
+it replaces: one family builder ``StateVector``, one ``density()``, one
+``i_m_bipartite``/``i3``/``i4`` call and one ``triangle_tau``/``global_q``
+call per row, and the oracle functions called directly for ``--verify``.
+Both must give the same header, the same float bits and the same
+``--verify`` report.
 """
 
 import numpy as np
@@ -50,7 +52,7 @@ _PER_ROW_QUANTITIES = {2: ("i2", _i2, _i2_oracle), 3: ("i3", i3, i3_oracle), 4: 
 
 def _reference_sweep_rows(name, steps, check, args=None):
     family, values = cli._family(name, args, for_sweep=True)
-    swept, lo, hi = family.sweep
+    _, swept, lo, hi = family.sweep
     if args is not None:
         lo = lo if args.start is None else args.start
         hi = hi if args.stop is None else args.stop
@@ -126,6 +128,27 @@ def test_block_sweep_prints_the_reference_verify_report(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 * len(SWEEPABLE)
     assert lines[: len(SWEEPABLE)] == lines[len(SWEEPABLE) :]
+
+
+@pytest.mark.parametrize("name", SWEEPABLE)
+def test_sweep_builds_no_state_per_row(name, monkeypatch):
+    # A row's amplitudes go straight into its block's stack; only a --verify
+    # row builds an object, its DensityMatrix.
+    built = {linalg.StateVector: 0, linalg.DensityMatrix: 0}
+    for cls in built:
+        original = cls.__post_init__
+
+        def counted(self, cls=cls, original=original):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    cli._sweep_rows(name, 201, None)
+    assert built == {linalg.StateVector: 0, linalg.DensityMatrix: 0}
+    check = cli._Verification(name)
+    cli._sweep_rows(name, 201, check)
+    assert built == {linalg.StateVector: 0, linalg.DensityMatrix: check.rows}
+    assert check.rows == len(range(0, 201, VERIFY_STRIDE))
 
 
 def test_figures_validates_each_sweep_matrix_once(tmp_path, monkeypatch):
