@@ -28,27 +28,19 @@ from .linalg import (
     DensityMatrix,
     InvariantError,
     StateVector,
-    dagger,
-    kron,
     mix,
     partial_trace,
     permute_parties,
-    purity,
-    reduced_rank,
-    schmidt_coefficients,
 )
 from .locc import (
     PovmParams,
     PovmSweepResult,
-    apply_branch,
-    build_povm,
-    convexity_probe,
     min_omega_family,
     omega,
     omega_stack,
     sweep,
 )
-from .measures import global_q, one_tangle, triangle_tau
+from .measures import global_q, triangle_tau
 from .mub import (
     Basis,
     MubFamily,
@@ -60,14 +52,11 @@ from .mub import (
     qubit_mub_triple,
 )
 from .states import (
-    acin_canonical,
     bipartitions,
     ghz3,
     ghz4,
     psi_lambda,
-    random_biseparable,
     random_pure,
-    random_separable,
     w3,
     wg4,
 )

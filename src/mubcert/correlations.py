@@ -121,10 +121,6 @@ class LbpsPatternSet:
             raise ValueError(f"duplicate pattern in set {self.name!r}")
         object.__setattr__(self, "patterns", patterns)
 
-    @property
-    def arity(self) -> int:
-        return len(self.patterns[0])
-
 
 _TRI_PATTERNS: tuple[tuple[str, tuple[IndexPattern, ...]], ...] = (
     ("tri1", ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1))),

@@ -12,7 +12,7 @@ invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, prod, sqrt
+from math import isfinite, prod
 
 import numpy as np
 
@@ -74,9 +74,9 @@ class StackError(ValueError):
         self.row = row
 
 
-def normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+def normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of the (..., n) stack ``amps`` divided by its 2-norm, and the norms
-    (one float for a single vector).
+    (a 0-d array for a single vector).
 
     A non-finite norm means a non-finite (or overflowing) amplitude; a
     norm at or below ZERO_NORM means a zero vector.  Both raise StackError
@@ -85,15 +85,7 @@ def normalise(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     # np.linalg.norm's own formula for a complex vector, without its
     # dispatch.  A stacked (1, n) @ (n, 1) matmul calls, row by row, the BLAS
     # ddot that ndarray.dot calls, so a row's norm does not depend on the
-    # stack it sits in; einsum and sum round differently.  One vector takes
-    # the two dots directly, which skips the stack's ufunc dispatch.
-    if amps.ndim == 1:
-        norm = sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
-        if not isfinite(norm):
-            raise StackError("amplitudes must be finite")
-        if norm <= ZERO_NORM:
-            raise StackError("cannot normalise a zero vector")
-        return amps / norm, norm
+    # stack it sits in; einsum and sum round differently.
     re, im = amps.real[..., None, :], amps.imag[..., None, :]
     squares = np.matmul(re, re.swapaxes(-1, -2)) + np.matmul(im, im.swapaxes(-1, -2))
     norms = np.sqrt(squares[..., 0, 0])
@@ -221,16 +213,6 @@ class DensityMatrix:
         return int(self.entries.shape[0])
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product of two operators or vectors."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=np.complex128).conj().T
-
-
 def partial_trace_stack(entries: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     """Each matrix of the (..., D, D) stack ``entries`` over ``dims`` with every
     party not listed in ``keep`` traced out, unvalidated.
@@ -265,29 +247,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep = [int(k) for k in keep]
     sub = partial_trace_stack(rho.entries, rho.dims, keep)
     return DensityMatrix(tuple(rho.dims[k] for k in sorted(keep)), sub)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2) as a real number."""
-    return float(np.real(np.trace(rho.entries @ rho.entries)))
-
-
-def schmidt_coefficients(psi: StateVector) -> np.ndarray:
-    """Singular values of the bipartite amplitude matrix, descending.
-
-    Only defined for exactly two parties; the squares sum to one.
-    """
-    if psi.n_parties != 2:
-        raise ValueError(f"schmidt_coefficients needs a bipartite state, got {psi.n_parties} parties")
-    mat = psi.amplitudes.reshape(psi.dims)
-    return np.linalg.svd(mat, compute_uv=False)
-
-
-def reduced_rank(rho: DensityMatrix, tol: float = EQUALITY_TOL) -> int:
-    """Number of eigenvalues strictly above ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return int(np.sum(np.linalg.eigvalsh(rho.entries) > tol))
 
 
 def permute_parties(psi: StateVector, order) -> StateVector:

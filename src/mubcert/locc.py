@@ -34,7 +34,7 @@ from math import cos, hypot, sin, sqrt
 import numpy as np
 
 from .correlations import i_m_witness
-from .linalg import BRANCH_SUM_TOL, COMPLETENESS_TOL, DensityMatrix, InvariantError, mix
+from .linalg import BRANCH_SUM_TOL, COMPLETENESS_TOL, DensityMatrix, InvariantError
 from .mub import fourier_pair
 
 ZERO_BRANCH_TOL = 1e-12
@@ -162,34 +162,6 @@ def _branch_stack(rho: DensityMatrix, ops: np.ndarray, party: int) -> tuple[np.n
     return raw, np.real(np.trace(raw, axis1=1, axis2=2))
 
 
-def build_povm(p: PovmParams) -> tuple[np.ndarray, np.ndarray]:
-    """The two POVM elements E_1 = D_1 V, E_2 = D_2 V; completeness checked."""
-    (e,), (residual,) = _povm_stack([p])
-    if residual > COMPLETENESS_TOL:
-        raise InvariantError(f"POVM completeness residual {residual:.3e}")
-    return e[0], e[1]
-
-
-def apply_branch(rho: DensityMatrix, e: np.ndarray, party: int = 0):
-    """One measurement branch: probability and normalized post-state.
-
-    Returns (p, state); state is None when p < 1e-12.
-    """
-    if rho.n_parties != 2:
-        raise ValueError(f"apply_branch needs a bipartite state, got {rho.n_parties} parties")
-    if party not in (0, 1):
-        raise ValueError(f"party must be 0 or 1, got {party}")
-    d = rho.dims[party]
-    e = np.asarray(e, dtype=np.complex128)
-    if e.shape != (d, d):
-        raise ValueError(f"operator shape {e.shape} does not match local dimension {d}")
-    (raw,), (p,) = _branch_stack(rho, e[None], party)
-    p = float(p)
-    if p < ZERO_BRANCH_TOL:
-        return max(p, 0.0), None
-    return p, DensityMatrix(rho.dims, raw / p)
-
-
 def omega_stack(rho: DensityMatrix, params, party: int = 0) -> np.ndarray:
     """omega(rho, p, party) for each p of the sequence ``params``, bit for bit.
 
@@ -267,11 +239,6 @@ def _largest_residual(chi_part, zeta_part) -> float:
     is one (zeta, xi) slab of 2x2 matrices.
     """
     return max(float(np.max(np.abs(zeta_part + part))) for part in chi_part)
-
-
-def _completeness_residual(chi_trig, zeta_trig, xi_trig, phase) -> float:
-    """Largest |E1'E1 + E2'E2 - I| over every (chi, zeta, xi) grid point."""
-    return _largest_residual(*_completeness_tables(chi_trig, zeta_trig, xi_trig, phase))
 
 
 def _completeness_bound(chi_part, zeta_part) -> float:
@@ -386,16 +353,3 @@ def min_omega_family(rho: DensityMatrix, theta_cap: float = 0.0, party: int = 0)
 
     return float(min(lowest(a - b), lowest(a + b)))
 
-
-def convexity_probe(rho1: DensityMatrix, rho2: DensityMatrix, weights) -> float:
-    """Max deviation of I2 (Fourier pair) from exact mixing linearity over the given weights."""
-    witness = i_m_witness(fourier_pair(rho1.dims[0]))  # evaluate rejects dims other than (d, d)
-    a, b = witness.evaluate(rho1).i_value, witness.evaluate(rho2).i_value
-    worst = 0.0
-    for w in weights:
-        w = float(w)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"weights must lie in [0, 1], got {w}")
-        mixed = mix([rho1, rho2], [w, 1.0 - w])
-        worst = max(worst, abs(witness.evaluate(mixed).i_value - (w * a + (1.0 - w) * b)))
-    return worst

@@ -11,18 +11,11 @@ from math import fsum, sqrt
 
 import numpy as np
 
-from .linalg import DensityMatrix, InvariantError, StateVector, density_defect, partial_trace_stack
+from .linalg import InvariantError, StateVector, density_defect, partial_trace_stack
 
 
 def _tangle(det: float) -> float:
     return min(max(4.0 * det, 0.0), 1.0)
-
-
-def one_tangle(rho: DensityMatrix) -> float:
-    """4 det(rho) of a single-qubit state, clamped to [0, 1]."""
-    if rho.dims != (2,):
-        raise ValueError(f"one_tangle needs a single qubit, got dims {rho.dims}")
-    return _tangle(float(np.real(np.linalg.det(rho.entries))))
 
 
 def _one_party_reductions(entries: np.ndarray) -> np.ndarray:

@@ -39,9 +39,6 @@ class Basis:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "vectors", v)
 
-    def vector(self, j: int) -> np.ndarray:
-        return self.vectors[:, j]
-
 
 @dataclass(frozen=True, eq=False)
 class MubFamily:

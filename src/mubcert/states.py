@@ -69,28 +69,6 @@ W3_STANDARD_THETA = float(np.arccos(1.0 / np.sqrt(3.0)))
 W3_STANDARD_ALPHA = float(np.pi / 4.0)
 
 
-def acin_canonical(l0: float, l1: float, l2: float, l3: float, l4: float, phi: float = 0.0) -> StateVector:
-    """Three-qubit canonical five-term form.
-
-    l0|000> + e^{i phi} l1|001> + l2|010> + l3|100> + l4|111>, renormalized.
-    The |111> weight is an independent l4.
-    """
-    weights = (l0, l1, l2, l3, l4)
-    if any(w < 0 for w in weights):
-        raise ValueError(f"weights must be non-negative, got {weights}")
-    if not 0.0 <= phi <= np.pi:
-        raise ValueError(f"phi must lie in [0, pi], got {phi}")
-    if sum(w * w for w in weights) <= 0.0:
-        raise ValueError("at least one weight must be positive")
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b000] = l0
-    amps[0b001] = l1 * np.exp(1j * phi)
-    amps[0b010] = l2
-    amps[0b100] = l3
-    amps[0b111] = l4
-    return StateVector((2, 2, 2), amps)
-
-
 def ghz4_amplitudes(theta: float) -> np.ndarray:
     """The amplitudes of ``ghz4(theta)``."""
     amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
@@ -190,10 +168,8 @@ def _qubit_cuts(n: int) -> tuple[_Cut, ...]:
     return tuple(_qubit_cut(n, block) for block in bipartitions(n))
 
 
-def _draw(rng: np.random.Generator, cut: _Cut, k_min: int, terms: int | None = None) -> _Part:
-    k = int(terms) if terms is not None else int(rng.integers(k_min, 6))
-    if k < 1:
-        raise ValueError("terms must be at least 1")
+def _draw(rng: np.random.Generator, cut: _Cut, k_min: int) -> _Part:
+    k = int(rng.integers(k_min, 6))
     weights = np.ones(1)
     if k > 1:
         # Dirichlet(1, ..., 1) as numpy's dirichlet draws it: k unit-shape
@@ -299,38 +275,6 @@ def _fill(out: np.ndarray, mixtures: list[_Mixture]) -> None:
         acc += mix[:, 0] * out[mixed]
         acc += mix[:, 1] * second
         out[mixed] = acc
-
-
-def _entries(dim: int, mixture: _Mixture) -> np.ndarray:
-    out = np.empty((1, dim, dim), dtype=np.complex128)
-    _fill(out, [mixture])
-    return out[0]
-
-
-def random_biseparable(n: int, cut, seed, terms: int | None = None) -> DensityMatrix:
-    """Convex mixture of Haar-random products across one fixed bipartition.
-
-    cut names one block of parties; the complement is the other block.
-    terms fixes the number of mixture components (default: 2-5, drawn
-    uniformly), with Dirichlet-uniform weights.
-    """
-    if n not in (3, 4):
-        raise ValueError(f"n must be 3 or 4, got {n}")
-    block = tuple(sorted(int(p) for p in cut))
-    if len(set(block)) != len(block) or not block:
-        raise ValueError(f"cut must be a nonempty set of distinct parties, got {cut}")
-    if any(p < 0 or p >= n for p in block) or len(block) >= n:
-        raise ValueError(f"cut must be a proper subset of 0..{n - 1}, got {cut}")
-    part = _draw(np.random.default_rng(seed), _qubit_cut(n, block), 2, terms)
-    return DensityMatrix((2,) * n, _entries(2**n, (None, [part])))
-
-
-def random_separable(d: int, seed, terms: int | None = None) -> DensityMatrix:
-    """Bipartite d x d separable state: mixture of Haar-random pure products."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    part = _draw(np.random.default_rng(seed), _Cut(d, d, None), 1, terms)
-    return DensityMatrix((d, d), _entries(d * d, (None, [part])))
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 seeding, with

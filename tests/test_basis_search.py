@@ -29,7 +29,6 @@ from mubcert import (
     i4,
     i4_witness,
     i_m_witness,
-    kron,
     lbps_quadripartite,
     lbps_tripartite,
     qubit_mub_triple,
@@ -41,7 +40,7 @@ from mubcert.cli import main
 from mubcert.correlations import QUADRIPARTITE_BOUND, TRIPARTITE_BOUND, VIOLATION_MARGIN
 from mubcert.states import W3_STANDARD_ALPHA, biseparable_sample, state_to_json_dict
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+HADAMARD = (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)).astype(np.complex128)
 
 
 def _reference_search(rho: DensityMatrix) -> CertificationReport:
@@ -90,7 +89,7 @@ def _pauli_product(labels: str) -> DensityMatrix:
 
 
 def _rotated_ghz3() -> DensityMatrix:
-    h3 = kron(kron(HADAMARD, HADAMARD), HADAMARD)
+    h3 = np.kron(np.kron(HADAMARD, HADAMARD), HADAMARD)
     return StateVector((2, 2, 2), h3 @ ghz3(math.pi / 4).amplitudes).density()
 
 

@@ -7,6 +7,7 @@ The campaign evaluates blocks of trials as one stack; its per-trial
 reference is a loop of ``Witness.evaluate`` over the validated samples.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -39,9 +40,7 @@ from mubcert import (
     permute_parties,
     prime_mub_family,
     qubit_mub_triple,
-    random_biseparable,
     random_pure,
-    random_separable,
 )
 from mubcert import cli
 from mubcert.cli import BLOCK_ROWS, DEFAULT_SEED, main, run_bound_campaign
@@ -111,24 +110,41 @@ def test_biseparable_sample_matches_reference_on_every_slot(n):
             assert np.array_equal(got.entries, want.entries), (n, trial, seed)
 
 
+def _part(cut, seed, terms):
+    """One mixture part from default_rng(seed): as the sampler draws it, or,
+    with ``terms`` components, as the reference draws them."""
+    rng = np.random.default_rng(seed)
+    if terms is None:
+        return states._draw(rng, cut, 1 if cut.axes is None else 2)
+    weights = rng.dirichlet(np.ones(terms)) if terms > 1 else np.ones(1)
+    return cut, weights, rng.standard_normal(terms * 2 * (cut.left + cut.right)).reshape(terms, -1)
+
+
+def _sampled(dim, part):
+    """The unvalidated entries the sampler builds from one part alone."""
+    out = np.empty((1, dim, dim), dtype=np.complex128)
+    states._fill(out, [(None, [part])])
+    return out[0]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("terms", [None, 1, 3])
 def test_random_biseparable_matches_reference_on_every_cut(n, terms):
     for cut in bipartitions(n):
         for seed in range(4):
-            got = random_biseparable(n, cut, seed, terms=terms)
+            got = _sampled(2**n, _part(states._qubit_cut(n, cut), seed, terms))
             want = _ref_random_biseparable(n, cut, seed, terms=terms)
-            assert np.array_equal(got.entries, want.entries), (cut, seed)
+            assert np.array_equal(got, want.entries), (cut, seed)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("terms", [None, 1])
 def test_random_separable_matches_reference(d, terms):
     for seed in range(8):
-        got = random_separable(d, seed, terms=terms)
+        got = _sampled(d * d, _part(states._Cut(d, d, None), seed, terms))
         want = _ref_random_separable(d, seed, terms=terms)
-        assert got.dims == (d, d)
-        assert np.array_equal(got.entries, want.entries), seed
+        assert got.shape == (d * d, d * d)
+        assert np.array_equal(got, want.entries), seed
     for trial in range(8):
         got = separable_sample(d, trial, DEFAULT_SEED)
         want = _ref_random_separable(d, [DEFAULT_SEED, trial])
@@ -172,16 +188,16 @@ def test_block_sampler_matches_reference_at_any_seed_and_start(seed, start):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("terms", [1, 3])
+@pytest.mark.parametrize("terms", [1, 3, None])
 def test_one_stack_of_every_cut_matches_reference(n, terms):
-    # Components of every cut and of several seeds, with a fixed count,
-    # built as one stack per cut.
+    # Components of every cut and of several seeds, with a fixed count or
+    # with the drawn ones, built as one stack per cut.  The four seeds draw
+    # counts 2, 4, 3 and 5, so the drawn stack mixes every count.
     cuts = bipartitions(n)
-    cases = [(cut, seed) for cut in cuts for seed in (DEFAULT_SEED, 5, 6)]
-    mixtures = [
-        (None, [states._draw(np.random.default_rng(seed), states._qubit_cut(n, cut), 2, terms)])
-        for cut, seed in cases
-    ]
+    cases = [(cut, seed) for cut in cuts for seed in (DEFAULT_SEED, 5, 6, 7)]
+    mixtures = [(None, [_part(states._qubit_cut(n, cut), seed, terms)]) for cut, seed in cases]
+    counts = {len(draws) for _, [(_, _, draws)] in mixtures}
+    assert counts == ({2, 3, 4, 5} if terms is None else {terms})
     out = np.empty((len(cases), 2**n, 2**n), dtype=np.complex128)
     states._fill(out, mixtures)
     for row, (cut, seed) in enumerate(cases):
@@ -207,27 +223,25 @@ def test_block_seeds_are_the_default_rng_seeds():
         assert (state, inc) == (want["state"], want["inc"]), key
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_drawn_weights_are_numpys_dirichlet(k):
     # _draw takes unit-α Dirichlet weights as normalised exponentials; they
-    # and the amplitudes drawn after them equal numpy's bit for bit.
+    # and the amplitudes drawn after them equal numpy's bit for bit.  Each
+    # count is checked on the first 2,000 seeds whose stream draws it.
     cut = states._Cut(2, 2, None)
-    for seed in range(2000):
-        _, weights, draws = states._draw(np.random.default_rng(seed), cut, 1, terms=k)
+    drawing_k = (seed for seed in itertools.count() if np.random.default_rng(seed).integers(1, 6) == k)
+    for seed in itertools.islice(drawing_k, 2000):
+        _, weights, draws = states._draw(np.random.default_rng(seed), cut, 1)
         rng = np.random.default_rng(seed)
-        assert weights.tobytes() == rng.dirichlet(np.ones(k)).tobytes(), seed
+        assert len(weights) == rng.integers(1, 6) == k, seed
+        want = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+        assert weights.tobytes() == want.tobytes(), seed
         assert draws.tobytes() == rng.standard_normal(draws.size).tobytes(), seed
 
 
 def test_sampler_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        random_biseparable(3, (0,), 1, terms=0)
-    with pytest.raises(ValueError):
-        random_biseparable(3, (0, 1, 2), 1)
-    with pytest.raises(ValueError):
-        random_separable(3, 1, terms=0)
-    with pytest.raises(ValueError):
-        random_separable(1, 1)
+        separable_block(1, 0, 1, np.empty((4, 1, 1), dtype=np.complex128))
     with pytest.raises(ValueError):
         biseparable_block(3, 0, -1, np.empty((4, 8, 8), dtype=np.complex128))
     with pytest.raises(ValueError):

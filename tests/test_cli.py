@@ -25,21 +25,19 @@ from mubcert import (
     PovmParams,
     StateVector,
     Witness,
-    apply_branch,
-    build_povm,
     cli,
     fourier_pair,
     ghz3,
     i_m_witness,
-    kron,
     psi_lambda,
     random_pure,
 )
 from mubcert.cli import main
 from mubcert.locc import PovmSweepResult, sweep
 from mubcert.states import state_to_json_dict
+from test_locc import _reference_branch, _reference_povm
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+HADAMARD = (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)).astype(np.complex128)
 
 
 def _run(capsys, *argv) -> tuple[int, str]:
@@ -93,7 +91,7 @@ def test_certify_state_file(tmp_path, capsys):
 
 def test_certify_basis_search_flag(tmp_path, capsys):
     rotated = StateVector(
-        (2, 2, 2), kron(kron(HADAMARD, HADAMARD), HADAMARD) @ ghz3(math.pi / 4).amplitudes
+        (2, 2, 2), np.kron(np.kron(HADAMARD, HADAMARD), HADAMARD) @ ghz3(math.pi / 4).amplitudes
     )
     path = tmp_path / "rotated.json"
     path.write_text(json.dumps(state_to_json_dict(rotated)))
@@ -999,7 +997,7 @@ def test_a_broken_verify_branch_is_an_invariant_breach(monkeypatch, tmp_path, ca
     else:
         point = np.unravel_index(index, (grid,) * 3)
     params = PovmParams(*(float(ax[n]) for ax, n in zip(result.axes(), point)), cap)
-    target = apply_branch(rho, build_povm(params)[0], party)[1].entries
+    target = _reference_branch(rho, _reference_povm(params)[0], party)[1].entries
     defects = []
     for module in (mubcert.linalg, mubcert.correlations):
         real = module.density_defect

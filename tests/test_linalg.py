@@ -1,7 +1,5 @@
 """Core linear-algebra layer: construction invariants, partial trace,
-Schmidt decomposition, party permutation."""
-
-import math
+party permutation."""
 
 import numpy as np
 import pytest
@@ -9,23 +7,18 @@ import pytest
 from mubcert import (
     DensityMatrix,
     StateVector,
-    dagger,
     ghz3,
-    kron,
     mix,
     partial_trace,
     permute_parties,
     psi_lambda,
-    purity,
-    random_biseparable,
     random_pure,
-    reduced_rank,
-    schmidt_coefficients,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubcert.linalg import PSD_TOL, StackError, density_defect, normalise
+from mubcert.states import biseparable_sample
 
 
 def test_state_vector_normalizes_and_reports_original_norm():
@@ -122,7 +115,7 @@ def test_psd_check_accepts_and_rejects_at_psd_tol():
 
 
 def test_psd_check_names_the_one_bad_row_of_a_stack():
-    stack = np.array([random_biseparable(3, (0,), [7, t]).entries for t in range(64)])
+    stack = np.array([biseparable_sample(3, t, 7).entries for t in range(64)])
     stack[37] = _with_lowest_eigenvalue(-2e-9, 8, 37)
     assert density_defect(stack) == (37, "matrix has a negative eigenvalue (-2.000e-09)")
     stack[37] = _with_lowest_eigenvalue(-0.9e-9, 8, 37)
@@ -186,7 +179,8 @@ def test_purity_of_pure_projectors():
     for _ in range(1000):
         n = int(rng.integers(2, 5))
         psi = random_pure((2,) * n, int(rng.integers(0, 2**31)))
-        assert abs(purity(psi.density()) - 1.0) <= 1e-10
+        rho = psi.density().entries
+        assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-10
 
 
 def test_partial_trace_bell_marginal_is_maximally_mixed():
@@ -208,54 +202,6 @@ def test_partial_trace_keeps_trace_one():
     marg = partial_trace(rho, keep=[1])
     assert abs(np.trace(marg.entries) - 1.0) <= 1e-10
     assert marg.dims == (3,)
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert np.max(np.abs(left - right)) <= 1e-14
-
-
-def test_dagger():
-    m = np.array([[1.0, 2.0j], [3.0, 4.0]])
-    assert np.array_equal(dagger(m), m.conj().T)
-
-
-def test_schmidt_known_states():
-    flat = schmidt_coefficients(StateVector((2, 2), np.array([1.0, 0, 0, 0])))
-    assert np.allclose(flat, [1.0, 0.0], atol=1e-12)
-    bell = schmidt_coefficients(psi_lambda(0.5))
-    assert np.allclose(bell, [1 / math.sqrt(2)] * 2, atol=1e-12)
-    skew = schmidt_coefficients(psi_lambda(0.3))
-    assert np.allclose(skew, [math.sqrt(0.7), math.sqrt(0.3)], atol=1e-12)
-
-
-def test_schmidt_local_unitary_invariance():
-    rng = np.random.default_rng(11)
-    for seed in range(10):
-        psi = random_pure((2, 3), seed)
-        coeffs = schmidt_coefficients(psi)
-        ua = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-        ub = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-        rotated = StateVector((2, 3), kron(ua, ub) @ psi.amplitudes)
-        assert np.max(np.abs(schmidt_coefficients(rotated) - coeffs)) <= 1e-9
-
-
-def test_schmidt_requires_bipartite():
-    with pytest.raises(ValueError):
-        schmidt_coefficients(ghz3(0.5))
-
-
-def test_reduced_rank():
-    assert reduced_rank(partial_trace(ghz3(0.0).density(), [0]), 1e-9) == 1
-    assert reduced_rank(partial_trace(ghz3(math.pi / 4).density(), [0]), 1e-9) == 2
-    # pure biseparable states have a rank-1 marginal on one side of the cut
-    rho = random_biseparable(3, (0,), seed=5, terms=1)
-    assert reduced_rank(partial_trace(rho, [0]), 1e-9) == 1
 
 
 def test_permute_parties_roundtrip():

@@ -21,13 +21,8 @@ from mubcert import (
     PovmParams,
     PovmSweepResult,
     Witness,
-    apply_branch,
-    build_povm,
-    convexity_probe,
-    dagger,
     fourier_pair,
     i_m_witness,
-    kron,
     min_omega_family,
     mix,
     omega,
@@ -39,6 +34,7 @@ from mubcert import (
     sweep,
 )
 from mubcert.cli import main
+from mubcert.locc import ZERO_BRANCH_TOL, _branch_stack, _povm_stack
 
 IDENTITY_POVM = PovmParams(chi=math.pi / 2, zeta=math.pi / 2, xi=0.0, theta_cap=0.0)
 
@@ -63,7 +59,7 @@ def _reference_povm(p: PovmParams) -> tuple[np.ndarray, np.ndarray]:
     )
     e1 = np.diag([math.sin(p.chi), math.sin(p.zeta)]).astype(np.complex128) @ v
     e2 = np.diag([math.cos(p.chi), math.cos(p.zeta)]).astype(np.complex128) @ v
-    residual = float(np.max(np.abs(dagger(e1) @ e1 + dagger(e2) @ e2 - np.eye(2))))
+    residual = float(np.max(np.abs(e1.conj().T @ e1 + e2.conj().T @ e2 - np.eye(2))))
     if residual > mubcert.locc.COMPLETENESS_TOL:
         raise InvariantError(f"POVM completeness residual {residual:.3e}")
     return e1, e2
@@ -71,10 +67,11 @@ def _reference_povm(p: PovmParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _reference_branch(rho, e, party):
     """Reference: the former apply_branch, one np.kron and one DensityMatrix."""
-    k = kron(e, np.eye(rho.dims[1])) if party == 0 else kron(np.eye(rho.dims[0]), e)
-    raw = k @ rho.entries @ dagger(k)
+    eye = np.eye(rho.dims[1 - party], dtype=np.complex128)
+    k = np.kron(e, eye) if party == 0 else np.kron(eye, e)
+    raw = k @ rho.entries @ k.conj().T
     p = float(np.real(np.trace(raw)))
-    if p < mubcert.locc.ZERO_BRANCH_TOL:
+    if p < ZERO_BRANCH_TOL:
         return max(p, 0.0), None
     return p, DensityMatrix(rho.dims, raw / p)
 
@@ -105,11 +102,9 @@ def test_params_validate_range():
 
 def test_povm_completeness_over_many_draws():
     rng = np.random.default_rng(314)
-    eye = np.eye(2)
-    for _ in range(10000):
-        e1, e2 = build_povm(_random_params(rng))
-        closure = dagger(e1) @ e1 + dagger(e2) @ e2
-        assert np.max(np.abs(closure - eye)) <= 1e-12
+    e, _ = _povm_stack([_random_params(rng) for _ in range(10000)])
+    closure = (e.conj().swapaxes(-1, -2) @ e).sum(axis=1)
+    assert np.max(np.abs(closure - np.eye(2))) <= 1e-12
 
 
 def test_branch_probabilities_sum_to_one():
@@ -118,16 +113,16 @@ def test_branch_probabilities_sum_to_one():
         random_pure((2, 2), s).density() for s in range(8)
     ]
     for rho in states:
-        for _ in range(20):
-            e1, e2 = build_povm(_random_params(rng))
-            p1, _ = apply_branch(rho, e1)
-            p2, _ = apply_branch(rho, e2)
-            assert -1e-12 <= p1 <= 1.0 + 1e-12
-            assert abs(p1 + p2 - 1.0) <= 1e-10
+        e, _ = _povm_stack([_random_params(rng) for _ in range(20)])
+        _, p = _branch_stack(rho, e.reshape(-1, 2, 2), 0)
+        p1, p2 = p.reshape(-1, 2).T
+        assert np.all((-1e-12 <= p1) & (p1 <= 1.0 + 1e-12))
+        assert np.max(np.abs(p1 + p2 - 1.0)) <= 1e-10
 
 
 def test_identity_povm_is_a_fixed_point():
-    e1, e2 = build_povm(IDENTITY_POVM)
+    e, _ = _povm_stack([IDENTITY_POVM])
+    e1, e2 = e[0]
     assert np.max(np.abs(e1 - np.eye(2))) <= 1e-12
     assert np.max(np.abs(e2)) <= 1e-12
     for seed in range(25):
@@ -139,19 +134,11 @@ def test_zero_probability_branch_is_skipped():
     # E_1 = diag(0, 1) annihilates |00>, so that branch carries p = 0
     rho = psi_lambda(1.0).density()
     params = PovmParams(chi=0.0, zeta=math.pi / 2, xi=0.0, theta_cap=0.0)
-    e1, _ = build_povm(params)
-    p1, branch = apply_branch(rho, e1)
+    e, _ = _povm_stack([params])
+    _, (p1, _) = _branch_stack(rho, e[0], 0)
     assert p1 <= 1e-12
-    assert branch is None
+    assert p1 < ZERO_BRANCH_TOL  # so omega_stack skips the branch
     assert math.isfinite(omega(rho, params))
-
-
-def test_apply_branch_validation():
-    rho = psi_lambda(0.5).density()
-    with pytest.raises(ValueError):
-        apply_branch(rho, np.eye(3))
-    with pytest.raises(ValueError):
-        apply_branch(rho, np.eye(2), party=2)
 
 
 # POVMs that zero branch 1 (chi = zeta = 0) or branch 2 (chi = zeta = pi/2),
@@ -179,14 +166,19 @@ def test_omega_stack_equals_the_scalar_walk_bit_for_bit(state, party):
     stacked = omega_stack(rho, params, party)
     assert stacked.dtype == np.float64 and stacked.shape == (len(params),)
     assert stacked.tolist() == [_reference_omega(rho, p, party) for p in params]
-    for p in params[:20] + EDGE_POVMS:
+    checked = params[:20] + EDGE_POVMS
+    e, _ = _povm_stack(checked)
+    raw, probs = _branch_stack(rho, e.reshape(-1, 2, 2), party)
+    for row, p in enumerate(checked):
         assert omega(rho, p, party) == omega_stack(rho, [p] + params[:3], party)[0]
-        for element, expected in zip(build_povm(p), _reference_povm(p)):
-            assert np.array_equal(element, expected)
-            prob, branch = apply_branch(rho, element, party)
+        for k, expected in enumerate(_reference_povm(p)):
+            assert np.array_equal(e[row, k], expected)
+            prob = float(probs[2 * row + k])
             ref_prob, ref_branch = _reference_branch(rho, expected, party)
-            assert prob == ref_prob and (branch is None) == (ref_branch is None)
-            assert branch is None or np.array_equal(branch.entries, ref_branch.entries)
+            if ref_branch is None:
+                assert prob < ZERO_BRANCH_TOL and max(prob, 0.0) == ref_prob
+            else:
+                assert prob == ref_prob and np.array_equal(raw[2 * row + k] / prob, ref_branch.entries)
 
 
 def test_edge_povms_zero_each_branch():
@@ -198,7 +190,7 @@ def test_edge_povms_zero_each_branch():
 def test_omega_stack_names_the_povm_whose_branch_fails(monkeypatch):
     rho = random_pure((2, 2), [9, 2]).density()
     params = [_random_params(np.random.default_rng(seed)) for seed in range(5)]
-    target = apply_branch(rho, build_povm(params[3])[1])[1].entries
+    target = _reference_branch(rho, _reference_povm(params[3])[1], 0)[1].entries
     real = mubcert.correlations.density_defect
 
     def reject_target(m):
@@ -474,7 +466,7 @@ def test_completeness_tables_match_per_point_products(grid, theta_cap, broken):
         axis = ("chi sin", "zeta sin", "xi sin").index(broken)
         noise = np.random.default_rng(axis).normal(0.0, 1e-3, trig[axis][0].size)
         trig[axis][0] = trig[axis][0] + noise
-    residual = mubcert.locc._completeness_residual(*trig, phase)
+    residual = mubcert.locc._largest_residual(*mubcert.locc._completeness_tables(*trig, phase))
     expected = _per_point_completeness_residual(*trig, phase)
     assert abs(residual - expected) <= 1e-15
     assert (residual > mubcert.locc.COMPLETENESS_TOL) == (broken is not None)
@@ -520,9 +512,10 @@ def test_completeness_bound_accepts_only_complete_grids():
         scale = 1e-3 if seed % 16 == 15 else float(10.0 ** rng.uniform(-13, -11))
         trig, phase = _perturbed_trig(grid, theta_cap, broken, scale, seed)
         exact = _per_point_completeness_residual(*trig, phase)
-        residual = mubcert.locc._completeness_residual(*trig, phase)
+        tables = mubcert.locc._completeness_tables(*trig, phase)
+        residual = mubcert.locc._largest_residual(*tables)
         assert abs(residual - exact) <= 1e-15
-        if mubcert.locc._completeness_bound(*mubcert.locc._completeness_tables(*trig, phase)) <= tol / 2:
+        if mubcert.locc._completeness_bound(*tables) <= tol / 2:
             assert exact <= tol
             paths.append("bound")
         elif residual <= tol:
@@ -543,7 +536,7 @@ def test_sweep_words_a_completeness_rejection_with_the_exact_residual(monkeypatc
     # exact pass rejects, naming its own residual.
     monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", 1e-17)
     trig = [(np.sin(a), np.cos(a)) for a in (np.linspace(lo, hi, s) for lo, hi, s in GRID_61)]
-    residual = mubcert.locc._completeness_residual(*trig, np.exp(0.5j))
+    residual = mubcert.locc._largest_residual(*mubcert.locc._completeness_tables(*trig, np.exp(0.5j)))
     with pytest.raises(InvariantError, match=f"POVM completeness residual {residual:.3e} on the grid"):
         sweep(psi_lambda(0.5).density(), grid=GRID_61, theta_cap=0.5)
 
@@ -625,22 +618,10 @@ def test_min_omega_family_validation():
         min_omega_family(random_pure((2, 2, 2), 1).density())
 
 
-def test_convexity_probe():
-    bell = psi_lambda(0.5).density()
-    flat = psi_lambda(1.0).density()
-    assert convexity_probe(bell, flat, (0.0, 0.25, 0.5, 0.75, 1.0)) <= 1e-10
-    # identical inputs: deviation is pure weight-arithmetic rounding
-    assert convexity_probe(bell, bell, (0.3, 0.6)) <= 1e-12
-    assert convexity_probe(_random_mixed(1), _random_mixed(2), np.linspace(0, 1, 11)) <= 1e-10
-    qubit_qutrit = random_pure((2, 3), 4).density()
-    with pytest.raises(ValueError):
-        convexity_probe(qubit_qutrit, qubit_qutrit, (0.5,))
-
-
 def test_verify_paths_reach_i2_only_through_the_witness(monkeypatch, tmp_path):
     # Every mubcert module that binds i_m_bipartite or outcome_distribution
-    # gets a version that raises; omega, the verify paths and the probe read
-    # I_2 through its Witness, so they must not notice.
+    # gets a version that raises; omega and the verify paths read I_2
+    # through its Witness, so they must not notice.
     modules = [importlib.import_module(f"mubcert.{m.name}") for m in pkgutil.iter_modules(mubcert.__path__)
                if m.name != "__main__"] + [mubcert]
     for name in ("i_m_bipartite", "outcome_distribution"):
@@ -655,7 +636,6 @@ def test_verify_paths_reach_i2_only_through_the_witness(monkeypatch, tmp_path):
                     monkeypatch.setattr(module, key, refuse)
     assert main(["locc", "--grid", "5", "--verify", "--out-dir", str(tmp_path / "locc")]) == 0
     assert main(["figures", "--steps", "3", "--grid", "3", "--verify", "--out-dir", str(tmp_path / "figures")]) == 0
-    assert convexity_probe(psi_lambda(0.5).density(), psi_lambda(1.0).density(), (0.0, 0.5, 1.0)) <= 1e-10
 
 
 def test_omega_builds_no_family_or_product_unitary_after_warm_up(monkeypatch):

@@ -1,9 +1,10 @@
-"""Entanglement measures: one-tangle, triangle area measure, global measure.
+"""Entanglement measures: triangle area measure, global measure.
 
 ``triangle_tau`` and ``global_q`` are one-row calls of stacked cores over
 stacked one-party reductions.  The reference below is the per-matrix route
 they replace: one ``partial_trace`` per party and matrix, each validated,
-then ``one_tangle`` or ``purity``; the cores must match it bit for bit.
+then the one-tangle or the purity of each reduction; the cores must match it
+bit for bit.
 """
 
 import itertools
@@ -19,11 +20,7 @@ from mubcert import (
     ghz3,
     ghz4,
     global_q,
-    kron,
-    one_tangle,
     partial_trace,
-    psi_lambda,
-    purity,
     random_pure,
     triangle_tau,
     w3,
@@ -38,17 +35,13 @@ def _random_su2(rng) -> np.ndarray:
     return np.linalg.qr(g)[0]
 
 
-def test_one_tangle_known_values():
-    pure0 = partial_trace(ghz3(0.0).density(), [0])
-    assert abs(one_tangle(pure0)) <= 1e-12
-    for theta in (0.2, 0.7, math.pi / 4):
-        marg = partial_trace(ghz3(theta).density(), [0])
-        assert abs(one_tangle(marg) - math.sin(2 * theta) ** 2) <= 1e-12
+def _one_tangle(rho: DensityMatrix) -> float:
+    """4 det(rho) of a single-qubit state, clamped to [0, 1]."""
+    return min(max(4.0 * float(np.real(np.linalg.det(rho.entries))), 0.0), 1.0)
 
 
-def test_one_tangle_requires_single_qubit():
-    with pytest.raises(ValueError):
-        one_tangle(psi_lambda(0.5).density())
+def _purity(rho: DensityMatrix) -> float:
+    return float(np.real(np.trace(rho.entries @ rho.entries)))
 
 
 def test_triangle_tau_ghz_curve():
@@ -77,7 +70,7 @@ def test_triangle_radicand_never_meaningfully_negative():
     families += [w3(t, math.pi / 4) for t in np.linspace(0.01, math.pi / 2, 40)]
     for psi in families:
         rho = psi.density()
-        a = [one_tangle(partial_trace(rho, [k])) for k in range(3)]
+        a = [_one_tangle(partial_trace(rho, [k])) for k in range(3)]
         s = 0.5 * math.fsum(a)
         radicand = (16.0 / 3.0) * s * (s - a[0]) * (s - a[1]) * (s - a[2])
         assert radicand >= -1e-8
@@ -113,10 +106,10 @@ def test_local_unitary_invariance():
     tau0 = triangle_tau(base3)
     q0 = global_q(base4)
     for _ in range(100):
-        u3 = kron(kron(_random_su2(rng), _random_su2(rng)), _random_su2(rng))
+        u3 = np.kron(np.kron(_random_su2(rng), _random_su2(rng)), _random_su2(rng))
         dressed3 = StateVector((2, 2, 2), u3 @ base3.amplitudes)
         assert abs(triangle_tau(dressed3) - tau0) <= 1e-9
-        u4 = kron(kron(kron(_random_su2(rng), _random_su2(rng)), _random_su2(rng)), _random_su2(rng))
+        u4 = np.kron(np.kron(np.kron(_random_su2(rng), _random_su2(rng)), _random_su2(rng)), _random_su2(rng))
         dressed4 = StateVector((2, 2, 2, 2), u4 @ base4.amplitudes)
         assert abs(global_q(dressed4) - q0) <= 1e-9
 
@@ -135,7 +128,7 @@ def _ref_partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def _ref_triangle_tau(rho: DensityMatrix) -> float:
-    a1, a2, a3 = (one_tangle(_ref_partial_trace(rho, [k])) for k in range(3))
+    a1, a2, a3 = (_one_tangle(_ref_partial_trace(rho, [k])) for k in range(3))
     s = 0.5 * (a1 + a2 + a3)
     radicand = (16.0 / 3.0) * s * (s - a1) * (s - a2) * (s - a3)
     return math.sqrt(max(radicand, 0.0))
@@ -143,7 +136,7 @@ def _ref_triangle_tau(rho: DensityMatrix) -> float:
 
 def _ref_global_q(rho: DensityMatrix) -> float:
     n = rho.n_parties
-    return 2.0 * (1.0 - math.fsum(purity(_ref_partial_trace(rho, [k])) for k in range(n)) / n)
+    return 2.0 * (1.0 - math.fsum(_purity(_ref_partial_trace(rho, [k])) for k in range(n)) / n)
 
 
 def _stack(n):

@@ -63,7 +63,7 @@ def test_fourier_d2_is_hadamard():
 
 
 def test_fourier_d3_column_zero_uniform():
-    v = fourier_basis(3).vector(0)
+    v = fourier_basis(3).vectors[:, 0]
     assert np.max(np.abs(v - np.full(3, 1 / math.sqrt(3)))) <= 1e-12
 
 

@@ -7,18 +7,13 @@ import pytest
 
 from mubcert import (
     StateVector,
-    acin_canonical,
     bipartitions,
     ghz3,
     ghz4,
     partial_trace,
     permute_parties,
     psi_lambda,
-    purity,
-    random_biseparable,
     random_pure,
-    random_separable,
-    reduced_rank,
     w3,
     wg4,
 )
@@ -77,23 +72,6 @@ def test_w3_support_and_standard_point():
     )
 
 
-def test_acin_canonical():
-    assert np.allclose(acin_canonical(1, 0, 0, 0, 0).amplitudes, np.eye(8)[0], atol=1e-12)
-    g = acin_canonical(1 / math.sqrt(2), 0, 0, 0, 1 / math.sqrt(2))
-    assert np.allclose(g.amplitudes, ghz3(math.pi / 4).amplitudes, atol=1e-12)
-    # support sits exactly on the five canonical positions
-    s = acin_canonical(0.3, 0.2, 0.4, 0.1, 0.5, phi=1.0)
-    assert _support(s) == {0b000, 0b001, 0b010, 0b100, 0b111}
-    # the phase attaches to the |001> component
-    assert abs(np.angle(s.amplitudes[0b001]) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        acin_canonical(-0.1, 0, 0, 0, 0.5)
-    with pytest.raises(ValueError):
-        acin_canonical(0.5, 0, 0, 0, 0.5, phi=4.0)
-    with pytest.raises(ValueError):
-        acin_canonical(0, 0, 0, 0, 0)
-
-
 def test_wg4_support_and_norm_deficit():
     psi = wg4(1.05, 0.62, math.pi / 4)
     assert _support(psi) == {0b0001, 0b0010, 0b0100, 0b1000}
@@ -121,7 +99,8 @@ def test_random_pure_mean_marginal_purity():
         acc = 0.0
         for s in range(10000):
             psi = random_pure((2, 2), [123, s])
-            acc += purity(partial_trace(psi.density(), [0]))
+            marginal = partial_trace(psi.density(), [0]).entries
+            acc += float(np.real(np.trace(marginal @ marginal)))
         return acc / 10000
 
     first = mean_purity()
@@ -137,26 +116,6 @@ def test_bipartitions():
     cuts4 = bipartitions(4)
     assert len(cuts4) == 7
     assert len(set(cuts4)) == 7
-
-
-def test_random_biseparable_structure():
-    rho = random_biseparable(3, (0, 1), seed=9)
-    assert rho.dims == (2, 2, 2)
-    assert abs(np.trace(rho.entries) - 1.0) <= 1e-10
-    # single-term draw is pure across the cut: rank 1 on the cut side
-    pure_term = random_biseparable(4, (0, 2), seed=3, terms=1)
-    assert reduced_rank(partial_trace(pure_term, [0, 2]), 1e-9) == 1
-    assert abs(purity(pure_term) - 1.0) <= 1e-10
-    again = random_biseparable(3, (0, 1), seed=9)
-    assert np.array_equal(rho.entries, again.entries)
-
-
-def test_random_separable_structure():
-    rho = random_separable(3, seed=4)
-    assert rho.dims == (3, 3)
-    assert abs(np.trace(rho.entries) - 1.0) <= 1e-10
-    single = random_separable(2, seed=1, terms=1)
-    assert reduced_rank(partial_trace(single, [0]), 1e-9) == 1
 
 
 def test_campaign_samplers_cycle_cuts_and_mix():
