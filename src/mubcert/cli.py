@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -214,17 +213,24 @@ class _Verification:
         gap = f"largest |emitted - recomputed| {self.gap:.3g}"
         print(f"verified {self.output}: rows checked {self.rows}, {gap}", file=sys.stderr)
 
-    def check_omega(self, rho: DensityMatrix, rows, party: int = 0) -> None:
-        """Check each (context, PovmParams, emitted omega) of ``rows`` against
-        omega_stack, BLOCK_ROWS rows at a time, in order."""
-        rows = iter(rows)
-        while block := list(itertools.islice(rows, BLOCK_ROWS)):
+    def check_grid(self, rho: DensityMatrix, result: PovmSweepResult, points, party: int = 0) -> None:
+        """Check omega at each flat grid index of ``points``, a map from context
+        to index, against omega_stack, BLOCK_ROWS points at a time, in order."""
+        axes = result.axes()
+        shape = tuple(len(ax) for ax in axes)
+        points = list(points.items())
+        for start in range(0, len(points), BLOCK_ROWS):
+            block = points[start : start + BLOCK_ROWS]
+            params = [
+                PovmParams(*(float(ax[i]) for ax, i in zip(axes, np.unravel_index(index, shape))), result.theta_cap)
+                for _, index in block
+            ]
             try:
-                recomputed = omega_stack(rho, [params for _, params, _ in block], party)
+                recomputed = omega_stack(rho, params, party)
             except InvariantError as exc:
                 raise InvariantError(f"{block[exc.row][0]}: {exc}") from None
-            for (context, _, value), reference in zip(block, recomputed.tolist()):
-                self.check(reference, value, context)
+            for (context, index), reference in zip(block, recomputed.tolist()):
+                self.check(reference, float(result.omega[index]), context)
 
 
 # ---------------------------------------------------------------- certify
@@ -414,15 +420,8 @@ def cmd_locc(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     check = _Verification("grid.csv") if args.verify else None
     if check:
-        chi_ax, zeta_ax, xi_ax = result.axes()
-
-        def rows():
-            for index in range(0, result.omega.size, VERIFY_STRIDE):
-                i, j, k = np.unravel_index(index, (args.grid,) * 3)
-                params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), args.theta_cap)
-                yield f"grid index {index}", params, float(result.omega[index])
-
-        check.check_omega(rho, rows(), party)
+        points = {f"grid index {i}": i for i in range(0, result.omega.size, VERIFY_STRIDE)}
+        check.check_grid(rho, result, points, party)
     _write_grid_csv(out_dir / "grid.csv", result)
     if check:
         check.report()
@@ -538,17 +537,12 @@ def cmd_figures(args) -> int:
     result = sweep(rho_bell, grid=(axis, axis, axis), theta_cap=0.0)
     check = _Verification("fig1.csv") if args.verify else None
     if check:
-        chi_ax, zeta_ax, xi_ax = result.axes()
-        cube = result.omega.reshape((args.grid,) * 3)
-
-        def rows():
-            for index in range(0, args.grid**2, VERIFY_STRIDE):
-                i, j = divmod(index, args.grid)
-                k = int(np.argmin(cube[i, j]))
-                params = PovmParams(float(chi_ax[i]), float(zeta_ax[j]), float(xi_ax[k]), 0.0)
-                yield f"fig1 row {index}", params, float(cube[i, j, k])
-
-        check.check_omega(rho_bell, rows())
+        # Each checked cell at its xi argmin, the point fig1 shows.
+        cells = result.omega.reshape(args.grid**2, args.grid)
+        points = {
+            f"fig1 row {c}": c * args.grid + int(np.argmin(cells[c])) for c in range(0, args.grid**2, VERIFY_STRIDE)
+        }
+        check.check_grid(rho_bell, result, points)
     _write_density_csv(out_dir / "fig1.csv", result)
     if check:
         check.report()

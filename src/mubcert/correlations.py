@@ -394,29 +394,16 @@ class Witness:
 
     def operators(self):
         """One (W, set names) pair for each choice of one pattern set per term,
-        in itertools.product order: W is the sum of the chosen set projectors,
-        so the witness value is the largest Tr(rho W), up to the clip of each
-        set value to [0, 1]."""
+        in itertools.product order: W sums |v><v| over the chosen sets' product
+        vectors v, term by term, so the witness value is the largest Tr(rho W),
+        up to the clip of each set value to [0, 1]."""
         dim = prod(self.dims)
-        projectors = self._ops.view(np.complex128).reshape(-1, dim, dim)
         for choice in itertools.product(*(range(len(sets)) for _, sets in self.terms)):
-            w = sum(projectors[columns.start + k] for columns, k in zip(self._slices, choice))
+            w = np.zeros((dim, dim), dtype=np.complex128)
+            for (setting, _), flats, k in zip(self.terms, self._flat, choice):
+                for v in setting.product_unitary[:, flats[k]].T:
+                    w += np.outer(v, v.conj())
             yield w, tuple(sets[k].name for (_, sets), k in zip(self.terms, choice))
-
-    def operator(self) -> np.ndarray:
-        """W = sum of |v><v| over the product vectors v of every term's patterns.
-
-        Tr(rho W) is the witness value.  A term that maximizes over several
-        sets has no such W and raises ValueError.
-        """
-        if any(len(sets) > 1 for _, sets in self.terms):
-            raise ValueError("a term that maximizes over several pattern sets has no operator")
-        dim = prod(self.dims)
-        w = np.zeros((dim, dim), dtype=np.complex128)
-        for (setting, _), (flat,) in zip(self.terms, self._flat):
-            for v in setting.product_unitary[:, flat].T:
-                w += np.outer(v, v.conj())
-        return w
 
 
 @lru_cache(maxsize=None)

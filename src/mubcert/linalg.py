@@ -260,7 +260,7 @@ def permute_parties(psi: StateVector, order) -> StateVector:
 
 
 def mixture_weights(weights) -> np.ndarray:
-    """``weights`` renormalised to sum to one, as ``convex_sum`` takes them.
+    """``weights`` renormalised to sum to one, as ``mix`` takes them.
 
     Weights must be finite, non-negative and not all zero.
     """
@@ -273,30 +273,17 @@ def mixture_weights(weights) -> np.ndarray:
     return w / total
 
 
-def convex_sum(arrays, weights) -> np.ndarray:
-    """Weighted sum of equally shaped arrays, weights renormalised to sum to one.
-
-    Weights must be finite, non-negative and not all zero.  The sum is
-    accumulated term by term in listing order.
-    """
-    arrays = list(arrays)
-    weights = list(weights)
-    if len(arrays) == 0 or len(weights) != len(arrays):
-        raise ValueError("need one weight per term")
-    acc = np.zeros_like(arrays[0])
-    for wi, a in zip(mixture_weights(weights), arrays):
-        acc = acc + wi * a
-    return acc
-
-
 def mix(parts, weights) -> DensityMatrix:
-    """Convex mixture of density matrices with matching dims.
-
-    Weights must be non-negative; they are renormalised to sum to one so
-    the result keeps unit trace exactly.
-    """
+    """Convex mixture of density matrices with matching dims, one weight per
+    part, renormalised by ``mixture_weights`` so the result keeps unit trace
+    exactly; the sum is accumulated term by term in listing order."""
     parts = list(parts)
     if any(p.dims != parts[0].dims for p in parts):
         raise ValueError("all density matrices must share the same dims")
-    entries = convex_sum([p.entries for p in parts], weights)
+    weights = list(weights)
+    if len(parts) == 0 or len(weights) != len(parts):
+        raise ValueError("need one weight per term")
+    entries = np.zeros_like(parts[0].entries)
+    for wi, p in zip(mixture_weights(weights), parts):
+        entries = entries + wi * p.entries
     return DensityMatrix(parts[0].dims, entries)

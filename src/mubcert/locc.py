@@ -118,6 +118,16 @@ class PovmSweepResult:
         return self.omega.reshape(shape).min(axis=2)
 
 
+def _rotation(s_xi, c_xi, phase) -> np.ndarray:
+    """V = [[cos xi, -phase sin xi], [sin xi, phase cos xi]] for each xi, shape (N, 2, 2)."""
+    v = np.empty((len(s_xi), 2, 2), dtype=np.complex128)
+    v[:, 0, 0] = c_xi
+    v[:, 0, 1] = -phase * s_xi
+    v[:, 1, 0] = s_xi
+    v[:, 1, 1] = phase * c_xi
+    return v
+
+
 def _povm_stack(params) -> tuple[np.ndarray, np.ndarray]:
     """Each POVM's elements E_1 = D_1 V and E_2 = D_2 V, shape (T, 2, 2, 2), and
     its completeness residual max |E1'E1 + E2'E2 - I|, shape (T,).
@@ -131,15 +141,9 @@ def _povm_stack(params) -> tuple[np.ndarray, np.ndarray]:
         [(sin(p.chi), cos(p.chi), sin(p.zeta), cos(p.zeta), sin(p.xi), cos(p.xi)) for p in params]
     ).reshape(-1, 6)
     phase = np.exp(1j * np.array([p.theta_cap for p in params]))
-    s_xi, c_xi = trig[:, 4], trig[:, 5]
-    v = np.empty((len(trig), 1, 2, 2), dtype=np.complex128)
-    v[:, 0, 0, 0] = c_xi
-    v[:, 0, 0, 1] = -phase * s_xi
-    v[:, 0, 1, 0] = s_xi
-    v[:, 0, 1, 1] = phase * c_xi
     d = np.zeros((len(trig), 2, 2, 2), dtype=np.complex128)
     d[:, :, 0, 0], d[:, :, 1, 1] = trig[:, 0:2], trig[:, 2:4]
-    e = d @ v
+    e = d @ _rotation(trig[:, 4], trig[:, 5], phase)[:, None]
     gram = e.conj().swapaxes(-1, -2) @ e
     residual = np.abs(gram[:, 0] + gram[:, 1] - np.eye(2)).max(axis=(1, 2))
     return e, residual
@@ -274,7 +278,7 @@ def _coefficients(rho: DensityMatrix, phase: complex, party: int, s_xi, c_xi):
     X[c, C] = sum over a, A of V[c, a] conj(V[C, A]) t[c, a, C, A] the two
     branches add to X00 + X11 + (sin chi sin zeta + cos chi cos zeta)(X01 + X10).
     """
-    projector = i_m_witness(fourier_pair(2)).operator()
+    projector, _ = next(i_m_witness(fourier_pair(2)).operators())
     base = float(np.real(np.trace(rho.entries @ projector)))
     m4 = projector.reshape(2, 2, 2, 2)
     rho4 = rho.entries.reshape(2, 2, 2, 2)
@@ -282,11 +286,7 @@ def _coefficients(rho: DensityMatrix, phase: complex, party: int, s_xi, c_xi):
         t = np.einsum("abAB,CBcb->caCA", rho4, m4)
     else:
         t = np.einsum("abAB,ACac->cbCB", rho4, m4)
-    v = np.empty((s_xi.size, 2, 2), dtype=np.complex128)
-    v[:, 0, 0] = c_xi
-    v[:, 0, 1] = -phase * s_xi
-    v[:, 1, 0] = s_xi
-    v[:, 1, 1] = phase * c_xi
+    v = _rotation(s_xi, c_xi, phase)
     x = np.real(np.einsum("nca,nCA,caCA->ncC", v, v.conj(), t))
     return base - x[:, 0, 0] - x[:, 1, 1], -(x[:, 0, 1] + x[:, 1, 0])
 

@@ -7,15 +7,11 @@ one-state calls.
 
 from __future__ import annotations
 
-from math import fsum, sqrt
+from math import fsum
 
 import numpy as np
 
 from .linalg import InvariantError, StateVector, density_defect, partial_trace_stack
-
-
-def _tangle(det: float) -> float:
-    return min(max(4.0 * det, 0.0), 1.0)
 
 
 def _one_party_reductions(entries: np.ndarray) -> np.ndarray:
@@ -45,13 +41,10 @@ def triangle_tau_stack(entries: np.ndarray) -> list[float]:
     """
     if entries.shape[-2:] != (8, 8):
         raise ValueError(f"triangle_tau needs three qubits, got matrices of shape {entries.shape[-2:]}")
-    taus = []
-    for dets in np.linalg.det(_one_party_reductions(entries)).real.tolist():
-        a1, a2, a3 = map(_tangle, dets)
-        s = 0.5 * (a1 + a2 + a3)
-        radicand = (16.0 / 3.0) * s * (s - a1) * (s - a2) * (s - a3)
-        taus.append(sqrt(max(radicand, 0.0)))
-    return taus
+    a1, a2, a3 = np.clip(4.0 * np.linalg.det(_one_party_reductions(entries)).real, 0.0, 1.0).T
+    s = 0.5 * (a1 + a2 + a3)
+    radicand = (16.0 / 3.0) * s * (s - a1) * (s - a2) * (s - a3)
+    return np.sqrt(np.maximum(radicand, 0.0)).tolist()
 
 
 def global_q_stack(entries: np.ndarray) -> list[float]:

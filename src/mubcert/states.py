@@ -134,7 +134,7 @@ def bipartitions(n: int) -> list[tuple[int, ...]]:
 # that share a cut as one stack, and sums the weighted projectors of every
 # trial of the block at once, term by term.  Its float operations are those
 # of building StateVector and DensityMatrix objects and mixing them with
-# convex_sum, so seeded samples are the same bit for bit.  Trial states are
+# linalg.mix, so seeded samples are the same bit for bit.  Trial states are
 # internal, so a guard that fails raises InvariantError naming the trial's
 # row.
 
@@ -225,17 +225,14 @@ def _fill(out: np.ndarray, mixtures: list[_Mixture]) -> None:
     # Row i of weights holds part i's weights and row len(parts) + m the two
     # that mix the parts of trial mixed[m], padded with zeros.
     mixed = np.flatnonzero(counts > 1)
-    widths = np.concatenate([terms, np.full(len(mixed), 2)])
-    weights = np.zeros((len(widths), max(widths.max(), 2)))
+    weights = np.zeros((len(parts) + len(mixed), max(terms.max(), 2)))
     weights[part_of, term_of] = np.concatenate([w for _, w, _ in parts])
     weights[len(parts) :, :2] = np.reshape([mixtures[row][0] for row in mixed], (-1, 2))
-    # Each row is summed over its own width, as convex_sum sums it: numpy
-    # adds fewer than 8 numbers in order but more pairwise.
-    total = np.empty(len(widths))
-    for width in set(widths.tolist()):
-        total[widths == width] = weights[widths == width, :width].sum(axis=1)
+    # Each row sums as linalg.mix sums its weights: numpy adds fewer than 8
+    # numbers in order, so the zeros past a row's last weight add nothing.
+    total = weights.sum(axis=1)
     if not (np.isfinite(weights).all() and (weights >= 0).all() and (total > 0).all()):
-        # Name the first trial that fails convex_sum's guard, with its message.
+        # Name the first trial that fails linalg.mix's guard, with its message.
         for row, (row_weights, row_parts) in enumerate(mixtures):
             try:
                 for _, w, _ in row_parts:
@@ -251,7 +248,7 @@ def _fill(out: np.ndarray, mixtures: list[_Mixture]) -> None:
 
     def weighted_sums(acc: np.ndarray, rows: np.ndarray) -> None:
         # acc[r] = sum over j of weights[p, j] |v><v| for p = rows[r] and v =
-        # vectors[p, j], added term by term from zero as convex_sum adds them.
+        # vectors[p, j], added term by term from zero as linalg.mix adds them.
         # The parts are summed in order of falling term count, so that those
         # with a term j lead the stack, and put back in order at the end.
         order = np.argsort(-terms[rows], kind="stable")

@@ -249,17 +249,12 @@ def test_witness_best_set_tie_breaks_to_first_listed():
     ],
 )
 def test_witness_operator_gives_the_value_as_a_trace(witness, dims):
-    w = witness.operator()
+    w = next(witness.operators())[0]
     assert float(np.max(np.abs(w - w.conj().T))) <= 1e-15
     for seed in range(5):
         rho = random_pure(dims, [7, seed]).density()
         trace = float(np.real(np.trace(rho.entries @ w)))
         assert abs(trace - witness.evaluate(rho).i_value) <= 1e-12
-
-
-def test_witness_operator_rejects_a_maximum_over_sets():
-    with pytest.raises(ValueError, match="several pattern sets"):
-        i3_witness().operator()
 
 
 def test_witness_validation():
@@ -348,6 +343,27 @@ def test_witness_operators_give_the_value_as_a_largest_trace(witness, count):
 def test_i3_operators_choose_each_tri_set_once():
     names = [names for _, names in i3_witness().operators()]
     assert names == [("diagonal", s.name) for s in lbps_tripartite()]
+
+
+def _outer_product_sum(witness, choice):
+    """Reference: sum of |v><v| over the product vectors of the chosen set of
+    each term, term by term, each vector taken from its setting's columns."""
+    dim = math.prod(witness.dims)
+    w = np.zeros((dim, dim), dtype=np.complex128)
+    for (setting, sets), k in zip(witness.terms, choice):
+        for pattern in sets[k].patterns:
+            v = setting.product_unitary[:, np.ravel_multi_index(pattern, setting.dims)]
+            w += np.outer(v, v.conj())
+    return w
+
+
+@pytest.mark.parametrize("witness", [i3_witness(), i4_witness()], ids=["i3", "i4"])
+def test_witness_operators_are_outer_product_sums(witness):
+    choices = list(itertools.product(*(range(len(sets)) for _, sets in witness.terms)))
+    operators = list(witness.operators())
+    assert len(operators) == len(choices)
+    for (w, _), choice in zip(operators, choices):
+        assert np.array_equal(w, _outer_product_sum(witness, choice))
 
 
 @pytest.mark.parametrize(

@@ -226,3 +226,18 @@ def test_mix_weights():
     assert abs(np.trace(rho.entries) - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         mix([r1, r2], [0.5, -0.5])
+
+
+def test_mix_needs_one_weight_per_part_after_the_dims_check():
+    r1 = psi_lambda(1.0).density()
+    r2 = psi_lambda(0.0).density()
+    with pytest.raises(ValueError, match="need one weight per term"):
+        mix([], [])
+    with pytest.raises(ValueError, match="need one weight per term"):
+        mix([r1, r2], [1.0])
+    with pytest.raises(ValueError, match="need one weight per term"):
+        mix([r1], [0.5, -0.5])
+    # Mismatched dims are reported first, whatever the weights.
+    with pytest.raises(ValueError, match="same dims"):
+        mix([r1, ghz3(0.3).density()], [1.0])
+

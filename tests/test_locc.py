@@ -313,7 +313,7 @@ def _kron_projector(family):
     ids=["pair2", "pair3", "complete3", "complete5", "triple"],
 )
 def test_witness_operator_is_the_kron_projector(family):
-    assert np.array_equal(i_m_witness(family).operator(), _kron_projector(family))
+    assert np.array_equal(next(i_m_witness(family).operators())[0], _kron_projector(family))
 
 
 def _whole_grid_sweep(rho, grid, theta_cap, party):
@@ -408,7 +408,7 @@ def test_sweep_rejects_angles_before_any_grid_work(monkeypatch, grid, theta_cap)
     def no_grid_work(witness):
         raise AssertionError("sweep started grid work before validating its angles")
 
-    monkeypatch.setattr(Witness, "operator", no_grid_work)
+    monkeypatch.setattr(Witness, "operators", no_grid_work)
     with pytest.raises(ValueError, match="must"):
         sweep(psi_lambda(0.5).density(), grid=grid, theta_cap=theta_cap)
 
@@ -476,7 +476,7 @@ def test_sweep_checks_completeness_before_any_grid_work(monkeypatch):
     def no_grid_work(witness):
         raise AssertionError("sweep started grid work before checking completeness")
 
-    monkeypatch.setattr(Witness, "operator", no_grid_work)
+    monkeypatch.setattr(Witness, "operators", no_grid_work)
     monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", -1.0)
     with pytest.raises(InvariantError, match="POVM completeness residual .* on the grid"):
         sweep(psi_lambda(0.5).density(), grid=GRID_61)

@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+import mubcert.measures
+
 from mubcert import (
     DensityMatrix,
     InvariantError,
@@ -21,6 +23,7 @@ from mubcert import (
     ghz4,
     global_q,
     partial_trace,
+    psi_lambda,
     random_pure,
     triangle_tau,
     w3,
@@ -200,3 +203,43 @@ def test_stacked_measures_reject_other_shapes():
         global_q_stack(np.eye(9, dtype=complex)[None] / 9)
     with pytest.raises(ValueError):
         partial_trace_stack(np.eye(8, dtype=complex)[None] / 8, (2, 2, 2), [0, 0])
+
+
+def _scalar_triangle_taus(entries) -> list[float]:
+    """Reference: the per-row Python formula on the stacked one-party
+    determinants, each one-tangle clamped with min/max and the radicand with max."""
+    taus = []
+    for dets in np.linalg.det(mubcert.measures._one_party_reductions(entries)).real.tolist():
+        a1, a2, a3 = (min(max(4.0 * det, 0.0), 1.0) for det in dets)
+        s = 0.5 * (a1 + a2 + a3)
+        radicand = (16.0 / 3.0) * s * (s - a1) * (s - a2) * (s - a3)
+        taus.append(math.sqrt(max(radicand, 0.0)))
+    return taus
+
+
+def _mixed_three_qubit_rows(rng, count):
+    """Product, Bell x qubit (both orders), GHZ-like, W-like and Haar-random
+    pure three-qubit states, in a seeded random order."""
+    def qubit():
+        return random_pure((2,), int(rng.integers(1 << 30))).amplitudes
+
+    def bell():
+        return psi_lambda(float(rng.random())).amplitudes
+
+    kinds = [
+        lambda: np.kron(np.kron(qubit(), qubit()), qubit()),
+        lambda: np.kron(bell(), qubit()),
+        lambda: np.kron(qubit(), bell()),
+        lambda: ghz3(float(rng.uniform(0.0, np.pi))).amplitudes,
+        lambda: w3(float(rng.uniform(0.0, np.pi)), float(rng.uniform(0.0, np.pi))).amplitudes,
+        lambda: random_pure((2, 2, 2), int(rng.integers(1 << 30))).amplitudes,
+    ]
+    rows = [StateVector((2, 2, 2), kinds[int(rng.integers(len(kinds)))]()) for _ in range(count)]
+    return np.array([psi.density().entries for psi in rows])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_triangle_tau_stack_matches_the_scalar_formula_bit_for_bit(seed):
+    entries = _mixed_three_qubit_rows(np.random.default_rng(seed), 64)
+    got = np.array(triangle_tau_stack(entries))
+    assert np.array_equal(got.view(np.int64), np.array(_scalar_triangle_taus(entries)).view(np.int64))
