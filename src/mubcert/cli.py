@@ -216,13 +216,12 @@ class _Verification:
     def check_grid(self, rho: DensityMatrix, result: PovmSweepResult, points, party: int = 0) -> None:
         """Check omega at each flat grid index of ``points``, a map from context
         to index, against omega_stack, BLOCK_ROWS points at a time, in order."""
-        axes = result.axes()
-        shape = tuple(len(ax) for ax in axes)
+        shape = (result.steps,) * 3
         points = list(points.items())
         for start in range(0, len(points), BLOCK_ROWS):
             block = points[start : start + BLOCK_ROWS]
             params = [
-                PovmParams(*(float(ax[i]) for ax, i in zip(axes, np.unravel_index(index, shape))), result.theta_cap)
+                PovmParams(*(float(result.axis[i]) for i in np.unravel_index(index, shape)), result.theta_cap)
                 for _, index in block
             ]
             try:
@@ -394,18 +393,18 @@ def _write_rows(path: Path, header: str, leads: list[str], inner: list[str], val
 
 
 def _write_grid_csv(path: Path, result: PovmSweepResult) -> None:
-    chi_ax, zeta_ax, xi_ax = ([_fmt(float(v)) for v in ax] for ax in result.axes())
+    axis = [_fmt(float(v)) for v in result.axis]
     cap = _fmt(result.theta_cap)
-    leads = [f"{c},{z}," for c in chi_ax for z in zeta_ax]
-    inner = [f"{x},{cap}," for x in xi_ax]
+    leads = [f"{chi},{zeta}," for chi in axis for zeta in axis]
+    inner = [f"{xi},{cap}," for xi in axis]
     values = result.omega.reshape(len(leads), len(inner))
     _write_rows(path, "chi,zeta,xi,theta_cap,omega", leads, inner, values)
 
 
 def _write_density_csv(path: Path, result: PovmSweepResult) -> None:
-    chi_ax, zeta_ax, _ = ([_fmt(float(v)) for v in ax] for ax in result.axes())
-    leads = [f"{c}," for c in chi_ax]
-    inner = [f"{z}," for z in zeta_ax]
+    axis = [_fmt(float(v)) for v in result.axis]
+    leads = [f"{chi}," for chi in axis]
+    inner = [f"{zeta}," for zeta in axis]
     _write_rows(path, "chi,zeta,min_omega_over_xi", leads, inner, result.density_min_over_xi())
 
 
@@ -414,8 +413,7 @@ def cmd_locc(args) -> int:
         raise ValueError(f"--grid must be at least 2, got {args.grid}")
     rho = _locc_state(args)
     party = 1 if args.mirror_povm else 0
-    axis = (-PI, PI, args.grid)
-    result = sweep(rho, grid=(axis, axis, axis), theta_cap=args.theta_cap, party=party)
+    result = sweep(rho, args.grid, theta_cap=args.theta_cap, party=party)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     check = _Verification("grid.csv") if args.verify else None
@@ -533,8 +531,7 @@ def cmd_figures(args) -> int:
     # fig1: (chi, zeta) density of min-over-xi omega for the Bell state.
     bell, values = _family("bell")
     rho_bell = bell.build(*values.values()).density()
-    axis = (-PI, PI, args.grid)
-    result = sweep(rho_bell, grid=(axis, axis, axis), theta_cap=0.0)
+    result = sweep(rho_bell, args.grid, theta_cap=0.0)
     check = _Verification("fig1.csv") if args.verify else None
     if check:
         # Each checked cell at its xi argmin, the point fig1 shows.

@@ -39,8 +39,6 @@ from .mub import fourier_pair
 
 ZERO_BRANCH_TOL = 1e-12
 
-DEFAULT_GRID = ((-np.pi, np.pi, 61), (-np.pi, np.pi, 61), (-np.pi, np.pi, 61))
-
 
 def _check_angle(name: str, value: float) -> None:
     """The one angle-range rule: closed [-pi, pi]."""
@@ -48,16 +46,14 @@ def _check_angle(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [-pi, pi], got {value}")
 
 
-def _check_steps(grid) -> None:
-    """The one grid-shape rule: three (lo, hi, steps) axes, steps an integer >= 1."""
-    if len(grid) != 3:
-        raise ValueError(f"grid must give (lo, hi, steps>=1) for three axes, got {grid}")
-    for name, (_, _, s) in zip(("chi", "zeta", "xi"), grid):
-        # int() would truncate 5.9 to 5 steps and read True as 1
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise ValueError(f"{name} axis steps must be an integer, got {s!r}")
-        if s < 1:
-            raise ValueError(f"grid must give (lo, hi, steps>=1) for three axes, got {grid}")
+def _axis(steps) -> np.ndarray:
+    """The read-only grid axis of chi, zeta and xi: steps >= 1 points from -pi to pi."""
+    # int() would truncate 5.9 to 5 steps and read True as 1
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"axis steps must be an integer of at least 1, got {steps!r}")
+    axis = np.linspace(-np.pi, np.pi, steps)
+    axis.flags.writeable = False
+    return axis
 
 
 @dataclass(frozen=True)
@@ -76,28 +72,29 @@ class PovmParams:
 
 @dataclass(frozen=True, eq=False)
 class PovmSweepResult:
-    """Omega over a full (chi, zeta, xi) grid at fixed theta_cap.
+    """Omega over the (chi, zeta, xi) grid at fixed theta_cap, each angle on ``axis``.
 
     omega is float64, flat in C order over (chi, zeta, xi); min_omega and
     argmin are read from it, argmin ties resolving to the lexicographically
     smallest grid index.
     """
 
-    grid: tuple[tuple[float, float, int], ...]
+    steps: int
     theta_cap: float
     omega: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_steps(self.grid)
+        axis = self.axis  # refuses a steps that is not an integer >= 1
         # The grid writers read omega's bit patterns as float64.
         if self.omega.dtype != np.float64:
             raise ValueError(f"omega must be float64, got {self.omega.dtype}")
-        steps = [int(s) for _, _, s in self.grid]
-        if self.omega.size != steps[0] * steps[1] * steps[2]:
-            raise InvariantError(
-                f"omega length {self.omega.size} does not match grid {self.grid}"
-            )
+        if self.omega.size != axis.size**3:
+            raise InvariantError(f"omega length {self.omega.size} does not match {self.steps} grid steps")
         self.omega.flags.writeable = False
+
+    @cached_property
+    def axis(self) -> np.ndarray:
+        return _axis(self.steps)
 
     @cached_property
     def min_omega(self) -> float:
@@ -105,17 +102,13 @@ class PovmSweepResult:
 
     @cached_property
     def argmin(self) -> PovmParams:
-        index = np.unravel_index(int(np.argmin(self.omega)), tuple(int(s) for _, _, s in self.grid))
-        chi, zeta, xi = (float(ax[i]) for ax, i in zip(self.axes(), index))
+        index = np.unravel_index(int(np.argmin(self.omega)), (self.steps,) * 3)
+        chi, zeta, xi = (float(self.axis[i]) for i in index)
         return PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=self.theta_cap)
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.linspace(lo, hi, s) for lo, hi, s in self.grid)
 
     def density_min_over_xi(self) -> np.ndarray:
         """Per (chi, zeta) cell, the minimum of omega over the xi axis."""
-        shape = tuple(int(s) for _, _, s in self.grid)
-        return self.omega.reshape(shape).min(axis=2)
+        return self.omega.reshape((self.steps,) * 3).min(axis=2)
 
 
 def _rotation(s_xi, c_xi, phase) -> np.ndarray:
@@ -299,13 +292,8 @@ def _check_sweep_args(rho: DensityMatrix, theta_cap: float, party: int) -> None:
     _check_angle("theta_cap", theta_cap)
 
 
-def sweep(
-    rho: DensityMatrix,
-    grid=DEFAULT_GRID,
-    theta_cap: float = 0.0,
-    party: int = 0,
-) -> PovmSweepResult:
-    """Omega on the full (chi, zeta, xi) grid at fixed theta_cap.
+def sweep(rho: DensityMatrix, steps: int, theta_cap: float = 0.0, party: int = 0) -> PovmSweepResult:
+    """Omega on the (chi, zeta, xi) grid of steps points per angle at fixed theta_cap.
 
     Completeness of the POVM at every grid point is checked once, from
     per-axis tables, before any grid work.  Omega is then the closed form
@@ -313,25 +301,16 @@ def sweep(
     filled by one broadcast into the omega array; deterministic.
     """
     _check_sweep_args(rho, theta_cap, party)
-    grid = tuple(grid)
-    _check_steps(grid)
-    for name, (lo, hi, _) in zip(("chi", "zeta", "xi"), grid):
-        _check_angle(f"{name} axis start", lo)
-        _check_angle(f"{name} axis end", hi)
-        if lo > hi:
-            raise ValueError(f"{name} axis must run from low to high, got {grid}")
-    grid = tuple((float(lo), float(hi), int(s)) for lo, hi, s in grid)
-
-    trig = [(np.sin(a), np.cos(a)) for a in (np.linspace(lo, hi, s) for lo, hi, s in grid)]
-    (s_chi, c_chi), (s_zeta, c_zeta), (s_xi, c_xi) = trig
+    axis = _axis(steps)
+    s, c = np.sin(axis), np.cos(axis)
     phase = np.exp(1j * theta_cap)
-    _check_completeness(trig, phase)
+    _check_completeness([(s, c)] * 3, phase)
 
-    a, b = _coefficients(rho, phase, party, s_xi, c_xi)
-    c = np.outer(s_chi, s_zeta) + np.outer(c_chi, c_zeta)
-    values = c[:, :, None] * b
+    a, b = _coefficients(rho, phase, party, s, c)
+    cos_diff = np.outer(s, s) + np.outer(c, c)
+    values = cos_diff[:, :, None] * b
     values += a
-    return PovmSweepResult(grid=grid, theta_cap=theta_cap, omega=values.reshape(-1))
+    return PovmSweepResult(steps=steps, theta_cap=theta_cap, omega=values.reshape(-1))
 
 
 def min_omega_family(rho: DensityMatrix, theta_cap: float = 0.0, party: int = 0) -> float:

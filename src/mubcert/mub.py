@@ -55,7 +55,7 @@ class MubFamily:
             raise ValueError("all bases in a family must share the local dimension")
         for i in range(len(bases)):
             for j in range(i + 1, len(bases)):
-                if not is_unbiased(bases[i], bases[j], CONSTRUCTION_TOL):
+                if not is_unbiased(bases[i], bases[j]):
                     raise ValueError(f"bases {i} and {j} are not mutually unbiased")
         object.__setattr__(self, "bases", bases)
 
@@ -64,12 +64,12 @@ class MubFamily:
         return len(self.bases)
 
 
-def is_unbiased(b1: Basis, b2: Basis, tol: float = CONSTRUCTION_TOL) -> bool:
-    """True iff every cross overlap has | |<b_i|c_j>|^2 - 1/d | <= tol."""
+def is_unbiased(b1: Basis, b2: Basis) -> bool:
+    """True iff every cross overlap has | |<b_i|c_j>|^2 - 1/d | <= CONSTRUCTION_TOL."""
     if b1.d != b2.d:
         raise ValueError(f"dimension mismatch: {b1.d} vs {b2.d}")
     overlaps = np.abs(b1.vectors.conj().T @ b2.vectors) ** 2
-    return bool(np.max(np.abs(overlaps - 1.0 / b1.d)) <= tol)
+    return bool(np.max(np.abs(overlaps - 1.0 / b1.d)) <= CONSTRUCTION_TOL)
 
 
 def computational_basis(d: int) -> Basis:

@@ -59,7 +59,7 @@ def test_criterion_01_mub_validity():
             gram = family.bases[i].vectors.conj().T @ family.bases[i].vectors
             worst = max(worst, float(np.max(np.abs(gram - np.eye(family.d)))))
             for j in range(i + 1, family.m):
-                ok = ok and is_unbiased(family.bases[i], family.bases[j], tol=1e-10)
+                ok = ok and is_unbiased(family.bases[i], family.bases[j])
                 overlaps = np.abs(family.bases[i].vectors.conj().T @ family.bases[j].vectors) ** 2
                 worst = max(worst, float(np.max(np.abs(overlaps - 1.0 / family.d))))
     ok = ok and worst <= 1e-10
@@ -232,7 +232,7 @@ def test_criterion_10_argmax_coincidence():
 def test_criterion_11_locc_sweep():
     bell = psi_lambda(0.5).density()
     started = time.perf_counter()
-    result = sweep(bell)  # default 61x61x61 grid over [-pi, pi]^3
+    result = sweep(bell, 61)  # a 61x61x61 grid over [-pi, pi]^3
     elapsed = time.perf_counter() - started
     identity = PovmParams(chi=math.pi / 2, zeta=math.pi / 2, xi=0.0, theta_cap=0.0)
     identity_worst = max(

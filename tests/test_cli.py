@@ -762,21 +762,20 @@ def test_locc_outputs_are_pinned(tmp_path, capsys, argv):
 
 def _reference_grid_csv(path, result):
     # The former grid.csv writer: omega formatted on every row.
-    chi_ax, zeta_ax, xi_ax = ([format(float(v), ".17g") for v in ax] for ax in result.axes())
+    axis = [format(float(v), ".17g") for v in result.axis]
     cap = format(result.theta_cap, ".17g")
-    tails = [f"{z},{x},{cap}," for z in zeta_ax for x in xi_ax]
-    slabs = result.omega.reshape(len(chi_ax), len(tails))
+    tails = [f"{z},{x},{cap}," for z in axis for x in axis]
+    slabs = result.omega.reshape(len(axis), len(tails))
     with open(path, "w", newline="\n") as fh:
         fh.write("chi,zeta,xi,theta_cap,omega\n")
-        for chi, slab in zip(chi_ax, slabs):
+        for chi, slab in zip(axis, slabs):
             fh.write("".join([f"{chi},{tail}{v:.17g}\n" for tail, v in zip(tails, slab.tolist())]))
 
 
 def _reference_density_csv(path, result):
     # The former density.csv writer: one _write_csv row per (chi, zeta) cell.
-    chi_ax, zeta_ax, _ = result.axes()
     density = result.density_min_over_xi()
-    rows = ((float(c), float(z), float(v)) for c, row in zip(chi_ax, density) for z, v in zip(zeta_ax, row))
+    rows = ((float(c), float(z), float(v)) for c, row in zip(result.axis, density) for z, v in zip(result.axis, row))
     cli._write_csv(path, ["chi", "zeta", "min_omega_over_xi"], rows)
 
 
@@ -788,15 +787,12 @@ def _assert_writers_match(tmp_path, result):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-GRID_61 = ((-math.pi, math.pi, 61),) * 3
-
-
 @pytest.fixture(scope="module")
 def grid_61_results():
     return {
-        "bell": sweep(psi_lambda(0.5).density(), grid=GRID_61),
-        "mirrored-psi-lambda": sweep(psi_lambda(0.3137).density(), grid=GRID_61, theta_cap=0.5, party=1),
-        "random-state": sweep(random_pure((2, 2), 9101).density(), grid=GRID_61),
+        "bell": sweep(psi_lambda(0.5).density(), 61),
+        "mirrored-psi-lambda": sweep(psi_lambda(0.3137).density(), 61, theta_cap=0.5, party=1),
+        "random-state": sweep(random_pure((2, 2), 9101).density(), 61),
     }
 
 
@@ -805,33 +801,54 @@ def test_grid_writers_match_the_per_row_writer_at_grid_61(tmp_path, grid_61_resu
     _assert_writers_match(tmp_path, grid_61_results[name])
 
 
+def _grid_of_rows(rows, layout, chi, zeta, cap):
+    """_write_rows's arguments for grid.csv and density.csv, built as the grid
+    writers build them, for a chi x zeta x xi grid whose axes run from -1 to 1.
+
+    The sweep's grids are cubes; these layouts need not be.  The xi-row of
+    lead p, (chi, zeta) in C order, is rows[layout[p]].
+    """
+    values = np.asarray(rows, dtype=np.float64)[layout]
+    chi_ax, zeta_ax, xi_ax = ([format(float(v), ".17g") for v in np.linspace(-1.0, 1.0, n)]
+                              for n in (chi, zeta, values.shape[1]))
+    grid = ([f"{c},{z}," for c in chi_ax for z in zeta_ax], [f"{x},{cap}," for x in xi_ax], values)
+    density = ([f"{c}," for c in chi_ax], [f"{z}," for z in zeta_ax], values.min(axis=1).reshape(chi, zeta))
+    return grid, density
+
+
+def _assert_rows_match(tmp_path, *layouts):
+    # Against the per-line writer: line (p, q) is leads[p] + inner[q] + values[p, q].
+    for leads, inner, values in layouts:
+        cli._write_rows(tmp_path / "new.csv", "header", leads, inner, values)
+        with open(tmp_path / "old.csv", "w", newline="\n") as fh:
+            fh.write("header\n")
+            for lead, row in zip(leads, values.tolist()):
+                fh.write("".join([f"{lead}{tail}{v:.17g}\n" for tail, v in zip(inner, row)]))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _grid_column(tmp_path, grid) -> list[str]:
+    cli._write_rows(tmp_path / "grid.csv", "chi,zeta,xi,theta_cap,omega", *grid)
+    return [line.rsplit(",", 1)[1] for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+
+
 def test_grid_writers_tell_negative_zero_from_zero(tmp_path):
     # One slab holds -0.0, 0.0 and repeats; the next repeats them in another
     # order and adds the smallest normal and the smallest subnormal.
     omega = np.array([-0.0, 0.0, 0.25, -0.0, 0.25, 0.0, 0.0, -0.0, 0.25, 2.2250738585072014e-308, 5e-324, -0.0])
-    grid = ((-1.0, 1.0, 2), (-1.0, 1.0, 2), (-1.0, 1.0, 3))
-    result = PovmSweepResult(grid, 0.5, omega)
-    _assert_writers_match(tmp_path, result)
-    cli._write_grid_csv(tmp_path / "grid.csv", result)
-    column = [line.rsplit(",", 1)[1] for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
-    assert column == ["-0", "0", "0.25", "-0", "0.25", "0", "0", "-0", "0.25",
-                      "2.2250738585072014e-308", "4.9406564584124654e-324", "-0"]
-
-
-def _grid_of_rows(rows, layout, chi, zeta) -> PovmSweepResult:
-    # The xi-row of lead p, (chi, zeta) in C order, is rows[layout[p]].
-    omega = np.asarray(rows, dtype=np.float64)[layout].reshape(-1)
-    grid = ((-1.0, 1.0, chi), (-1.0, 1.0, zeta), (-1.0, 1.0, len(rows[0])))
-    return PovmSweepResult(grid, 0.25, omega)
+    grid, density = _grid_of_rows(omega.reshape(4, 3), range(4), 2, 2, 0.5)
+    _assert_rows_match(tmp_path, grid, density)
+    assert _grid_column(tmp_path, grid) == ["-0", "0", "0.25", "-0", "0.25", "0", "0", "-0", "0.25",
+                                            "2.2250738585072014e-308", "4.9406564584124654e-324", "-0"]
 
 
 def test_grid_writers_match_when_a_row_recurs_under_other_leads(tmp_path):
     # Row 0 recurs within the first chi slab and again in the last one, which
     # repeats the first slab, so density.csv repeats a row too.
     rows = np.random.default_rng(17).normal(size=(3, 4))
-    result = _grid_of_rows(rows, [0, 1, 0, 2, 0, 1, 0, 1, 0], 3, 3)
-    _assert_writers_match(tmp_path, result)
-    cli._write_grid_csv(tmp_path / "grid.csv", result)
+    grid, density = _grid_of_rows(rows, [0, 1, 0, 2, 0, 1, 0, 1, 0], 3, 3, 0.25)
+    _assert_rows_match(tmp_path, grid, density)
+    cli._write_rows(tmp_path / "grid.csv", "chi,zeta,xi,theta_cap,omega", *grid)
     lines = (tmp_path / "grid.csv").read_text().splitlines()[1:]
     first, last = lines[:4], lines[32:]  # the leads (chi 0, zeta 0) and (chi 2, zeta 2)
     assert [line.split(",", 2)[2] for line in first] == [line.split(",", 2)[2] for line in last]
@@ -841,11 +858,9 @@ def test_grid_writers_tell_rows_apart_by_their_zero_signs(tmp_path):
     # The two rows are equal under ==; each must print its own signs.
     rows = [[0.0, 0.5, -0.0], [-0.0, 0.5, 0.0]]
     assert rows[0] == rows[1]
-    result = _grid_of_rows(rows, [0, 1, 1, 0], 2, 2)
-    _assert_writers_match(tmp_path, result)
-    cli._write_grid_csv(tmp_path / "grid.csv", result)
-    column = [line.rsplit(",", 1)[1] for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
-    assert column == ["0", "0.5", "-0"] + ["-0", "0.5", "0"] * 2 + ["0", "0.5", "-0"]
+    grid, density = _grid_of_rows(rows, [0, 1, 1, 0], 2, 2, 0.25)
+    _assert_rows_match(tmp_path, grid, density)
+    assert _grid_column(tmp_path, grid) == ["0", "0.5", "-0"] + ["-0", "0.5", "0"] * 2 + ["0", "0.5", "-0"]
 
 
 def test_grid_writers_match_past_the_row_cache_limit(tmp_path):
@@ -856,8 +871,7 @@ def test_grid_writers_match_past_the_row_cache_limit(tmp_path):
     for p in range(distinct):
         layout += [p, (p * 7919) % (p + 1)]
     rows = np.random.default_rng(23).normal(size=(distinct, 3))
-    result = _grid_of_rows(rows, layout, distinct, 2)
-    _assert_writers_match(tmp_path, result)
+    _assert_rows_match(tmp_path, *_grid_of_rows(rows, layout, distinct, 2, 0.25))
 
 
 def _write_peak(tmp_path, result) -> int:
@@ -877,7 +891,7 @@ def test_grid_write_peak_memory_stays_below_the_sweep(tmp_path, grid_61_results)
     # for this random state (8.7k distinct values).  Values that all differ
     # fill cli.TEXT_CACHE_LIMIT entries at most.
     values = np.random.default_rng(9101).random(61**3)
-    distinct = PovmSweepResult(GRID_61, 0.0, values)
+    distinct = PovmSweepResult(61, 0.0, values)
     for result in (grid_61_results["random-state"], distinct):
         assert _write_peak(tmp_path, result) < 5e6
 
@@ -989,14 +1003,14 @@ def test_a_broken_verify_branch_is_an_invariant_breach(monkeypatch, tmp_path, ca
     cap = float(argv[argv.index("--theta-cap") + 1]) if "--theta-cap" in argv else 0.0
     party = 1 if "--mirror-povm" in argv else 0
     rho = psi_lambda(lam).density()
-    result = sweep(rho, grid=((-math.pi, math.pi, grid),) * 3, theta_cap=cap, party=party)
+    result = sweep(rho, grid, theta_cap=cap, party=party)
     cube = result.omega.reshape((grid,) * 3)
     if context == "fig1 row":
         i, j = divmod(index, grid)
         point = (i, j, int(np.argmin(cube[i, j])))
     else:
         point = np.unravel_index(index, (grid,) * 3)
-    params = PovmParams(*(float(ax[n]) for ax, n in zip(result.axes(), point)), cap)
+    params = PovmParams(*(float(result.axis[n]) for n in point), cap)
     target = _reference_branch(rho, _reference_povm(params)[0], party)[1].entries
     defects = []
     for module in (mubcert.linalg, mubcert.correlations):

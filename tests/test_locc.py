@@ -221,22 +221,24 @@ def test_omega_stack_validation():
 
 def test_sweep_matches_scalar_omega():
     rho = psi_lambda(0.5).density()
-    grid = ((-math.pi, math.pi, 7),) * 3
-    result = sweep(rho, grid=grid)
-    chis, zetas, xis = result.axes()
+    result = sweep(rho, 7)
+    axis = result.axis
     cube = result.omega.reshape(7, 7, 7)
     rng = np.random.default_rng(55)
     for _ in range(25):
         i, j, k = (int(v) for v in rng.integers(0, 7, 3))
-        params = PovmParams(chi=float(chis[i]), zeta=float(zetas[j]), xi=float(xis[k]), theta_cap=0.0)
+        params = PovmParams(chi=float(axis[i]), zeta=float(axis[j]), xi=float(axis[k]), theta_cap=0.0)
         assert abs(cube[i, j, k] - omega(rho, params)) <= 1e-12
 
 
 def test_sweep_result_structure():
     rho = psi_lambda(0.5).density()
-    result = sweep(rho, grid=((-math.pi, math.pi, 9),) * 3)
+    result = sweep(rho, 9)
+    assert result.steps == 9
     assert result.omega.size == 9**3
     assert not result.omega.flags.writeable
+    assert np.array_equal(result.axis, np.linspace(-math.pi, math.pi, 9))
+    assert not result.axis.flags.writeable
     assert result.min_omega == float(result.omega.min())
     # the reported argmin reproduces the reported minimum
     assert abs(omega(rho, result.argmin) - result.min_omega) <= 1e-12
@@ -246,15 +248,14 @@ def test_sweep_result_structure():
 
 def test_sweep_mirror_party_on_symmetric_state():
     rho = psi_lambda(0.5).density()
-    grid = ((-math.pi, math.pi, 7),) * 3
-    a = sweep(rho, grid=grid, party=0)
-    b = sweep(rho, grid=grid, party=1)
+    a = sweep(rho, 7, party=0)
+    b = sweep(rho, 7, party=1)
     assert np.max(np.abs(a.omega - b.omega)) <= 1e-12
 
 
 def test_sweep_nonzero_theta_cap():
     rho = psi_lambda(0.3).density()
-    result = sweep(rho, grid=((-math.pi, math.pi, 5),) * 3, theta_cap=0.5)
+    result = sweep(rho, 5, theta_cap=0.5)
     assert result.argmin.theta_cap == 0.5
     assert result.min_omega >= -1e-9
 
@@ -262,20 +263,17 @@ def test_sweep_nonzero_theta_cap():
 def test_sweep_validation():
     rho = psi_lambda(0.5).density()
     with pytest.raises(ValueError):
-        sweep(rho, grid=((-math.pi, math.pi, 0),) * 3)
+        sweep(rho, 0)
     with pytest.raises(ValueError):
-        sweep(rho, grid=((-7.0, math.pi, 5),) * 3)
-    with pytest.raises(ValueError):
-        sweep(random_pure((2, 2, 2), 1).density())
+        sweep(random_pure((2, 2, 2), 1).density(), 5)
 
 
 @pytest.mark.parametrize("steps", [5.9, 5.0, True, np.bool_(True), "5", None])
 def test_sweep_rejects_non_integer_steps_naming_the_axis(steps):
-    grid = ((-math.pi, math.pi, 5), (-math.pi, math.pi, steps), (-math.pi, math.pi, 5))
-    with pytest.raises(ValueError, match="zeta axis steps must be an integer"):
-        sweep(psi_lambda(0.5).density(), grid=grid)
-    with pytest.raises(ValueError, match="zeta axis steps must be an integer"):
-        PovmSweepResult(grid, 0.0, np.zeros(125))
+    with pytest.raises(ValueError, match="axis steps must be an integer"):
+        sweep(psi_lambda(0.5).density(), steps)
+    with pytest.raises(ValueError, match="axis steps must be an integer"):
+        PovmSweepResult(steps, 0.0, np.zeros(125))
 
 
 @pytest.mark.parametrize("omega", [np.arange(8), np.arange(8, dtype=np.float32), np.arange(8).astype(">f8")])
@@ -283,16 +281,16 @@ def test_sweep_result_rejects_omega_other_than_float64_naming_the_dtype(omega):
     # An int64 omega printed 1 as 4.9406564584124654e-324 in grid.csv; a
     # float32 one failed inside the writer.
     with pytest.raises(ValueError, match=f"omega must be float64, got {omega.dtype}"):
-        PovmSweepResult(((-1.0, 1.0, 2),) * 3, 0.0, omega)
+        PovmSweepResult(2, 0.0, omega)
 
 
 def test_sweep_accepts_numpy_integer_steps():
     rho = psi_lambda(0.5).density()
-    plain = sweep(rho, grid=((-math.pi, math.pi, 5),) * 3)
+    plain = sweep(rho, 5)
     for kind in (np.int64, np.int32, np.uint8):
-        result = sweep(rho, grid=((-math.pi, math.pi, kind(5)),) * 3)
-        assert result.grid == plain.grid
-        assert all(type(s) is int for _, _, s in result.grid)
+        result = sweep(rho, kind(5))
+        assert result.steps == plain.steps
+        assert np.array_equal(result.axis, plain.axis)
         assert np.array_equal(result.omega, plain.omega)
 
 
@@ -316,14 +314,14 @@ def test_witness_operator_is_the_kron_projector(family):
     assert np.array_equal(next(i_m_witness(family).operators())[0], _kron_projector(family))
 
 
-def _whole_grid_sweep(rho, grid, theta_cap, party):
+def _whole_grid_sweep(rho, steps, theta_cap, party):
     """Reference: the former sweep, both elements contracted at every grid point.
 
-    Returns omega.  Peak memory grows with grid^3.
+    Returns omega.  Peak memory grows with steps^3.
     """
     family = mubcert.locc.fourier_pair(2)
-    chi_ax, zeta_ax, xi_ax = (np.linspace(lo, hi, s) for lo, hi, s in grid)
-    ch, ze, xi = (a.reshape(-1) for a in np.meshgrid(chi_ax, zeta_ax, xi_ax, indexing="ij"))
+    axis = np.linspace(-math.pi, math.pi, steps)
+    ch, ze, xi = (a.reshape(-1) for a in np.meshgrid(axis, axis, axis, indexing="ij"))
     phase = np.exp(1j * theta_cap)
     cxi, sxi = np.cos(xi), np.sin(xi)
 
@@ -357,36 +355,40 @@ def _whole_grid_sweep(rho, grid, theta_cap, party):
     return base - branch1 - branch2
 
 
+# The completeness tables take one (sin, cos) pair per axis; unequal bounds
+# and steps per axis catch an axis-order mistake there.
 GRID_61 = ((-math.pi, math.pi, 61),) * 3
-GRID_33 = ((-math.pi, math.pi, 33),) * 3
-GRID_2 = ((-math.pi, math.pi, 2),) * 3
-# Unequal bounds and steps per axis catch an axis-order mistake.
 GRID_UNEVEN = ((-3.0, 2.0, 5), (-1.0, 1.0, 9), (0.0, 3.0, 13))
 
 
+# The "gridN" ids are those the cases had when sweep took three axes.
 @pytest.mark.parametrize(
-    "lam, grid, party, theta_cap",
+    "lam, steps, party, theta_cap",
     [
-        (0.5, GRID_61, 0, 0.0),
-        (0.3137, GRID_61, 1, 0.0),
-        (0.5, GRID_61, 1, 0.5),
-        (0.77, GRID_61, 0, 0.5),
-        (0.3137, GRID_UNEVEN, 0, 0.5),
-        (0.77, GRID_UNEVEN, 1, -2.0),
-        pytest.param((7, 1), GRID_61, 0, -1.1, id="random_pure71-61-0--1.1"),
-        pytest.param((7, 1), GRID_61, 1, -1.1, id="random_pure71-61-1--1.1"),
-        pytest.param(0.5, GRID_2, 0, 0.0, id="0.5-2-0-0.0"),
-        pytest.param((7, 1), GRID_2, 1, -1.1, id="random_pure71-2-1--1.1"),
-        pytest.param(0.3137, GRID_33, 1, 0.5, id="0.3137-33-1-0.5"),
-        pytest.param((7, 1), GRID_33, 0, -1.1, id="random_pure71-33-0--1.1"),
+        pytest.param(0.5, 61, 0, 0.0, id="0.5-grid0-0-0.0"),
+        pytest.param(0.3137, 61, 1, 0.0, id="0.3137-grid1-1-0.0"),
+        pytest.param(0.5, 61, 1, 0.5, id="0.5-grid2-1-0.5"),
+        pytest.param(0.77, 61, 0, 0.5, id="0.77-grid3-0-0.5"),
+        pytest.param(0.3137, 5, 0, 0.5, id="0.3137-grid4-0-0.5"),
+        pytest.param(0.3137, 9, 0, 0.5, id="0.3137-9-0-0.5"),
+        pytest.param(0.3137, 13, 0, 0.5, id="0.3137-13-0-0.5"),
+        pytest.param(0.77, 5, 1, -2.0, id="0.77-grid5-1--2.0"),
+        pytest.param(0.77, 9, 1, -2.0, id="0.77-9-1--2.0"),
+        pytest.param(0.77, 13, 1, -2.0, id="0.77-13-1--2.0"),
+        pytest.param((7, 1), 61, 0, -1.1, id="random_pure71-61-0--1.1"),
+        pytest.param((7, 1), 61, 1, -1.1, id="random_pure71-61-1--1.1"),
+        pytest.param(0.5, 2, 0, 0.0, id="0.5-2-0-0.0"),
+        pytest.param((7, 1), 2, 1, -1.1, id="random_pure71-2-1--1.1"),
+        pytest.param(0.3137, 33, 1, 0.5, id="0.3137-33-1-0.5"),
+        pytest.param((7, 1), 33, 0, -1.1, id="random_pure71-33-0--1.1"),
     ],
 )
-def test_sweep_matches_whole_grid_reference(lam, grid, party, theta_cap):
+def test_sweep_matches_whole_grid_reference(lam, steps, party, theta_cap):
     # lam is psi_lambda's parameter, or the seed of a random pure state
     state = psi_lambda(lam) if isinstance(lam, float) else random_pure((2, 2), list(lam))
     rho = state.density()
-    expected = _whole_grid_sweep(rho, grid, theta_cap, party)
-    result = sweep(rho, grid=grid, theta_cap=theta_cap, party=party)
+    expected = _whole_grid_sweep(rho, steps, theta_cap, party)
+    result = sweep(rho, steps, theta_cap=theta_cap, party=party)
     # The closed form rounds differently from the per-point contraction, so
     # argmin ties at omega ~ 0 may resolve to another grid point.
     assert np.max(np.abs(result.omega - expected)) <= 1e-14
@@ -395,26 +397,23 @@ def test_sweep_matches_whole_grid_reference(lam, grid, party, theta_cap):
 
 
 @pytest.mark.parametrize(
-    "grid, theta_cap",
+    "theta_cap",
     [
-        (GRID_61, 4.0),
-        (GRID_61, -math.pi - 1e-12),
-        (((-math.pi - 1e-12, math.pi, 61),) + GRID_61[1:], 0.0),
-        ((GRID_61[0], (-math.pi, math.pi + 1e-12, 61), GRID_61[2]), 0.0),
-        ((GRID_61[0], GRID_61[1], (1.0, -1.0, 61)), 0.0),
+        pytest.param(4.0, id="grid0-4.0"),
+        pytest.param(-math.pi - 1e-12, id="grid1--3.141592653590793"),
     ],
 )
-def test_sweep_rejects_angles_before_any_grid_work(monkeypatch, grid, theta_cap):
+def test_sweep_rejects_angles_before_any_grid_work(monkeypatch, theta_cap):
     def no_grid_work(witness):
         raise AssertionError("sweep started grid work before validating its angles")
 
     monkeypatch.setattr(Witness, "operators", no_grid_work)
     with pytest.raises(ValueError, match="must"):
-        sweep(psi_lambda(0.5).density(), grid=grid, theta_cap=theta_cap)
+        sweep(psi_lambda(0.5).density(), 61, theta_cap=theta_cap)
 
 
 def test_sweep_accepts_the_closed_angle_range():
-    result = sweep(psi_lambda(0.5).density(), grid=((-math.pi, math.pi, 3),) * 3, theta_cap=math.pi)
+    result = sweep(psi_lambda(0.5).density(), 3, theta_cap=math.pi)
     assert result.argmin.theta_cap == math.pi
 
 
@@ -479,7 +478,7 @@ def test_sweep_checks_completeness_before_any_grid_work(monkeypatch):
     monkeypatch.setattr(Witness, "operators", no_grid_work)
     monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", -1.0)
     with pytest.raises(InvariantError, match="POVM completeness residual .* on the grid"):
-        sweep(psi_lambda(0.5).density(), grid=GRID_61)
+        sweep(psi_lambda(0.5).density(), 61)
 
 
 def _perturbed_trig(grid, theta_cap, broken, scale, seed):
@@ -538,14 +537,14 @@ def test_sweep_words_a_completeness_rejection_with_the_exact_residual(monkeypatc
     trig = [(np.sin(a), np.cos(a)) for a in (np.linspace(lo, hi, s) for lo, hi, s in GRID_61)]
     residual = mubcert.locc._largest_residual(*mubcert.locc._completeness_tables(*trig, np.exp(0.5j)))
     with pytest.raises(InvariantError, match=f"POVM completeness residual {residual:.3e} on the grid"):
-        sweep(psi_lambda(0.5).density(), grid=GRID_61, theta_cap=0.5)
+        sweep(psi_lambda(0.5).density(), 61, theta_cap=0.5)
 
 
 def _sweep_peak(rho, **kwargs) -> int:
-    sweep(rho, grid=((-math.pi, math.pi, 5),) * 3)  # lazy imports and caches
+    sweep(rho, 5)  # lazy imports and caches
     tracemalloc.start()
     try:
-        sweep(rho, grid=GRID_61, **kwargs)
+        sweep(rho, 61, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -568,15 +567,15 @@ def test_sweep_peak_memory_on_a_mixed_state_mirrored():
 )
 def test_sweep_matches_scalar_omega_on_mixed_states(seed, theta_cap, party):
     rho = _random_mixed(seed)
-    result = sweep(rho, grid=GRID_UNEVEN, theta_cap=theta_cap, party=party)
-    axes = result.axes()
-    cube = result.omega.reshape(tuple(ax.size for ax in axes))
     rng = np.random.default_rng(seed)
-    for _ in range(10):
-        index = tuple(int(rng.integers(0, ax.size)) for ax in axes)
-        chi, zeta, xi = (float(ax[i]) for ax, i in zip(axes, index))
-        params = PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=theta_cap)
-        assert abs(cube[index] - omega(rho, params, party=party)) <= 1e-12
+    for steps in (5, 9, 13):
+        result = sweep(rho, steps, theta_cap=theta_cap, party=party)
+        cube = result.omega.reshape(steps, steps, steps)
+        for _ in range(10):
+            index = tuple(int(v) for v in rng.integers(0, steps, 3))
+            chi, zeta, xi = (float(result.axis[i]) for i in index)
+            params = PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=theta_cap)
+            assert abs(cube[index] - omega(rho, params, party=party)) <= 1e-12
 
 
 RANDOM_71 = random_pure((2, 2), [7, 1]).density()
@@ -595,7 +594,7 @@ RANDOM_71 = random_pure((2, 2), [7, 1]).density()
 )
 def test_min_omega_family_bounds_the_grid_and_random_povms(rho, theta_cap, party):
     lowest = min_omega_family(rho, theta_cap, party)
-    assert lowest <= sweep(rho, grid=GRID_61, theta_cap=theta_cap, party=party).min_omega + 1e-12
+    assert lowest <= sweep(rho, 61, theta_cap=theta_cap, party=party).min_omega + 1e-12
     rng = np.random.default_rng(2024)
     for _ in range(500):
         chi, zeta, xi = (float(v) for v in rng.uniform(-math.pi, math.pi, 3))

@@ -26,7 +26,7 @@ def _assert_family_unbiased(family: MubFamily):
     for i in range(family.m):
         _assert_orthonormal(family.bases[i])
         for j in range(i + 1, family.m):
-            assert is_unbiased(family.bases[i], family.bases[j], tol=1e-10)
+            assert is_unbiased(family.bases[i], family.bases[j])
 
 
 def test_qubit_triple():
@@ -68,12 +68,12 @@ def test_fourier_d3_column_zero_uniform():
 
 
 def test_fourier_d4_unbiased_despite_composite_dimension():
-    assert is_unbiased(computational_basis(4), fourier_basis(4), tol=1e-10)
+    assert is_unbiased(computational_basis(4), fourier_basis(4))
 
 
 def test_is_unbiased_rejects_equal_bases():
     comp = computational_basis(3)
-    assert not is_unbiased(comp, comp, tol=1e-10)
+    assert not is_unbiased(comp, comp)
 
 
 def test_unbiasedness_survives_global_phases():
@@ -82,7 +82,7 @@ def test_unbiasedness_survives_global_phases():
         pair = fourier_pair(d)
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, d))
         rephased = Basis(d=d, vectors=pair.bases[1].vectors * phases)
-        assert is_unbiased(pair.bases[0], rephased, tol=1e-10)
+        assert is_unbiased(pair.bases[0], rephased)
 
 
 def test_basis_rejects_non_orthonormal_columns():
