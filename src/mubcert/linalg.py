@@ -170,10 +170,6 @@ class StateVector:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    @property
-    def dim(self) -> int:
-        return int(self.amplitudes.size)
-
     def density(self) -> "DensityMatrix":
         """Rank-one projector onto this state."""
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))

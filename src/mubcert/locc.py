@@ -5,8 +5,8 @@ The POVM family is E_i = D_i V with D_1 = diag(sin chi, sin zeta),
 D_2 = diag(cos chi, cos zeta) and V a rotation through xi with relative
 phase theta_cap, so completeness E1'E1 + E2'E2 = I holds identically.
 omega_stack checks it for each POVM it is given.  The sweep bounds it over
-the whole grid from per-axis tables before it evaluates omega anywhere, and
-checks every grid point only when that bound does not accept.
+the whole grid in closed form, from the axis's sin and cos, before it
+evaluates omega anywhere.
 The monitored residual is
 
     omega = I2(rho) - sum_k p_k I2(rho_k),
@@ -207,61 +207,30 @@ def omega(rho: DensityMatrix, params: PovmParams, party: int = 0) -> float:
     return float(omega_stack(rho, [params], party)[0])
 
 
-def _completeness_tables(chi_trig, zeta_trig, xi_trig, phase) -> tuple[np.ndarray, np.ndarray]:
-    """The (chi, xi) and (zeta, xi) tables whose sum at a grid point is
-    E1'E1 + E2'E2 - I there, the second less I.
+def _completeness_bound(s, c, phase) -> float:
+    """An upper bound on every grid point's |E1'E1 + E2'E2 - I|, from the
+    sin and cos arrays ``s``, ``c`` of the axis values and the phase alone.
 
-    Each *_trig is the (sin, cos) pair of one axis.  With E_k = D_k V, row 0
-    of E_k depends on (chi, xi) only and row 1 on (zeta, xi) only, so each
-    entry of the sum at a grid point is a (chi, xi) table entry plus a
-    (zeta, xi) one.
+    With E_k = D_k V the sum is V' diag(a, b) V, a and b the s^2 + c^2 of chi
+    and of zeta.  Let e = max |s^2 + c^2 - 1|, g = ||phase|^2 - 1| and n the
+    s^2 + c^2 of xi, so n <= 1 + e.  V'V - I = diag(n - 1, |phase|^2 n - 1)
+    has entries of size at most g + (1 + g) e, and V' diag(a - 1, b - 1) V
+    at most (1 + g) n e, so every entry of the residual is at most
+    g + (1 + g) e (2 + e).
     """
-    s_xi, c_xi = xi_trig
-
-    def gram(first, second) -> np.ndarray:
-        # conj(r_i) r_k for the row r = (first, second), over the table axes
-        r = np.stack((first, second), axis=-1)
-        return r.conj()[..., :, None] * r[..., None, :]
-
-    # the products E_k = D_k V: row 0 from chi, row 1 from zeta
-    chi_part = sum(gram(t[:, None] * c_xi, -t[:, None] * phase * s_xi) for t in chi_trig)
-    zeta_part = sum(gram(t[:, None] * s_xi, t[:, None] * phase * c_xi) for t in zeta_trig)
-    return chi_part, zeta_part - np.eye(2)
+    e = float(np.max(np.abs(s * s + c * c - 1.0)))
+    g = abs(abs(phase) ** 2 - 1.0)
+    return g + (1.0 + g) * e * (2.0 + e)
 
 
-def _largest_residual(chi_part, zeta_part) -> float:
-    """Largest |E1'E1 + E2'E2 - I| over every grid point, from the tables.
-
-    The tables are added one chi value at a time, so the largest temporary
-    is one (zeta, xi) slab of 2x2 matrices.
+def _check_completeness(s, c, phase) -> None:
+    """Raise InvariantError unless the bound proves every grid point's POVM
+    complete.  It accepts at COMPLETENESS_TOL / 2, which leaves room for the
+    rounding between the bound and a per-point product.
     """
-    return max(float(np.max(np.abs(zeta_part + part))) for part in chi_part)
-
-
-def _completeness_bound(chi_part, zeta_part) -> float:
-    """An upper bound on every grid point's residual, read off the tables alone.
-
-    With r the zeta table's first row over xi, A + B = (A + r) + (B - r) at
-    every grid point, so the triangle inequality bounds |A + B| by
-    max |A + r| + max |B - r|.
-    """
-    r = zeta_part[0]
-    return float(np.max(np.abs(chi_part + r))) + float(np.max(np.abs(zeta_part - r)))
-
-
-def _check_completeness(trig, phase) -> None:
-    """Raise InvariantError unless every grid point's POVM is complete.
-
-    The bound accepts at COMPLETENESS_TOL / 2, which leaves room for the
-    rounding in its own sums.  Only a grid it does not accept takes the
-    exact pass over every point, which decides and words every rejection.
-    """
-    tables = _completeness_tables(*trig, phase)
-    if _completeness_bound(*tables) <= COMPLETENESS_TOL / 2:
-        return
-    residual = _largest_residual(*tables)
-    if residual > COMPLETENESS_TOL:
-        raise InvariantError(f"POVM completeness residual {residual:.3e} on the grid")
+    bound = _completeness_bound(s, c, phase)
+    if bound > COMPLETENESS_TOL / 2:
+        raise InvariantError(f"POVM completeness residual up to {bound:.3e} on the grid")
 
 
 def _coefficients(rho: DensityMatrix, phase: complex, party: int, s_xi, c_xi):
@@ -295,16 +264,17 @@ def _check_sweep_args(rho: DensityMatrix, theta_cap: float, party: int) -> None:
 def sweep(rho: DensityMatrix, steps: int, theta_cap: float = 0.0, party: int = 0) -> PovmSweepResult:
     """Omega on the (chi, zeta, xi) grid of steps points per angle at fixed theta_cap.
 
-    Completeness of the POVM at every grid point is checked once, from
-    per-axis tables, before any grid work.  Omega is then the closed form
-    A(xi) + B(xi) C(chi, zeta), C = sin chi sin zeta + cos chi cos zeta,
-    filled by one broadcast into the omega array; deterministic.
+    Completeness of the POVM at every grid point is checked once, by a
+    closed-form bound over the axis values, before any grid work.  Omega is
+    then the closed form A(xi) + B(xi) C(chi, zeta),
+    C = sin chi sin zeta + cos chi cos zeta, filled by one broadcast into
+    the omega array; deterministic.
     """
     _check_sweep_args(rho, theta_cap, party)
     axis = _axis(steps)
     s, c = np.sin(axis), np.cos(axis)
     phase = np.exp(1j * theta_cap)
-    _check_completeness([(s, c)] * 3, phase)
+    _check_completeness(s, c, phase)
 
     a, b = _coefficients(rho, phase, party, s, c)
     cos_diff = np.outer(s, s) + np.outer(c, c)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import mubcert.correlations
 import mubcert.linalg
+import mubcert.locc
 from mubcert import (
     PovmParams,
     StateVector,
@@ -558,6 +559,17 @@ def test_locc_rejects_theta_cap_out_of_range(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "theta_cap must lie in [-pi, pi]" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_locc_grid_completeness_breach_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys):
+    # Below the rounding of the 61-point axis (bound 4.4e-16); the bound of
+    # a 5-point axis is exactly 0, so it cannot breach.
+    monkeypatch.setattr(mubcert.locc, "COMPLETENESS_TOL", 1e-17)
+    code = main(["locc", "--grid", "61", "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("invariant breach: POVM completeness residual up to")
     assert not (tmp_path / "out").exists()
 
 
