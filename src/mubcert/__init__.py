@@ -6,9 +6,7 @@ from .correlations import (
     CertificationReport,
     LbpsPatternSet,
     Witness,
-    computational_setting,
     diagonal_set,
-    hadamard_setting,
     i3,
     i3_oracle,
     i3_witness,

@@ -72,6 +72,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
+    if isinstance(value, (list, tuple)):
+        return ";".join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -262,8 +264,7 @@ def cmd_certify(args) -> int:
 
 
 def _flatten_certify(out: dict) -> tuple[list[str], list[list]]:
-    # One flat CSV row; nested report/params keys are promoted, sequence
-    # values (per-basis terms, dims) joined with ';' so the row stays flat.
+    # One flat CSV row; nested report/params keys are promoted.
     flat: dict[str, object] = {}
     for key, value in out.items():
         if isinstance(value, dict):
@@ -271,13 +272,7 @@ def _flatten_certify(out: dict) -> tuple[list[str], list[list]]:
         else:
             flat[key] = value
     header = sorted(flat)
-    row = []
-    for key in header:
-        value = flat[key]
-        if isinstance(value, (list, tuple)):
-            value = ";".join(_fmt(v) for v in value)
-        row.append(value)
-    return header, [row]
+    return header, [[flat[k] for k in header]]
 
 
 # ------------------------------------------------------------------ sweep

@@ -37,7 +37,7 @@ import numpy as np
 from .linalg import (
     COMPLETENESS_TOL, EQUALITY_TOL, REPORT_SUM_TOL, DensityMatrix, InvariantError, density_defect, probability_slack,
 )
-from .mub import Basis, MubFamily, computational_basis, fourier_basis, qubit_mub_triple
+from .mub import Basis, MubFamily, fourier_pair, qubit_mub_triple
 
 # A state violates its bound only beyond this margin; values at the bound
 # (products sit exactly there) must not be flagged.
@@ -89,18 +89,6 @@ class BasisAssignment:
 
 def uniform_setting(basis: Basis, n: int) -> BasisAssignment:
     return BasisAssignment((basis,) * n)
-
-
-@lru_cache(maxsize=None)
-def computational_setting(n: int) -> BasisAssignment:
-    """All parties in the qubit computational basis."""
-    return uniform_setting(computational_basis(2), n)
-
-
-@lru_cache(maxsize=None)
-def hadamard_setting(n: int) -> BasisAssignment:
-    """All parties in the Hadamard basis (d=2 Fourier basis)."""
-    return uniform_setting(fourier_basis(2), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +184,8 @@ class CertificationReport:
             raise InvariantError("violated flag inconsistent with i_value and bound")
 
     def to_dict(self) -> dict:
-        """The fields as JSON values: None dropped, tuples written as lists."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items() if v is not None}
+        """The fields with None dropped."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _check_state_setting(rho: DensityMatrix, setting: BasisAssignment) -> None:
@@ -232,15 +220,15 @@ def outcome_distribution(rho: DensityMatrix, setting: BasisAssignment) -> np.nda
     return probs.clip(0.0, 1.0)
 
 
-def _projectors(pairs, count: int, dim: int) -> np.ndarray:
-    """The projectors W_s = U_S U_S^dagger of the ``count`` pairs of a product
-    unitary U and flat outcome indices S, then the identity, each a (dim, dim)
+def _projectors(pairs: list, dim: int) -> np.ndarray:
+    """The projectors W_s = U_S U_S^dagger of the pairs of a product unitary
+    U and flat outcome indices S, then the identity, each a (dim, dim)
     complex matrix stored as a float64 row of 2 dim^2: Tr(rho W) of a hermitian
     W is then a real dot product.  Each W_s is rescaled to trace |S|, which
     takes off the norm rounding of the basis vectors, and checked to be
     hermitian with ||W^2 - W|| at most COMPLETENESS_TOL: every eigenvalue
     lies within about that of 0 or 1."""
-    ops = np.zeros((count + 1, 2 * dim * dim))
+    ops = np.zeros((len(pairs) + 1, 2 * dim * dim))
     matrices = ops.view(np.complex128).reshape(-1, dim, dim)
     for w, (u, flat) in zip(matrices, pairs):
         columns = u[:, flat]
@@ -283,7 +271,7 @@ class Witness:
         ends = np.cumsum([len(flats) for flats in flat]).tolist()
         object.__setattr__(self, "_slices", [slice(a, b) for a, b in zip([0] + ends, ends)])
         pairs = [(setting.product_unitary, f) for (setting, _), flats in zip(terms, flat) for f in flats]
-        object.__setattr__(self, "_ops", _projectors(pairs, len(pairs), prod(self.dims)))
+        object.__setattr__(self, "_ops", _projectors(pairs, prod(self.dims)))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -298,7 +286,7 @@ class Witness:
         flats = [f for term in self._flat for f in term]
         settings = itertools.product(qubit_mub_triple().bases, repeat=n)
         unitaries = (BasisAssignment(bases).product_unitary for bases in settings)
-        return _projectors(((u, f) for u in unitaries for f in flats), 3**n * len(flats), prod(self.dims))
+        return _projectors([(u, f) for u in unitaries for f in flats], prod(self.dims))
 
     def _set_values(self, entries: np.ndarray, ops: np.ndarray) -> np.ndarray:
         """Tr(m W) of each matrix m of the (T, D, D) stack ``entries`` for each
@@ -422,7 +410,8 @@ def i_m_witness(family: MubFamily) -> Witness:
 def i3_witness() -> Witness:
     """I3: the diagonal P(000) + P(111) in the computational setting (also the
     intersection of all six tri sets) plus the best tri set in the Hadamard setting."""
-    terms = ((computational_setting(3), (diagonal_set(3),)), (hadamard_setting(3), _TRI_SETS))
+    z, x = (uniform_setting(b, 3) for b in fourier_pair(2).bases)
+    terms = ((z, (diagonal_set(3),)), (x, _TRI_SETS))
     return Witness(terms, TRIPARTITE_BOUND)
 
 
@@ -430,7 +419,8 @@ def i3_witness() -> Witness:
 def i4_witness() -> Witness:
     """I4: the diagonal P(0000) + P(1111) in the computational setting plus quad1
     in the Hadamard setting."""
-    terms = ((computational_setting(4), (diagonal_set(4),)), (hadamard_setting(4), (_QUAD_SET,)))
+    z, x = (uniform_setting(b, 4) for b in fourier_pair(2).bases)
+    terms = ((z, (diagonal_set(4),)), (x, (_QUAD_SET,)))
     return Witness(terms, QUADRIPARTITE_BOUND)
 
 
@@ -442,18 +432,14 @@ def i_m_bipartite(rho: DensityMatrix, family: MubFamily) -> CertificationReport:
     return i_m_witness(family).evaluate(rho)
 
 
-def i3(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
-    """Three-qubit certification quantity ``i3_witness()``, paper bound 13/8.
-
-    With basis_search, both settings range over per-party ordered pairs of
-    distinct bases from the qubit MUB triple (``Witness.evaluate``).
-    """
-    return i3_witness().evaluate(rho, basis_search)
+def i3(rho: DensityMatrix) -> CertificationReport:
+    """Three-qubit certification quantity ``i3_witness()``, paper bound 13/8."""
+    return i3_witness().evaluate(rho)
 
 
-def i4(rho: DensityMatrix, basis_search: bool = False) -> CertificationReport:
-    """Four-qubit certification quantity ``i4_witness()``, paper bound 7/4; basis_search as in i3."""
-    return i4_witness().evaluate(rho, basis_search)
+def i4(rho: DensityMatrix) -> CertificationReport:
+    """Four-qubit certification quantity ``i4_witness()``, paper bound 7/4."""
+    return i4_witness().evaluate(rho)
 
 
 def _oracle_probability(rho: DensityMatrix, setting: BasisAssignment, pattern: IndexPattern) -> float:
@@ -493,11 +479,11 @@ def i_value_oracle(rho: DensityMatrix, settings, sets) -> float:
 
 
 def i3_oracle(rho: DensityMatrix) -> float:
-    return i_value_oracle(rho, (computational_setting(3), hadamard_setting(3)), lbps_tripartite())
+    return i_value_oracle(rho, [uniform_setting(b, 3) for b in fourier_pair(2).bases], lbps_tripartite())
 
 
 def i4_oracle(rho: DensityMatrix) -> float:
-    return i_value_oracle(rho, (computational_setting(4), hadamard_setting(4)), [lbps_quadripartite()])
+    return i_value_oracle(rho, [uniform_setting(b, 4) for b in fourier_pair(2).bases], [lbps_quadripartite()])
 
 
 def paper_i2_psi_lambda(lam: float) -> float:

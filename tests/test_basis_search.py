@@ -24,9 +24,7 @@ from mubcert import (
     fourier_pair,
     ghz3,
     ghz4,
-    i3,
     i3_witness,
-    i4,
     i4_witness,
     i_m_witness,
     lbps_quadripartite,
@@ -116,8 +114,8 @@ CASES = {
 @pytest.mark.parametrize("name", list(CASES))
 def test_search_matches_the_reference(name):
     rho = CASES[name]()
-    certify = i3 if rho.n_parties == 3 else i4
-    assert certify(rho, basis_search=True) == _reference_search(rho)
+    witness = i3_witness() if rho.n_parties == 3 else i4_witness()
+    assert witness.evaluate(rho, basis_search=True) == _reference_search(rho)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -31,9 +31,7 @@ from mubcert import (
     bipartitions,
     fourier_pair,
     ghz4,
-    i3,
     i3_witness,
-    i4,
     i4_witness,
     i_m_witness,
     mix,
@@ -410,8 +408,8 @@ def test_i3_and_i4_take_no_outcome_distribution(monkeypatch):
     calls = _count_calls(monkeypatch, correlations, "outcome_distribution")
     einsums = _count_calls(monkeypatch, np, "einsum")
     for basis_search in (False, True):
-        i3(rho3, basis_search)
-        i4(rho4, basis_search)
+        i3_witness().evaluate(rho3, basis_search)
+        i4_witness().evaluate(rho4, basis_search)
     assert calls == einsums == []
 
 

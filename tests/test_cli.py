@@ -132,6 +132,20 @@ def test_certify_csv_format(capsys):
     assert abs(float(columns["i_value"]) - 1.75) <= 1e-9
 
 
+def test_certify_state_csv_joins_sequences_with_semicolons(tmp_path, capsys):
+    # (|00> + |22>)/sqrt(2): dims and the per-basis terms each fill one cell.
+    path = tmp_path / "qutrits.json"
+    amplitudes = [[2**-0.5, 0.0]] + [[0.0, 0.0]] * 7 + [[2**-0.5, 0.0]]
+    path.write_text(json.dumps({"dims": [3, 3], "amplitudes": amplitudes}))
+    code, out = _run(capsys, "certify", "--state", str(path), "--format", "csv")
+    assert code == 0
+    assert out == (
+        "attaining_set_first,attaining_set_second,bound,c_first,c_per_basis,c_second,dims,i_value,state,violated\n"
+        f"diagonal,diagonal,1.3333333333333333,1,1;0.33333333333333331,0.33333333333333331,3;3,"
+        f"1.3333333333333333,{path},false\n"
+    )
+
+
 def test_certify_input_errors(tmp_path, capsys):
     code, _ = _run(capsys, "certify", "--family", "ghz3", "--state", "x.json")
     assert code == 2

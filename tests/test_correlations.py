@@ -16,12 +16,12 @@ from mubcert import (
     LbpsPatternSet,
     StateVector,
     Witness,
-    computational_setting,
+    computational_basis,
     diagonal_set,
+    fourier_basis,
     fourier_pair,
     ghz3,
     ghz4,
-    hadamard_setting,
     i3,
     i3_oracle,
     i3_witness,
@@ -55,11 +55,19 @@ from mubcert.correlations import (
 HADAMARD = (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)).astype(np.complex128)
 
 
+def _computational(n):
+    return uniform_setting(computational_basis(2), n)
+
+
+def _hadamard(n):
+    return uniform_setting(fourier_basis(2), n)
+
+
 # ------------------------------------------------------------- settings
 
 
 def test_hadamard_setting_product_vector():
-    vec = hadamard_setting(2).product_unitary[:, 0]
+    vec = _hadamard(2).product_unitary[:, 0]
     assert np.allclose(vec, np.full(4, 0.5), atol=1e-12)
 
 
@@ -90,7 +98,7 @@ def test_joint_probability_completeness():
     # all d^n outcomes of any setting sum to one
     for seed in range(10):
         rho = random_pure((2, 2, 2), seed).density()
-        for setting in (computational_setting(3), hadamard_setting(3)):
+        for setting in (_computational(3), _hadamard(3)):
             total = math.fsum(
                 joint_probability(rho, setting, (a, b, c))
                 for a in range(2)
@@ -102,7 +110,7 @@ def test_joint_probability_completeness():
 
 def test_outcome_distribution_matches_pointwise():
     rho = random_pure((2, 2), 3).density()
-    setting = hadamard_setting(2)
+    setting = _hadamard(2)
     dist = outcome_distribution(rho, setting)
     assert dist.shape == (4,)
     assert abs(math.fsum(dist) - 1.0) <= 1e-9
@@ -111,7 +119,7 @@ def test_outcome_distribution_matches_pointwise():
 
 
 def test_joint_probability_linearity():
-    setting = hadamard_setting(3)
+    setting = _hadamard(3)
     r1 = random_pure((2, 2, 2), 1).density()
     r2 = random_pure((2, 2, 2), 2).density()
     for w in (0.0, 0.3, 0.7, 1.0):
@@ -221,7 +229,7 @@ def test_pattern_set_validation():
 def test_witness_pattern_sums_ghz():
     rho = ghz3(math.pi / 4).density()
     tri4 = lbps_tripartite()[3]
-    terms = ((computational_setting(3), (diagonal_set(3),)), (hadamard_setting(3), (tri4,)))
+    terms = ((_computational(3), (diagonal_set(3),)), (_hadamard(3), (tri4,)))
     report = Witness(terms, TRIPARTITE_BOUND).evaluate(rho)
     # three even-parity plus two odd-parity strings: (5 + sin 2theta)/8
     assert abs(report.c_second - 0.75) <= 1e-12
@@ -258,7 +266,7 @@ def test_witness_operator_gives_the_value_as_a_trace(witness, dims):
 
 
 def test_witness_validation():
-    setting = computational_setting(3)
+    setting = _computational(3)
     with pytest.raises(ValueError):
         Witness(((setting, (diagonal_set(3),)),), 1.0)
     with pytest.raises(ValueError):
@@ -288,8 +296,8 @@ def test_i4_witness_rejects_three_qubits(basis_search):
 
 
 def test_witness_terms_must_share_dims():
-    three = (computational_setting(3), (diagonal_set(3),))
-    two = (computational_setting(2), (diagonal_set(2),))
+    three = (_computational(3), (diagonal_set(3),))
+    two = (_computational(2), (diagonal_set(2),))
     with pytest.raises(ValueError, match="different dims"):
         Witness((three, two), 1.0)
 
@@ -378,13 +386,13 @@ def test_witness_operators_are_outer_product_sums(witness):
 def test_joint_probability_rejects_a_bad_outcome(outcome, message):
     rho = random_pure((2, 2), 3).density()
     with pytest.raises(ValueError, match=message):
-        joint_probability(rho, hadamard_setting(2), outcome)
+        joint_probability(rho, _hadamard(2), outcome)
 
 
 def test_joint_probability_admits_every_density_matrix():
     rho = DensityMatrix((2, 2), np.diag([1 + 5e-10, -5e-10, 0, 0]))
-    assert joint_probability(rho, computational_setting(2), (0, 1)) == 0.0
-    assert joint_probability(rho, computational_setting(2), (0, 0)) == 1.0
+    assert joint_probability(rho, _computational(2), (0, 1)) == 0.0
+    assert joint_probability(rho, _computational(2), (0, 0)) == 1.0
 
 
 # ---------------------------------------------------------- certification
@@ -479,7 +487,7 @@ def test_basis_search_recovers_rotated_state():
     )
     rho = rotated.density()
     assert i3(rho).i_value < 1.3
-    searched = i3(rho, basis_search=True)
+    searched = i3_witness().evaluate(rho, basis_search=True)
     assert abs(searched.i_value - 1.75) <= 1e-9
     assert searched.violated
 

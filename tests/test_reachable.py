@@ -12,13 +12,22 @@ traces, and ALLOWED.  A reached body reaches a definition by naming it:
 Names local to a function, its parameters and the names it assigns, reach
 nothing, and neither do annotations, which are never evaluated.  A method
 of a reached class is reached when a reached body reads an attribute of its
-name.  Dunder methods, and every method of a class whose name starts with
-"_" (argparse calls ``_NegativeNumber.match``), are reached with their
-class.  The check reads the sources with ast, so it imports nothing.
+name from a receiver of that class, or of unknown class.  A receiver's
+class is known when it is a package class or a call of one, ``self`` in a
+method of the class, or a local name whose one binding is a parameter
+annotated with the class or ``x = C(...)``; when that class defines no
+method of the name, the receiver counts as unknown.  This would miss a
+subclass's override, but no package class derives from another.  Dunder
+methods, and every method of a class whose name starts with "_" (argparse
+calls ``_NegativeNumber.match``), are reached with their class.  The check
+reads the sources with ast, so it imports nothing.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mubcert"
@@ -64,16 +73,19 @@ def _walk(node: ast.AST):
                     todo.append(child)
 
 
-def _locals(func: ast.AST) -> set[str]:
-    """The parameters of ``func`` and every name it, or a function nested in it, binds."""
-    names = set()
+def _locals(func: ast.AST) -> Counter:
+    """The parameters of ``func`` and every name it, or a function nested in
+    it, binds, each with the number of times it is bound."""
+    names = Counter()
     for sub in ast.walk(func):
         if isinstance(sub, ast.arg):
-            names.add(sub.arg)
+            names[sub.arg] += 1
         elif isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, (*_FUNCTIONS, ast.ClassDef)) and sub is not func:
-            names.add(sub.name)
+            names[sub.name] += 1
+        elif isinstance(sub, ast.ExceptHandler) and sub.name:
+            names[sub.name] += 1
     return names
 
 
@@ -95,8 +107,9 @@ class _Reach:
     def __init__(self, modules: dict[str, _Module]) -> None:
         self.modules = modules
         self.reached: set[tuple[str, str]] = set()  # (module, qualname)
-        self.attributes: set[str] = set()
-        self.todo: list[tuple[str, ast.AST, set[str]]] = []  # (module, body node, its local names)
+        self.attributes: set[tuple[tuple[str, str] | None, str]] = set()  # (receiver's class or None, name)
+        # (module, body node, its local names, the class of each local name whose class is known)
+        self.todo: list[tuple[str, ast.AST, Counter, dict[str, tuple[str, str]]]] = []
 
     def resolve(self, stem: str, name: str) -> tuple[str, str] | None:
         module = self.modules.get(stem)
@@ -108,6 +121,32 @@ class _Reach:
             return self.resolve(*module.imported[name])
         return None
 
+    def class_of(self, stem: str, node: ast.AST) -> tuple[str, str] | None:
+        """The package class that ``node``, a name or a call, names or builds."""
+        if isinstance(node, ast.Call):
+            node = node.func
+        key = self.resolve(stem, node.id) if isinstance(node, ast.Name) else None
+        if key is not None and isinstance(self.modules[key[0]].defs[key[1]], ast.ClassDef):
+            return key
+        return None
+
+    def receivers(self, stem: str, func: ast.AST, owner: str | None, local: Counter) -> dict[str, tuple[str, str]]:
+        """The class of each name bound once in ``func``, a method of the class
+        ``owner`` or a function, when that binding shows it."""
+        known = {}
+        args = [*func.args.posonlyargs, *func.args.args]
+        static = any(getattr(d, "id", None) in ("staticmethod", "classmethod") for d in func.decorator_list)
+        if owner is not None and args and not static:
+            known[args[0].arg] = (stem, owner)
+        for arg in [*args, *func.args.kwonlyargs]:
+            if isinstance(arg.annotation, ast.Name):
+                known.setdefault(arg.arg, self.class_of(stem, arg.annotation))
+        for sub in ast.walk(func):
+            if isinstance(sub, ast.Assign) and len(sub.targets) == 1 and isinstance(sub.targets[0], ast.Name):
+                if isinstance(sub.value, ast.Call):
+                    known.setdefault(sub.targets[0].id, self.class_of(stem, sub.value))
+        return {name: key for name, key in known.items() if key is not None and local[name] == 1}
+
     def reach(self, key: tuple[str, str] | None) -> None:
         if key is None or key in self.reached:
             return
@@ -118,16 +157,25 @@ class _Reach:
             node = next(n for n in node.body if isinstance(n, _FUNCTIONS) and n.name == qualname.split(".")[1])
         if isinstance(node, _FUNCTIONS):
             local = _locals(node)
-            self.todo += [(stem, statement, local) for statement in node.body]
+            owner = qualname.split(".")[0] if "." in qualname else None
+            known = self.receivers(stem, node, owner, local)
+            self.todo += [(stem, statement, local, known) for statement in node.body]
 
-    def scan(self, stem: str, node: ast.AST, local: set[str]) -> None:
+    def scan(self, stem: str, node: ast.AST, local: Counter, known: dict[str, tuple[str, str]]) -> None:
         module = self.modules[stem]
         for sub in _walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in local:
                 self.reach(self.resolve(stem, sub.id))
             elif isinstance(sub, ast.Attribute):
-                self.attributes.add(sub.attr)
                 owner = sub.value
+                if isinstance(owner, ast.Name) and owner.id in local:
+                    cls = known.get(owner.id)
+                else:
+                    cls = self.class_of(stem, owner)
+                methods = self.modules[cls[0]].defs[cls[1]].body if cls else []
+                if not any(isinstance(m, _FUNCTIONS) and m.name == sub.attr for m in methods):
+                    cls = None
+                self.attributes.add((cls, sub.attr))
                 if isinstance(owner, ast.Name) and owner.id in module.modules and owner.id not in local:
                     self.reach(self.resolve(module.modules[owner.id], sub.attr))
 
@@ -141,7 +189,8 @@ class _Reach:
                 if not isinstance(method, _FUNCTIONS):
                     continue
                 dunder = method.name.startswith("__") and method.name.endswith("__")
-                if dunder or qualname.startswith("_") or method.name in self.attributes:
+                read = {(None, method.name), ((stem, qualname), method.name)} & self.attributes
+                if dunder or qualname.startswith("_") or read:
                     yield stem, f"{qualname}.{method.name}"
 
     def run(self) -> None:
@@ -177,7 +226,7 @@ def _reach() -> tuple[dict[str, _Module], _Reach]:
     walk = _Reach(modules)
     for stem, module in modules.items():
         if stem != "__init__":
-            walk.todo += [(stem, part, set()) for node in module.tree.body for part in _import_time(node)]
+            walk.todo += [(stem, part, Counter(), {}) for node in module.tree.body for part in _import_time(node)]
     walk.reach(("cli", "main"))
     walk.reach(("cli", "entry"))
     for stem, name in _bench_names():
@@ -228,6 +277,33 @@ def test_a_local_name_or_an_unreached_body_reaches_nothing():
     walk.reach(("cli", "main"))
     walk.run()
     assert walk.reached == {("cli", "main"), ("cli", "_shadow")}
+
+
+SIZED = (
+    "class A:\n    def size(self):\n        pass\n\n    def grow(self):\n        return self.size\n\n"
+    "class B:\n    def size(self):\n        pass\n\n"
+    "def _read(a: A):\n    return a.size\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body, sizes",
+    [
+        ("return A().size", {"A.size"}),
+        ("a = A()\n    return a.size", {"A.size"}),
+        ("return _read(A())", {"A.size"}),
+        ("return A().grow()", {"A.size"}),
+        ("a = A()\n    a = B()\n    return a.size", {"A.size", "B.size"}),
+    ],
+    ids=["call", "assigned", "annotated", "self", "rebound"],
+)
+def test_a_read_from_a_known_class_reaches_only_its_method(body, sizes):
+    # main reaches both classes but reads size only from an A, unless the
+    # receiver's one binding does not show its class.
+    walk = _Reach({"cli": _Module(ast.parse(f"{SIZED}def main():\n    B\n    {body}\n"))})
+    walk.reach(("cli", "main"))
+    walk.run()
+    assert {q for _, q in walk.reached if q.endswith(".size")} == sizes
 
 
 def test_allowlist_names_only_definitions_that_exist():
