@@ -288,6 +288,17 @@ class Witness:
         unitaries = (BasisAssignment(bases).product_unitary for bases in settings)
         return _projectors([(u, f) for u in unitaries for f in flats], prod(self.dims))
 
+    @cached_property
+    def _search_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        # Distinct members of the triple are unbiased.  Each of the 6^n
+        # assignments gives every party an ordered pair; i and j index the
+        # search settings of the first and second members, in
+        # itertools.product order.
+        n = len(self.dims)
+        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+        assignments = np.array(list(itertools.product(pairs, repeat=n)))
+        return tuple(np.ravel_multi_index(assignments.transpose(1, 2, 0), (3,) * n))
+
     def _set_values(self, entries: np.ndarray, ops: np.ndarray) -> np.ndarray:
         """Tr(m W) of each matrix m of the (T, D, D) stack ``entries`` for each
         row W of ``ops`` but the last, the identity, whose value must be 1;
@@ -358,7 +369,9 @@ class Witness:
 
         ``rho`` must have the witness's dims.  With basis_search, a two-term
         qubit witness instead maximizes over each party's ordered pair of
-        distinct bases of the qubit MUB triple.
+        distinct bases of the qubit MUB triple.  Its first search builds the
+        search plan, the projectors of the 3^n settings and the index pairs
+        of the 6^n assignments, and the witness keeps it for later searches.
         """
         if rho.dims != self.dims:
             raise ValueError(f"state dims {rho.dims} do not match witness dims {self.dims}")
@@ -369,14 +382,8 @@ class Witness:
         values, sets = self._term_values(self._set_values(rho.entries[None], ops))
         if not basis_search:
             return self.report(values[0], sets[0])
-        (v1, v2), (s1, s2), n = values.T, sets.T, rho.n_parties
-        # Distinct members of the triple are unbiased.  Each of the 6^n
-        # assignments gives every party an ordered pair; i and j index the
-        # choices of the first and second members, and argmax takes the
-        # first maximum.
-        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-        assignments = np.array(list(itertools.product(pairs, repeat=n)))
-        i, j = np.ravel_multi_index(assignments.transpose(1, 2, 0), (3,) * n)
+        (v1, v2), (s1, s2), (i, j) = values.T, sets.T, self._search_pairs
+        # argmax takes the first maximum, so ties go to the first assignment.
         a = (v1[i] + v2[j]).argmax()
         return self.report((v1[i[a]], v2[j[a]]), (s1[i[a]], s2[j[a]]))
 
@@ -468,11 +475,15 @@ def i_value_oracle(rho: DensityMatrix, settings, sets) -> float:
     first = 0.0
     for i in range(min(rho.dims)):
         first = first + _oracle_probability(rho, setting1, (i,) * n)
+    # The sets overlap: each pattern's probability is taken once per call.
+    second = {}
     best = None
     for s in sets:
         total = 0.0
         for pattern in s.patterns:
-            total = total + _oracle_probability(rho, setting2, pattern)
+            if pattern not in second:
+                second[pattern] = _oracle_probability(rho, setting2, pattern)
+            total = total + second[pattern]
         if best is None or total > best:
             best = total
     return first + best

@@ -7,6 +7,7 @@ Both must give equal reports, floats and set names included, so ties must
 go to the same first assignment.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -120,22 +121,34 @@ def test_search_matches_the_reference(name):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_search_settings_are_built_once_in_product_order(monkeypatch, n):
-    # A witness builds its search projectors on its first search only.
-    # Block r holds every set of every term, read in the r-th setting of
-    # itertools.product.
+    # A witness builds its search plan on its first search only.  Block r of
+    # its projectors holds every set of every term, read in the r-th setting
+    # of itertools.product; assignment r, the r-th of itertools.product over
+    # each party's ordered pair, reads the settings i[r] and j[r].
     witness = {2: i_m_witness(fourier_pair(2)), 3: i3_witness(), 4: i4_witness()}[n]
     monkeypatch.delitem(witness.__dict__, "_search_ops", raising=False)
-    calls = []
-    build = correlations._projectors
+    monkeypatch.delitem(witness.__dict__, "_search_pairs", raising=False)
+    calls, pair_calls = [], []
+    build, build_pairs = correlations._projectors, Witness._search_pairs.func
     monkeypatch.setattr(correlations, "_projectors", lambda *args: calls.append(1) or build(*args))
+    counted = functools.cached_property(lambda self: pair_calls.append(1) or build_pairs(self))
+    counted.__set_name__(Witness, "_search_pairs")
+    monkeypatch.setattr(Witness, "_search_pairs", counted)
     rho = random_pure((2,) * n, [SEED, n]).density()
     assert witness.evaluate(rho, basis_search=True) == witness.evaluate(rho, basis_search=True)
-    assert len(calls) == 1
+    assert len(calls) == len(pair_calls) == 1
     sets = [s for _, term_sets in witness.terms for s in term_sets]
     for r, bases in enumerate(itertools.product(qubit_mub_triple().bases, repeat=n)):
         setting = BasisAssignment(bases)
         plain = Witness(((setting, sets), (setting, sets[:1])), witness.bound)._ops
         assert np.array_equal(witness._search_ops[r * len(sets) : (r + 1) * len(sets)], plain[: len(sets)])
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    first, second = [], []
+    for assignment in itertools.product(pairs, repeat=n):
+        first.append(sum(pair[0] * 3 ** (n - 1 - k) for k, pair in enumerate(assignment)))
+        second.append(sum(pair[1] * 3 ** (n - 1 - k) for k, pair in enumerate(assignment)))
+    i, j = witness._search_pairs
+    assert np.array_equal(i, first) and np.array_equal(j, second)
 
 
 def test_cached_search_settings_give_the_reports_of_fresh_ones(monkeypatch, capsys, tmp_path):
@@ -151,6 +164,7 @@ def test_cached_search_settings_give_the_reports_of_fresh_ones(monkeypatch, caps
         return capsys.readouterr().out
 
     cached = reports()
-    # Each witness keeps its search projectors: build them afresh for each state.
+    # Each witness keeps its search plan: build it afresh for each state.
     monkeypatch.setattr(Witness, "_search_ops", property(Witness._search_ops.func))
+    monkeypatch.setattr(Witness, "_search_pairs", property(Witness._search_pairs.func))
     assert reports() == cached

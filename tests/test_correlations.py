@@ -567,3 +567,24 @@ def test_product_states_exceed_the_paper_bounds():
 def test_oracle_on_pinned_states():
     assert abs(i3_oracle(ghz3(0.3).density()) - paper_i3_ghz3(0.3)) <= 1e-10
     assert abs(i4_oracle(ghz4(0.0).density()) - 1.75) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_reads_each_pattern_once_and_sums_in_set_order(monkeypatch, n):
+    # I3's six tri sets hold all 8 patterns: 2 diagonal reads and 8 others.
+    # I4's one quad set holds 12.
+    oracle, sets = (i3_oracle, lbps_tripartite()) if n == 3 else (i4_oracle, [lbps_quadripartite()])
+    rho = random_pure((2,) * n, [3, n]).density()
+    z, x = (uniform_setting(b, n) for b in fourier_pair(2).bases)
+    probability = correlations._oracle_probability
+    first = probability(rho, z, (0,) * n) + probability(rho, z, (1,) * n)
+    best = None
+    for s in sets:
+        total = 0.0
+        for pattern in s.patterns:
+            total = total + probability(rho, x, pattern)
+        best = total if best is None or total > best else best
+    calls = []
+    monkeypatch.setattr(correlations, "_oracle_probability", lambda *args: calls.append(1) or probability(*args))
+    assert oracle(rho) == first + best
+    assert len(calls) == {3: 10, 4: 14}[n]
