@@ -42,13 +42,8 @@ from .states import (
     W3_STANDARD_ALPHA,
     W3_STANDARD_THETA,
     biseparable_block,
-    ghz3,
-    ghz4,
-    psi_lambda,
     separable_block,
     state_from_json_dict,
-    w3,
-    wg4,
 )
 
 DEFAULT_SEED = 20260816
@@ -110,9 +105,9 @@ def _load_state(args) -> StateVector:
 # --------------------------------------------------------------- families
 #
 # What the commands know about state families lives in the table below.  It
-# is built when read, not at import, so that every builder in it is looked
-# up by name at call time: the benchmark's tracer times calls by swapping
-# module-level functions for wrappers.
+# is built when read, not at import, so that every amplitude function in it
+# is looked up by name at call time: the benchmark's tracer times calls by
+# swapping module-level functions for wrappers.
 
 
 class _Quantity(NamedTuple):
@@ -134,36 +129,38 @@ def _quantity(dims: tuple[int, ...]) -> _Quantity:
 
 
 class _Family(NamedTuple):
-    build: Callable[..., StateVector]
-    params: dict[str, float]  # certify defaults, in the builder's argument order
+    amplitudes: Callable[..., np.ndarray]  # the state's amplitude tensor, party k along axis k
+    params: dict[str, float]  # certify defaults, in the amplitude function's argument order
     reference: Callable[..., float] | None = None  # paper_* curve over the same arguments
-    sweep: tuple[Callable[..., np.ndarray], str, float, float] | None = None  # amplitudes, swept parameter, range
+    sweep: tuple[str, float, float] | None = None  # swept parameter and its range
     sweep_params: dict[str, float] = {}  # defaults that differ under sweep
     fixed: tuple[str, ...] = ()  # shown in params but not settable
+
+    def build(self, values: dict[str, float]) -> StateVector:
+        amps = self.amplitudes(*values.values())
+        return StateVector(amps.shape, amps)
 
 
 def _families() -> dict[str, _Family]:
     return {
-        "psi_lambda": _Family(
-            psi_lambda, {"lambda": 0.5}, paper_i2_psi_lambda, (states.psi_lambda_amplitudes, "lambda", 0.0, 1.0)
-        ),
-        "bell": _Family(psi_lambda, {"lambda": 0.5}, paper_i2_psi_lambda, fixed=("lambda",)),
-        "ghz3": _Family(ghz3, {"theta": PI / 4}, paper_i3_ghz3, (states.ghz3_amplitudes, "theta", 0.0, PI / 2)),
+        "psi_lambda": _Family(states.psi_lambda_amplitudes, {"lambda": 0.5}, paper_i2_psi_lambda, ("lambda", 0.0, 1.0)),
+        "bell": _Family(states.psi_lambda_amplitudes, {"lambda": 0.5}, paper_i2_psi_lambda, fixed=("lambda",)),
+        "ghz3": _Family(states.ghz3_amplitudes, {"theta": PI / 4}, paper_i3_ghz3, ("theta", 0.0, PI / 2)),
         "w3": _Family(
-            w3,
+            states.w3_amplitudes,
             {"theta": W3_STANDARD_THETA, "alpha": W3_STANDARD_ALPHA},
             paper_i3_w3,
-            (states.w3_amplitudes, "theta", 0.0, PI / 2),
+            ("theta", 0.0, PI / 2),
         ),
-        "ghz4": _Family(ghz4, {"theta": PI / 4}, paper_i4_ghz4, (states.ghz4_amplitudes, "theta", 0.0, PI / 2)),
+        "ghz4": _Family(states.ghz4_amplitudes, {"theta": PI / 4}, paper_i4_ghz4, ("theta", 0.0, PI / 2)),
         "wg4": _Family(
-            wg4,
+            states.wg4_amplitudes,
             {"theta": 1.05, "mu": 0.62, "nu": PI / 4},
-            sweep=(states.wg4_amplitudes, "mu", 0.0, PI / 2),
+            sweep=("mu", 0.0, PI / 2),
             sweep_params={"nu": 0.5},
         ),
-        "product3": _Family(lambda: StateVector((2, 2, 2), [1] + [0] * 7), {}),
-        "product4": _Family(lambda: StateVector((2, 2, 2, 2), [1] + [0] * 15), {}),
+        "product3": _Family(lambda: np.eye(1, 2**3, dtype=np.complex128).reshape((2,) * 3), {}),
+        "product4": _Family(lambda: np.eye(1, 2**4, dtype=np.complex128).reshape((2,) * 4), {}),
     }
 
 
@@ -187,11 +184,11 @@ def _check_finite(flags: dict[str, float | None]) -> None:
 
 
 def _family(name: str, args=None, for_sweep: bool = False) -> tuple[_Family, dict[str, float]]:
-    """A family's table entry and builder arguments: its defaults, then the flags in ``args``."""
+    """A family's table entry and amplitude arguments: its defaults, then the flags in ``args``."""
     family = _families()[name]
     values = {**family.params, **(family.sweep_params if for_sweep else {})}
     if args is not None:
-        swept = family.sweep[1] if for_sweep else None
+        swept = family.sweep[0] if for_sweep else None
         settable = [k for k in values if k not in family.fixed and k != swept]
         values.update(_param_flags(args, settable, f"{args.command} --family {name}"))
     return family, values
@@ -242,7 +239,7 @@ def cmd_certify(args) -> int:
         raise ValueError("give exactly one of --family or --state")
     if args.family is not None:
         family, values = _family(args.family, args)
-        psi = family.build(*values.values())
+        psi = family.build(values)
         out = {"family": args.family, "params": values}
     else:
         family = None
@@ -280,7 +277,7 @@ def _flatten_certify(out: dict) -> tuple[list[str], list[list]]:
 
 def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
     family, values = _family(name, args, for_sweep=True)
-    amplitudes, swept, lo, hi = family.sweep
+    swept, lo, hi = family.sweep
     if args is not None:
         lo = lo if args.start is None else args.start
         hi = hi if args.stop is None else args.stop
@@ -292,7 +289,7 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
         try:
             for x in block:
                 values[swept] = x
-                tensors.append(amplitudes(*values.values()))
+                tensors.append(family.amplitudes(*values.values()))
             amps, _ = normalise(np.reshape(tensors, (len(block), -1)))  # each row its StateVector's bits
         except ValueError as exc:
             x = block[exc.row] if isinstance(exc, StackError) else x
@@ -341,7 +338,7 @@ def cmd_sweep(args) -> int:
 def _locc_state(args) -> DensityMatrix:
     if args.state is None:
         family, values = _family(args.family or "bell", args)
-        return family.build(*values.values()).density()
+        return family.build(values).density()
     if args.family is not None:
         raise ValueError("give at most one of --family or --state")
     psi = _load_state(args)
@@ -525,7 +522,7 @@ def cmd_figures(args) -> int:
 
     # fig1: (chi, zeta) density of min-over-xi omega for the Bell state.
     bell, values = _family("bell")
-    rho_bell = bell.build(*values.values()).density()
+    rho_bell = bell.build(values).density()
     result = sweep(rho_bell, args.grid, theta_cap=0.0)
     check = _Verification("fig1.csv") if args.verify else None
     if check:
@@ -607,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_locc = sub.add_parser("locc", help="POVM monotonicity sweep for a two-qubit state")
-    # locc takes two-qubit states: the families built by psi_lambda.
-    two_qubit = [name for name, family in _families().items() if family.build is psi_lambda]
+    # locc takes two-qubit states: the families of psi_lambda's amplitudes.
+    two_qubit = [name for name, family in _families().items() if family.amplitudes is states.psi_lambda_amplitudes]
     p_locc.add_argument("--family", choices=two_qubit, help="default: bell")
     p_locc.add_argument("--state", help="path to a JSON state file")
     p_locc.add_argument("--lambda", type=float)

@@ -110,34 +110,32 @@ class LbpsPatternSet:
         object.__setattr__(self, "patterns", patterns)
 
 
-_TRI_PATTERNS: tuple[tuple[str, tuple[IndexPattern, ...]], ...] = (
-    ("tri1", ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1))),
-    ("tri2", ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1))),
-    ("tri3", ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1))),
-    ("tri4", ((0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
-    ("tri5", ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))),
-    ("tri6", ((0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
-)
-
-_QUAD_PATTERNS: tuple[IndexPattern, ...] = (
-    (0, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 1, 0, 1),
-    (0, 1, 1, 0),
-    (1, 0, 0, 0),
-    (1, 0, 0, 1),
-    (1, 0, 1, 0),
-    (1, 0, 1, 1),
-    (1, 1, 0, 0),
-    (1, 1, 0, 1),
-    (1, 1, 1, 0),
-    (1, 1, 1, 1),
-)
-
-
 # Pattern sets are immutable, so the canonical ones are built once.
-_TRI_SETS = tuple(LbpsPatternSet(name, pats) for name, pats in _TRI_PATTERNS)
-_QUAD_SET = LbpsPatternSet("quad1", _QUAD_PATTERNS)
+_TRI_SETS = (
+    LbpsPatternSet("tri1", ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1))),
+    LbpsPatternSet("tri2", ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1))),
+    LbpsPatternSet("tri3", ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1))),
+    LbpsPatternSet("tri4", ((0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
+    LbpsPatternSet("tri5", ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))),
+    LbpsPatternSet("tri6", ((0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
+)
+_QUAD_SET = LbpsPatternSet(
+    "quad1",
+    (
+        (0, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 1, 0, 1),
+        (0, 1, 1, 0),
+        (1, 0, 0, 0),
+        (1, 0, 0, 1),
+        (1, 0, 1, 0),
+        (1, 0, 1, 1),
+        (1, 1, 0, 0),
+        (1, 1, 0, 1),
+        (1, 1, 1, 0),
+        (1, 1, 1, 1),
+    ),
+)
 
 
 def lbps_tripartite() -> list[LbpsPatternSet]:
@@ -279,25 +277,20 @@ class Witness:
         return self.terms[0][0].dims
 
     @cached_property
-    def _search_ops(self) -> np.ndarray:
-        # Every set of every term in each of the 3^n search settings, in
-        # itertools.product order.
+    def _search(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The search plan (ops, i, j).  ops holds every set of every term in
+        # each of the 3^n search settings, in itertools.product order.  Each
+        # of the 6^n assignments gives every party an ordered pair of distinct,
+        # so unbiased, members of the triple; i and j index the settings of the
+        # first and second members, in itertools.product order.
         n = len(self.dims)
         flats = [f for term in self._flat for f in term]
         settings = itertools.product(qubit_mub_triple().bases, repeat=n)
         unitaries = (BasisAssignment(bases).product_unitary for bases in settings)
-        return _projectors([(u, f) for u in unitaries for f in flats], prod(self.dims))
-
-    @cached_property
-    def _search_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        # Distinct members of the triple are unbiased.  Each of the 6^n
-        # assignments gives every party an ordered pair; i and j index the
-        # search settings of the first and second members, in
-        # itertools.product order.
-        n = len(self.dims)
+        ops = _projectors([(u, f) for u in unitaries for f in flats], prod(self.dims))
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
         assignments = np.array(list(itertools.product(pairs, repeat=n)))
-        return tuple(np.ravel_multi_index(assignments.transpose(1, 2, 0), (3,) * n))
+        return (ops, *np.ravel_multi_index(assignments.transpose(1, 2, 0), (3,) * n))
 
     def _set_values(self, entries: np.ndarray, ops: np.ndarray) -> np.ndarray:
         """Tr(m W) of each matrix m of the (T, D, D) stack ``entries`` for each
@@ -335,10 +328,13 @@ class Witness:
         """The value, term values and attaining set indices for each matrix of
         the (T, D, D) stack ``entries``: shapes (T,), (T, K) and (T, K).
 
-        The matrices must be density matrices of the witness's dims; the
-        first that is not raises InvariantError naming its row.  ``report``
-        turns row t of the last two into that matrix's report.
+        D is the product of the witness's dims, or ValueError is raised first.
+        The first matrix that is not a density matrix raises InvariantError
+        naming its row.  ``report`` turns row t of the last two into its report.
         """
+        dim = prod(self.dims)
+        if entries.shape[1:] != (dim, dim):
+            raise ValueError(f"expected a (T, {dim}, {dim}) stack for dims {self.dims}, got shape {entries.shape}")
         defect = density_defect(entries)
         if defect is not None:
             raise InvariantError(defect[1], defect[0])
@@ -369,20 +365,20 @@ class Witness:
 
         ``rho`` must have the witness's dims.  With basis_search, a two-term
         qubit witness instead maximizes over each party's ordered pair of
-        distinct bases of the qubit MUB triple.  Its first search builds the
-        search plan, the projectors of the 3^n settings and the index pairs
-        of the 6^n assignments, and the witness keeps it for later searches.
+        distinct bases of the qubit MUB triple.  Its first search builds one
+        plan, the projector stack of the 3^n settings and the index arrays of
+        the 6^n assignments, and the witness keeps it for later searches.
         """
         if rho.dims != self.dims:
             raise ValueError(f"state dims {rho.dims} do not match witness dims {self.dims}")
         if basis_search and (len(self.terms) != 2 or set(self.dims) != {2}):
             raise ValueError("basis search needs a two-term witness on qubits")
         # Searched, row r of the values is the r-th of the 3^n settings.
-        ops = self._search_ops if basis_search else self._ops
+        ops = self._search[0] if basis_search else self._ops
         values, sets = self._term_values(self._set_values(rho.entries[None], ops))
         if not basis_search:
             return self.report(values[0], sets[0])
-        (v1, v2), (s1, s2), (i, j) = values.T, sets.T, self._search_pairs
+        (v1, v2), (s1, s2), (_, i, j) = values.T, sets.T, self._search
         # argmax takes the first maximum, so ties go to the first assignment.
         a = (v1[i] + v2[j]).argmax()
         return self.report((v1[i[a]], v2[j[a]]), (s1[i[a]], s2[j[a]]))

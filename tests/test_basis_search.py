@@ -126,28 +126,27 @@ def test_search_settings_are_built_once_in_product_order(monkeypatch, n):
     # of itertools.product; assignment r, the r-th of itertools.product over
     # each party's ordered pair, reads the settings i[r] and j[r].
     witness = {2: i_m_witness(fourier_pair(2)), 3: i3_witness(), 4: i4_witness()}[n]
-    monkeypatch.delitem(witness.__dict__, "_search_ops", raising=False)
-    monkeypatch.delitem(witness.__dict__, "_search_pairs", raising=False)
-    calls, pair_calls = [], []
-    build, build_pairs = correlations._projectors, Witness._search_pairs.func
+    monkeypatch.delitem(witness.__dict__, "_search", raising=False)
+    calls, plan_calls = [], []
+    build, build_plan = correlations._projectors, Witness._search.func
     monkeypatch.setattr(correlations, "_projectors", lambda *args: calls.append(1) or build(*args))
-    counted = functools.cached_property(lambda self: pair_calls.append(1) or build_pairs(self))
-    counted.__set_name__(Witness, "_search_pairs")
-    monkeypatch.setattr(Witness, "_search_pairs", counted)
+    counted = functools.cached_property(lambda self: plan_calls.append(1) or build_plan(self))
+    counted.__set_name__(Witness, "_search")
+    monkeypatch.setattr(Witness, "_search", counted)
     rho = random_pure((2,) * n, [SEED, n]).density()
     assert witness.evaluate(rho, basis_search=True) == witness.evaluate(rho, basis_search=True)
-    assert len(calls) == len(pair_calls) == 1
+    assert len(calls) == len(plan_calls) == 1
     sets = [s for _, term_sets in witness.terms for s in term_sets]
     for r, bases in enumerate(itertools.product(qubit_mub_triple().bases, repeat=n)):
         setting = BasisAssignment(bases)
         plain = Witness(((setting, sets), (setting, sets[:1])), witness.bound)._ops
-        assert np.array_equal(witness._search_ops[r * len(sets) : (r + 1) * len(sets)], plain[: len(sets)])
+        assert np.array_equal(witness._search[0][r * len(sets) : (r + 1) * len(sets)], plain[: len(sets)])
     pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
     first, second = [], []
     for assignment in itertools.product(pairs, repeat=n):
         first.append(sum(pair[0] * 3 ** (n - 1 - k) for k, pair in enumerate(assignment)))
         second.append(sum(pair[1] * 3 ** (n - 1 - k) for k, pair in enumerate(assignment)))
-    i, j = witness._search_pairs
+    i, j = witness._search[1:]
     assert np.array_equal(i, first) and np.array_equal(j, second)
 
 
@@ -165,6 +164,5 @@ def test_cached_search_settings_give_the_reports_of_fresh_ones(monkeypatch, caps
 
     cached = reports()
     # Each witness keeps its search plan: build it afresh for each state.
-    monkeypatch.setattr(Witness, "_search_ops", property(Witness._search_ops.func))
-    monkeypatch.setattr(Witness, "_search_pairs", property(Witness._search_pairs.func))
+    monkeypatch.setattr(Witness, "_search", property(Witness._search.func))
     assert reports() == cached

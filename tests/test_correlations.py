@@ -3,6 +3,7 @@ and the independent oracle route."""
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,19 @@ def test_i3_witness_rejects_four_qubits(basis_search):
 def test_i4_witness_rejects_three_qubits(basis_search):
     with pytest.raises(ValueError, match="witness dims"):
         i4_witness().evaluate(random_pure((2, 2, 2), 3).density(), basis_search)
+
+
+@pytest.mark.parametrize(
+    "entries, shape",
+    [(np.eye(4)[None] / 4, (1, 4, 4)), (np.eye(8) / 8, (8, 8))],
+    ids=["wrong-dim", "bare-matrix"],
+)
+def test_read_rejects_a_stack_of_the_wrong_shape(monkeypatch, entries, shape):
+    # Refused before any other work: the density check never runs.
+    monkeypatch.setattr(correlations, "density_defect", lambda m: pytest.fail("density_defect ran"))
+    message = rf"expected a \(T, 8, 8\) stack for dims \(2, 2, 2\), got shape {re.escape(str(shape))}"
+    with pytest.raises(ValueError, match=message):
+        i3_witness().read(entries.astype(complex))
 
 
 def test_witness_terms_must_share_dims():

@@ -13,14 +13,15 @@ Names local to a function, its parameters and the names it assigns, reach
 nothing, and neither do annotations, which are never evaluated.  A method
 of a reached class is reached when a reached body reads an attribute of its
 name from a receiver of that class, or of unknown class.  A receiver's
-class is known when it is a package class or a call of one, ``self`` in a
+class is known when it is a package class or a call of one, a call of a
+package function whose return annotation names the class, ``self`` in a
 method of the class, or a local name whose one binding is a parameter
-annotated with the class or ``x = C(...)``; when that class defines no
-method of the name, the receiver counts as unknown.  This would miss a
-subclass's override, but no package class derives from another.  Dunder
-methods, and every method of a class whose name starts with "_" (argparse
-calls ``_NegativeNumber.match``), are reached with their class.  The check
-reads the sources with ast, so it imports nothing.
+annotated with the class or an assignment of such a call; when that class
+defines no method of the name, the receiver counts as unknown.  This would
+miss a subclass's override, but no package class derives from another.
+Dunder methods, and every method of a class whose name starts with "_"
+(argparse calls ``_NegativeNumber.match``), are reached with their class.
+The check reads the sources with ast, so it imports nothing.
 """
 
 import ast
@@ -122,11 +123,16 @@ class _Reach:
         return None
 
     def class_of(self, stem: str, node: ast.AST) -> tuple[str, str] | None:
-        """The package class that ``node``, a name or a call, names or builds."""
-        if isinstance(node, ast.Call):
+        """The package class that ``node``, a name or a call, names or builds,
+        or that the package function it calls is annotated to return."""
+        call = isinstance(node, ast.Call)
+        if call:
             node = node.func
         key = self.resolve(stem, node.id) if isinstance(node, ast.Name) else None
-        if key is not None and isinstance(self.modules[key[0]].defs[key[1]], ast.ClassDef):
+        definition = self.modules[key[0]].defs[key[1]] if key is not None else None
+        if call and isinstance(definition, _FUNCTIONS) and isinstance(definition.returns, ast.Name):
+            return self.class_of(key[0], definition.returns)
+        if isinstance(definition, ast.ClassDef):
             return key
         return None
 
@@ -283,6 +289,7 @@ SIZED = (
     "class A:\n    def size(self):\n        pass\n\n    def grow(self):\n        return self.size\n\n"
     "class B:\n    def size(self):\n        pass\n\n"
     "def _read(a: A):\n    return a.size\n\n"
+    "def _make() -> A:\n    return A()\n\n"
 )
 
 
@@ -294,8 +301,10 @@ SIZED = (
         ("return _read(A())", {"A.size"}),
         ("return A().grow()", {"A.size"}),
         ("a = A()\n    a = B()\n    return a.size", {"A.size", "B.size"}),
+        ("return _make().size", {"A.size"}),
+        ("a = _make()\n    return a.size", {"A.size"}),
     ],
-    ids=["call", "assigned", "annotated", "self", "rebound"],
+    ids=["call", "assigned", "annotated", "self", "rebound", "returned", "returned-assigned"],
 )
 def test_a_read_from_a_known_class_reaches_only_its_method(body, sizes):
     # main reaches both classes but reads size only from an A, unless the

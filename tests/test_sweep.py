@@ -52,14 +52,14 @@ _PER_ROW_QUANTITIES = {2: ("i2", _i2, _i2_oracle), 3: ("i3", i3, i3_oracle), 4: 
 
 def _reference_sweep_rows(name, steps, check, args=None):
     family, values = cli._family(name, args, for_sweep=True)
-    _, swept, lo, hi = family.sweep
+    swept, lo, hi = family.sweep
     if args is not None:
         lo = lo if args.start is None else args.start
         hi = hi if args.stop is None else args.stop
     rows = []
     for index, x in enumerate(np.linspace(lo, hi, steps)):
         values[swept] = x = float(x)
-        psi = family.build(*values.values())
+        psi = family.build(values)
         rho = psi.density()
         label, certify, oracle = _PER_ROW_QUANTITIES[psi.n_parties]
         report = certify(rho)
