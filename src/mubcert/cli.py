@@ -78,10 +78,16 @@ def _output(path: str | Path | None):
 
 
 def _write_csv(path: str | Path | None, header, rows) -> None:
+    # A row of Python floats takes one template: "%.17g" and _fmt's
+    # format(v, ".17g") give the same text for every double.
+    floats = ",".join(["%.17g"] * len(header)) + "\n"
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if {*map(type, row)} == {float}:
+                fh.write(floats % tuple(row))
+            else:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _dump_json(obj, path: str | Path | None) -> None:
@@ -304,18 +310,18 @@ def _sweep_rows(name: str, steps: int, check: _Verification | None, args=None):
             raise InvariantError(f"{name} {swept}={_fmt(block[exc.row])}: {exc}") from None
         for t, x in enumerate(block):
             values[swept] = x
-            row = {swept: x, quantity.name: i_values[t]}
-            if measured is not None:
-                row[quantity.measure[0]] = measured[t]
-            row["bound"] = witness.bound
+            row = [x, i_values[t]] if measured is None else [x, i_values[t], measured[t]]
+            row.append(witness.bound)
             if family.reference is not None:
-                row["paper_" + quantity.name] = family.reference(*values.values())
+                row.append(family.reference(*values.values()))
             if check and (start + t) % VERIFY_STRIDE == 0:
                 rho = DensityMatrix(witness.dims, stack[t])
                 reference = i_value_oracle(rho, [s for s, _ in witness.terms], witness.terms[-1][1])
                 check.check(reference, i_values[t], f"{name} row {start + t}")
             rows.append(row)
-    return list(rows[0]), [list(row.values()) for row in rows]
+    measure = [quantity.measure[0]] if quantity.measure else []
+    paper = ["paper_" + quantity.name] if family.reference is not None else []
+    return [swept, quantity.name, *measure, "bound", *paper], rows
 
 
 def cmd_sweep(args) -> int:

@@ -392,6 +392,23 @@ def test_sweep_to_file_and_json(tmp_path, capsys):
     assert abs(data[1]["i2"] - 2.0) <= 1e-12
 
 
+def test_csv_rows_of_floats_read_as_fmt_writes_each_value(tmp_path):
+    # Signed zeros, subnormals, the largest double, the switch to exponent
+    # notation at 1e17, non-finite values, a mixed row and a numpy scalar:
+    # every row reads as _fmt joins it.
+    header = ["a", "b", "c", "d", "e"]
+    rows = [
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        [0.1, 1 / 3, 1e16, 1e17, 9007199254740993.0],
+        [math.nan, math.inf, -math.inf, -1.5, 1e-05],
+        [True, [1.0, 2.0], "x", 3, 0.5],
+        [0.25, np.float64(0.1), 2.0, -0.0, 1 / 7],
+    ]
+    cli._write_csv(tmp_path / "table.csv", header, rows)
+    expected = "a,b,c,d,e\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "table.csv").read_bytes() == expected.encode()
+
+
 # The parameter flags each family takes under certify and under sweep.
 CERTIFY_TAKES = {
     "psi_lambda": {"lambda"}, "bell": set(), "ghz3": {"theta"}, "w3": {"theta", "alpha"},
