@@ -34,7 +34,7 @@ from .correlations import (
     paper_i4_ghz4,
 )
 from .linalg import UNIT_NORM_TOL, DensityMatrix, InvariantError, StackError, StateVector, normalise
-from .locc import PovmParams, PovmSweepResult, min_omega_family, omega_stack, sweep
+from .locc import PovmSweepResult, min_omega_family, omega_stack, sweep
 from .measures import global_q_stack, triangle_tau_stack
 from .mub import fourier_pair, is_odd_prime, prime_mub_family
 from .states import (
@@ -170,10 +170,16 @@ def _families() -> dict[str, _Family]:
     }
 
 
+def _settable(families, for_sweep: bool = False) -> list[str]:
+    """The parameter flags of ``families`` in table order: each argument that is
+    not fixed and, under sweep, not the swept one."""
+    names = [k for f in families for k in f.params if k not in f.fixed and not (for_sweep and k == f.sweep[0])]
+    return list(dict.fromkeys(names))
+
+
 def _param_flags(args, settable, owner: str) -> dict[str, float]:
     """The parameter flags given in ``args``; any not in ``settable`` is an input error."""
-    names = ("lambda", "theta", "alpha", "mu", "nu")
-    given = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+    given = {k: getattr(args, k) for k in _settable(_families().values()) if getattr(args, k, None) is not None}
     rejected = [f"--{k}" for k in given if k not in settable]
     if rejected:
         raise ValueError(f"{owner} does not take {', '.join(rejected)}")
@@ -194,9 +200,7 @@ def _family(name: str, args=None, for_sweep: bool = False) -> tuple[_Family, dic
     family = _families()[name]
     values = {**family.params, **(family.sweep_params if for_sweep else {})}
     if args is not None:
-        swept = family.sweep[0] if for_sweep else None
-        settable = [k for k in values if k not in family.fixed and k != swept]
-        values.update(_param_flags(args, settable, f"{args.command} --family {name}"))
+        values.update(_param_flags(args, _settable([family], for_sweep), f"{args.command} --family {name}"))
     return family, values
 
 
@@ -221,16 +225,11 @@ class _Verification:
     def check_grid(self, rho: DensityMatrix, result: PovmSweepResult, points, party: int = 0) -> None:
         """Check omega at each flat grid index of ``points``, a map from context
         to index, against omega_stack, BLOCK_ROWS points at a time, in order."""
-        shape = (result.steps,) * 3
         points = list(points.items())
         for start in range(0, len(points), BLOCK_ROWS):
             block = points[start : start + BLOCK_ROWS]
-            params = [
-                PovmParams(*(float(result.axis[i]) for i in np.unravel_index(index, shape)), result.theta_cap)
-                for _, index in block
-            ]
             try:
-                recomputed = omega_stack(rho, params, party)
+                recomputed = omega_stack(rho, [result.point(index) for _, index in block], party)
             except InvariantError as exc:
                 raise InvariantError(f"{block[exc.row][0]}: {exc}") from None
             for (context, index), reference in zip(block, recomputed.tolist()):
@@ -347,10 +346,7 @@ def _locc_state(args) -> DensityMatrix:
         return family.build(values).density()
     if args.family is not None:
         raise ValueError("give at most one of --family or --state")
-    psi = _load_state(args)
-    if psi.dims != (2, 2):
-        raise ValueError(f"locc needs a two-qubit state, got dims {psi.dims}")
-    return psi.density()
+    return _load_state(args).density()
 
 
 def _write_rows(path: Path, header: str, leads: list[str], inner: list[str], values: np.ndarray) -> None:
@@ -581,29 +577,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify genuine multipartite entanglement from correlations in mutually unbiased bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = _families()
 
     p_cert = sub.add_parser("certify", help="certify one state (family or JSON file)")
-    p_cert.add_argument("--family", choices=list(_families()))
+    p_cert.add_argument("--family", choices=list(families))
     p_cert.add_argument("--state", help="path to a JSON state file")
-    p_cert.add_argument("--lambda", type=float)
-    p_cert.add_argument("--theta", type=float)
-    p_cert.add_argument("--alpha", type=float)
-    p_cert.add_argument("--mu", type=float)
-    p_cert.add_argument("--nu", type=float)
+    for k in _settable(families.values()):
+        p_cert.add_argument(f"--{k}", type=float)
     p_cert.add_argument("--basis-search", action="store_true")
     p_cert.add_argument("--format", choices=("json", "csv"), default="json")
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="sweep one family parameter to CSV")
-    sweepable = [name for name, family in _families().items() if family.sweep]
-    p_sweep.add_argument("--family", choices=sweepable, required=True)
+    sweepable = {name: family for name, family in families.items() if family.sweep}
+    p_sweep.add_argument("--family", choices=list(sweepable), required=True)
     p_sweep.add_argument("--from", dest="start", type=float)
     p_sweep.add_argument("--to", dest="stop", type=float)
     p_sweep.add_argument("--steps", type=int, default=201)
-    p_sweep.add_argument("--alpha", type=float)
-    p_sweep.add_argument("--theta", type=float)
-    p_sweep.add_argument("--nu", type=float)
+    for k in _settable(sweepable.values(), for_sweep=True):
+        p_sweep.add_argument(f"--{k}", type=float)
     p_sweep.add_argument("--verify", action="store_true")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out")
@@ -611,10 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_locc = sub.add_parser("locc", help="POVM monotonicity sweep for a two-qubit state")
     # locc takes two-qubit states: the families of psi_lambda's amplitudes.
-    two_qubit = [name for name, family in _families().items() if family.amplitudes is states.psi_lambda_amplitudes]
-    p_locc.add_argument("--family", choices=two_qubit, help="default: bell")
+    two_qubit = {name: family for name, family in families.items() if family.amplitudes is states.psi_lambda_amplitudes}
+    p_locc.add_argument("--family", choices=list(two_qubit), help="default: bell")
     p_locc.add_argument("--state", help="path to a JSON state file")
-    p_locc.add_argument("--lambda", type=float)
+    for k in _settable(two_qubit.values()):
+        p_locc.add_argument(f"--{k}", type=float)
     p_locc.add_argument("--grid", type=int, default=61)
     p_locc.add_argument("--theta-cap", type=float, default=0.0)
     p_locc.add_argument("--mirror-povm", action="store_true")

@@ -302,7 +302,8 @@ class Witness:
         DOT_LIMIT floats is read one row at a time, the rows' ddots summed."""
         dim = entries.shape[-1]
         parts = 1 if 2 * dim * dim <= DOT_LIMIT else dim
-        rows = np.ascontiguousarray(entries, dtype=complex).view(np.float64).reshape(len(entries), 1, parts, 1, -1)
+        rows = np.ascontiguousarray(entries, dtype=complex).view(np.float64)
+        rows = rows.reshape(len(entries), 1, parts, 1, 2 * dim * dim // parts)
         values = np.matmul(rows, ops.reshape(len(ops), parts, -1, 1)).reshape(len(entries), len(ops), parts).sum(-1)
         off = abs(values[:, -1] - 1.0) > EQUALITY_TOL
         if off.any():

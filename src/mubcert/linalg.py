@@ -108,6 +108,8 @@ def density_defect(m: np.ndarray) -> tuple[int, str] | None:
     # Each check reduces the whole stack first and finds the failing matrix
     # only when there is one.
     stack = m.reshape((-1,) + m.shape[-2:])
+    if not len(stack):
+        return None
     finite = np.isfinite(stack)
     if not finite.all():
         return int(finite.all(axis=(1, 2)).argmin()), "entries must be finite"

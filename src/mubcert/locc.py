@@ -100,11 +100,14 @@ class PovmSweepResult:
     def min_omega(self) -> float:
         return float(self.omega.min())
 
+    def point(self, index: int) -> PovmParams:
+        """The POVM at flat grid index ``index``."""
+        chi, zeta, xi = (float(self.axis[i]) for i in np.unravel_index(index, (self.steps,) * 3))
+        return PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=self.theta_cap)
+
     @cached_property
     def argmin(self) -> PovmParams:
-        index = np.unravel_index(int(np.argmin(self.omega)), (self.steps,) * 3)
-        chi, zeta, xi = (float(self.axis[i]) for i in index)
-        return PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=self.theta_cap)
+        return self.point(int(np.argmin(self.omega)))
 
     def density_min_over_xi(self) -> np.ndarray:
         """Per (chi, zeta) cell, the minimum of omega over the xi axis."""
@@ -255,7 +258,7 @@ def _coefficients(rho: DensityMatrix, phase: complex, party: int, s_xi, c_xi):
 
 def _check_sweep_args(rho: DensityMatrix, theta_cap: float, party: int) -> None:
     if rho.dims != (2, 2):
-        raise ValueError(f"sweep needs a two-qubit state, got dims {rho.dims}")
+        raise ValueError(f"locc needs a two-qubit state, got dims {rho.dims}")
     if party not in (0, 1):
         raise ValueError(f"party must be 0 or 1, got {party}")
     _check_angle("theta_cap", theta_cap)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -418,6 +419,38 @@ SWEEP_TAKES = {
     "psi_lambda": set(), "ghz3": set(), "w3": {"alpha"}, "ghz4": set(), "wg4": {"theta", "nu"},
 }
 SWEEP_FLAGS = ("theta", "alpha", "nu")  # sweep has no --lambda or --mu option
+
+
+def test_readme_families_table_lists_the_flags_each_family_takes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| family | parties |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    certify, sweep = {}, {}
+    for line in table:
+        family, _, flags, _, swept, sweep_flags = (cell.strip() for cell in line.strip("|").split(" | "))
+        family = family.strip("`")
+        certify[family] = {flag.strip("`-") for flag in flags.split(", ")} - {"none"}
+        if swept != "not swept":
+            sweep[family] = {flag.strip("`-") for flag in sweep_flags.split(", ")} - {"none"}
+    assert (certify, sweep) == (CERTIFY_TAKES, SWEEP_TAKES)
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("certify", "--family --state --lambda --theta --alpha --mu --nu --basis-search --format --out"),
+        ("sweep", "--family --from --to --steps --alpha --theta --nu --verify --format --out"),
+        ("locc", "--family --state --lambda --grid --theta-cap --mirror-povm --verify --out-dir"),
+        ("check-bounds", "--class --trials --seed --d --complete-family --out"),
+        ("figures", "--out-dir --steps --grid --verify"),
+    ],
+)
+def test_each_command_lists_its_options_in_order(monkeypatch, capsys, command, options):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    section = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    assert re.findall(r"^  (--[\w-]+)", section, re.M) == options.split()
 
 
 @st.composite

@@ -52,6 +52,7 @@ from mubcert.correlations import (
     paper_i3_ghz3,
     paper_i4_ghz4,
 )
+from mubcert.measures import global_q_stack, triangle_tau_stack
 
 HADAMARD = (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)).astype(np.complex128)
 
@@ -307,6 +308,18 @@ def test_read_rejects_a_stack_of_the_wrong_shape(monkeypatch, entries, shape):
     message = rf"expected a \(T, 8, 8\) stack for dims \(2, 2, 2\), got shape {re.escape(str(shape))}"
     with pytest.raises(ValueError, match=message):
         i3_witness().read(entries.astype(complex))
+
+
+@pytest.mark.parametrize(
+    "witness", [i3_witness(), i4_witness(), i_m_witness(prime_mub_family(5))], ids=["i3", "i4", "i_m"]
+)
+def test_read_of_an_empty_stack_is_empty(witness):
+    dim = math.prod(witness.dims)
+    i_values, values, sets = witness.read(np.empty((0, dim, dim), dtype=np.complex128))
+    k = len(witness.terms)
+    assert (i_values.shape, values.shape, sets.shape) == ((0,), (0, k), (0, k))
+    assert triangle_tau_stack(np.empty((0, 8, 8), dtype=np.complex128)) == []
+    assert global_q_stack(np.empty((0, 16, 16), dtype=np.complex128)) == []
 
 
 def test_witness_terms_must_share_dims():

@@ -246,6 +246,17 @@ def test_sweep_result_structure():
     assert result.min_omega >= -1e-9
 
 
+def test_point_walks_the_grid_in_c_order():
+    result = sweep(psi_lambda(0.3).density(), 4, theta_cap=0.5)
+    walk = []
+    for chi in result.axis.tolist():
+        for zeta in result.axis.tolist():
+            for xi in result.axis.tolist():
+                walk.append(PovmParams(chi=chi, zeta=zeta, xi=xi, theta_cap=0.5))
+    assert [result.point(i) for i in range(64)] == walk
+    assert result.argmin == result.point(int(np.argmin(result.omega)))
+
+
 def test_sweep_mirror_party_on_symmetric_state():
     rho = psi_lambda(0.5).density()
     a = sweep(rho, 7, party=0)
